@@ -16,7 +16,7 @@ import numpy as np
 
 from regimemm import hjb_partial
 from regimemm.model import table1_spec
-from regimemm.simulate import FixedSpreadPolicy, PartialInfoPolicy, monte_carlo, simulate_path
+from regimemm.simulate import FixedSpreadPolicy, PartialInfoPolicy, monte_carlo
 
 OUT = Path("out/demo_monte_carlo")
 PATHS = 2000
@@ -31,7 +31,7 @@ def main():
     theta0 = surface.theta_at(0.0, 0, 0.5)
 
     print(f"Running {PATHS} thinning paths under the solved policy...")
-    opt = monte_carlo(spec, policy, n_paths=PATHS, seed=SEED)
+    opt = monte_carlo(spec, policy, n_paths=PATHS, seed=SEED, export_paths=4)
     print(f"  mean penalized P&L  {opt.mean_pnl:.5f} +- {opt.stderr:.5f}")
     print(f"  value surface       {theta0:.5f} at (t=0, n=0, pi=0.5)")
     print(f"  gap = {abs(opt.mean_pnl - theta0):.5f} vs 3 SE = {3 * opt.stderr:.5f}")
@@ -46,8 +46,7 @@ def main():
     print()
 
     OUT.mkdir(parents=True, exist_ok=True)
-    for p in range(4):
-        rec = simulate_path(spec, policy, SEED, path_index=p)
+    for p, rec in enumerate(opt.records):
         (OUT / f"path_{p:03d}.csv").write_text(rec.to_csv())
     (OUT / "summary.txt").write_text(opt.to_text())
     print(f"Sample paths and summary written to {OUT}/")

@@ -161,17 +161,15 @@ def cmd_solve_partial(args) -> int:
     return _finish(run_dir, manifest, started)
 
 
-def _build_policy(spec: ModelSpec, name: str, mpi: int, scale: float):
-    """Returns (policy, uses_regime_simulation)."""
+def _build_policy(spec: ModelSpec, name: str, mpi: int, scale: float) -> simulate.Policy:
     if name == "partial":
         surface = hjb_partial.solve(spec, m_pi=mpi, belief_gradient_scale=scale)
-        return simulate.PartialInfoPolicy(surface), False
+        return simulate.PartialInfoPolicy(surface)
     if name == "full":
-        surface = hjb_full.solve_constrained(spec)
-        return simulate.FullInfoPolicy(surface), True
+        return simulate.FullInfoPolicy(hjb_full.solve_constrained(spec))
     if name.startswith("fixed:"):
         delta = float(name.split(":", 1)[1])
-        return simulate.FixedSpreadPolicy(delta, delta), False
+        return simulate.FixedSpreadPolicy(delta, delta)
     raise ValueError(f"unknown policy {name!r} (expected partial, full or fixed:D)")
 
 
@@ -196,55 +194,24 @@ def cmd_simulate(args) -> int:
         outputs,
     )
     try:
-        policy, with_regime = _build_policy(
-            spec, args.policy, args.mpi, args.belief_gradient_scale
-        )
+        policy = _build_policy(spec, args.policy, args.mpi, args.belief_gradient_scale)
     except (UnsupportedConfigError, NumericsError) as exc:
         return _fail(f"policy surface unavailable: {exc}", EXIT_NUMERICS)
     except ValueError as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    run_dir = _run_dir(args.out, "simulate", manifest)
-    stamp = f"# manifest = {manifest.hash}\n"
     try:
-        records = []
-        for p in range(export):
-            if with_regime:
-                rec, _ = simulate.simulate_with_regime(spec, policy, args.seed, path_index=p)
-            else:
-                rec = simulate.simulate_path(spec, policy, args.seed, path_index=p)
-            records.append(rec)
-            _write(run_dir / f"path_{p:03d}.csv", stamp + rec.to_csv())
-        if with_regime:
-            pnls = []
-            fb = fa = 0
-            for p in range(args.paths):
-                if p < export:
-                    rec = records[p]
-                else:
-                    rec, _ = simulate.simulate_with_regime(
-                        spec, policy, args.seed, path_index=p, collect=False
-                    )
-                pnls.append(rec.pnl_penalized)
-                fb += rec.fills_bid
-                fa += rec.fills_ask
-            pnls = np.array(pnls)
-            counts, edges = np.histogram(pnls, bins=30)
-            summary = simulate.MonteCarloSummary(
-                paths=args.paths,
-                mean_pnl=float(pnls.mean()),
-                stderr=float(pnls.std(ddof=1) / np.sqrt(len(pnls))) if len(pnls) > 1 else 0.0,
-                mean_fills_bid=fb / args.paths,
-                mean_fills_ask=fa / args.paths,
-                hist_edges=edges,
-                hist_counts=counts,
-                pnls=pnls,
-                fills_bid_paths=np.zeros(0, dtype=int),
-                fills_ask_paths=np.zeros(0, dtype=int),
-            )
-        else:
-            summary = simulate.monte_carlo(spec, policy, args.paths, args.seed)
+        # the full-information policy quotes on the hidden regime, so its
+        # orders are thinned against that regime's intensity
+        summary = simulate.monte_carlo(
+            spec, policy, args.paths, args.seed,
+            regime_true=args.policy == "full", export_paths=export,
+        )
     except NumericsError as exc:
         return _fail(f"simulation failure: {exc}", EXIT_NUMERICS)
+    run_dir = _run_dir(args.out, "simulate", manifest)
+    stamp = f"# manifest = {manifest.hash}\n"
+    for p, rec in enumerate(summary.records):
+        _write(run_dir / f"path_{p:03d}.csv", stamp + rec.to_csv())
     _write(run_dir / "summary.txt", stamp + summary.to_text())
     print(
         f"mean_pnl = {summary.mean_pnl:.6g} +- {summary.stderr:.2g} "
@@ -328,6 +295,19 @@ def cmd_compare(args) -> int:
     return _finish(run_dir, manifest, started)
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi]; anything else exits 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regimemm",
@@ -355,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo under a feedback policy")
     add_common(p)
     p.add_argument("--policy", required=True, help="partial | full | fixed:D")
-    p.add_argument("--paths", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--paths", type=_int_in(1), default=1000)
+    p.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=0)
     p.add_argument("--mpi", type=int, default=hjb_partial.DEFAULT_PI_CELLS)
     p.add_argument("--belief-gradient-scale", type=float, default=1.0)
-    p.add_argument("--export-paths", type=int, default=4)
+    p.add_argument("--export-paths", type=_int_in(0), default=4)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("attractor", help="quiet-period equilibrium belief")

@@ -116,17 +116,24 @@ def jump_update(state: FilterState, side: str, spread: float, spec: ModelSpec) -
     return FilterState(raw / total)
 
 
-def _rk4_step(pi: np.ndarray, t: float, h: float, deriv) -> np.ndarray:
+def _rk4_step(pi: np.ndarray, t, h, deriv) -> tuple[np.ndarray, int]:
+    """One classical RK4 step of the belief: a single belief (k,) with scalar
+    t and h, or a batch (P, k) with per-path t and h.
+
+    Returns the renormalized belief and the number of coordinates clamped at
+    the simplex floor.
+    """
+    hc = np.asarray(h)[..., None]
     k1 = deriv(t, pi)
-    k2 = deriv(t + 0.5 * h, pi + 0.5 * h * k1)
-    k3 = deriv(t + 0.5 * h, pi + 0.5 * h * k2)
-    k4 = deriv(t + h, pi + h * k3)
-    out = pi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = deriv(t + 0.5 * h, pi + 0.5 * hc * k1)
+    k3 = deriv(t + 0.5 * h, pi + 0.5 * hc * k2)
+    k4 = deriv(t + h, pi + hc * k3)
+    out = pi + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # renormalize: the drift preserves the coordinate sum only to integrator order
-    if np.any(out < _FLOOR):
-        logger.warning("belief coordinate clamped at the simplex floor (t=%g)", t)
+    clamped = int(np.count_nonzero(out < _FLOOR))
+    if clamped:
         out = np.maximum(out, _FLOOR)
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True), clamped
 
 
 @dataclass
@@ -188,6 +195,7 @@ def evolve(
     traj = FilterTrajectory()
     traj.append(t0, pi)
     t = t0
+    clamps = 0
 
     def deriv(tau, p):
         spreads = policy(tau, n, p)
@@ -202,7 +210,8 @@ def evolve(
             if h <= 0.0 or not math.isfinite(h):
                 raise NumericsError("filter step size underflow")
             for s in range(n_steps):
-                pi = _rk4_step(pi, t + s * h, h, deriv)
+                pi, clamped = _rk4_step(pi, t + s * h, h, deriv)
+                clamps += clamped
                 t_here = t_next if s == n_steps - 1 else t + (s + 1) * h
                 if (s + 1) % record_every == 0 or s == n_steps - 1:
                     traj.append(t_here, pi)
@@ -216,6 +225,8 @@ def evolve(
             pi = jump_update(FilterState(pi), side, delta, spec).probs
             n = n + 1 if side == "bid" else n - 1
             traj.append(t, pi, event=1, side=side)
+    if clamps:
+        logger.warning("belief clamped at the simplex floor %d times", clamps)
     return traj
 
 

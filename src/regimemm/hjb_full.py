@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedConfigError
+from .grid import time_bracket
 from .intensity import STUB_SPREAD, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
@@ -44,18 +45,9 @@ class FullInfoSurface:
 
     def theta_at(self, t: float, n: int, i: int) -> float:
         """Linear interpolation of theta in t; i is a 1-based regime index."""
-        col = self._interp_theta(t)
-        return float(col[self.row_of(n), i - 1])
-
-    def _interp_theta(self, t: float) -> np.ndarray:
-        tg = self.time_grid
-        if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
-            raise ValueError(f"t={t} outside [0, T]")
-        t = min(max(t, tg[0]), tg[-1])
-        s = int(np.searchsorted(tg, t, side="right")) - 1
-        s = min(max(s, 0), len(tg) - 2)
-        w = (t - tg[s]) / (tg[s + 1] - tg[s])
-        return (1.0 - w) * self.theta[s] + w * self.theta[s + 1]
+        s, w = time_bracket(self.time_grid, t)
+        r = self.row_of(n)
+        return float((1.0 - w) * self.theta[s, r, i - 1] + w * self.theta[s + 1, r, i - 1])
 
 
 def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
@@ -129,29 +121,43 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
     return FullInfoSurface(spec, time_grid, theta, bid, ask)
 
 
-def policy(surface: FullInfoSurface, t: float, n: int, i: int) -> tuple[float, float]:
+def policy(surface: FullInfoSurface, t, n, i):
     """Feedback spreads at (t, n, i); blocked sides return the stub sentinel.
 
     theta is interpolated linearly in t and the spreads recomputed from the
     interpolated inventory differences, so the policy is continuous in t.
+    Scalar arguments give a pair of floats; arrays of one shape (a batch of
+    paths) give a pair of arrays, with one spread evaluation per regime.
     """
     spec = surface.spec
-    panel = surface._interp_theta(t)
-    r = surface.row_of(n)
-    col = i - 1
+    n_star = int(spec.inventory_cap_Nstar)
+    s, w = time_bracket(surface.time_grid, t)
+    n = np.asarray(n)
+    col = np.asarray(i) - 1
+    if np.any(np.abs(n) > n_star):
+        raise ValueError(f"inventory outside [-{n_star}, {n_star}]")
+    if np.any((col < 0) | (col >= spec.n_regimes)):
+        raise ValueError(f"regime index outside 1..{spec.n_regimes}")
+    r = n + n_star
+
+    def theta(rows):
+        return (1.0 - w) * surface.theta[s, rows, col] + w * surface.theta[s + 1, rows, col]
+
+    here = theta(r)
+    d_bid = theta(np.minimum(r + 1, 2 * n_star)) - here
+    d_ask = theta(np.maximum(r - 1, 0)) - here
+    bid = np.full(here.shape, STUB_SPREAD)
+    ask = np.full(here.shape, STUB_SPREAD)
     gamma = spec.risk_aversion_gamma
     bounds = spec.spread_bounds
-    if spec.bid_active(n):
-        d = float(panel[r + 1, col] - panel[r, col])
-        delta_bid = optimal_spread(spec.regimes[col].bid_intensity, gamma, d, bounds)
-    else:
-        delta_bid = STUB_SPREAD
-    if spec.ask_active(n):
-        d = float(panel[r - 1, col] - panel[r, col])
-        delta_ask = optimal_spread(spec.regimes[col].ask_intensity, gamma, d, bounds)
-    else:
-        delta_ask = STUB_SPREAD
-    return delta_bid, delta_ask
+    for k, regime in enumerate(spec.regimes):
+        on = (col == k) & spec.bid_active(n)
+        bid[on] = optimal_spread(regime.bid_intensity, gamma, d_bid[on], bounds)
+        on = (col == k) & spec.ask_active(n)
+        ask[on] = optimal_spread(regime.ask_intensity, gamma, d_ask[on], bounds)
+    if bid.ndim == 0:
+        return float(bid), float(ask)
+    return bid, ask
 
 
 def comparison_bounds(spec: ModelSpec) -> tuple[float, float]:
@@ -202,9 +208,7 @@ class UnconstrainedSolution:
     phi: np.ndarray  # shape (len(time_grid), k)
 
     def phi_at(self, t: float) -> np.ndarray:
-        tg = self.time_grid
-        s = min(max(int(np.searchsorted(tg, t, side="right")) - 1, 0), len(tg) - 2)
-        w = (t - tg[s]) / (tg[s + 1] - tg[s])
+        s, w = time_bracket(self.time_grid, t)
         return (1.0 - w) * self.phi[s] + w * self.phi[s + 1]
 
     def theta_at(self, t: float, n: int, i: int) -> float:

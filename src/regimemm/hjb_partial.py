@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
+from .grid import belief_bracket, time_bracket
 from .intensity import STUB_SPREAD
 from .model import ModelSpec, TwoRegimeParams, format_config, parse_config, two_regime_reduction
 
@@ -78,24 +79,9 @@ class PartialInfoSurface:
             raise ValueError(f"inventory {n} outside [-{n_star}, {n_star}]")
         return n + n_star
 
-    def _time_weight(self, t: float) -> tuple[int, float]:
-        tg = self.time_grid
-        if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
-            raise ValueError(f"t={t} outside [0, T]")
-        t = min(max(t, tg[0]), tg[-1])
-        s = min(max(int(np.searchsorted(tg, t, side="right")) - 1, 0), len(tg) - 2)
-        return s, (t - tg[s]) / (tg[s + 1] - tg[s])
-
-    def _pi_weight(self, pi: float) -> tuple[int, float]:
-        if not 0.0 <= pi <= 1.0:
-            raise ValueError(f"belief {pi} outside [0, 1]")
-        cells = len(self.pi_grid) - 1
-        j = min(int(pi * cells), cells - 1)
-        return j, pi * cells - j
-
     def _bilinear(self, table: np.ndarray, t: float, row: int, pi: float) -> float:
-        s, wt = self._time_weight(t)
-        j, wp = self._pi_weight(pi)
+        s, wt = time_bracket(self.time_grid, t)
+        j, wp = belief_bracket(len(self.pi_grid) - 1, pi)
         plane = (1.0 - wt) * table[s, row] + wt * table[s + 1, row]
         return float((1.0 - wp) * plane[j] + wp * plane[j + 1])
 

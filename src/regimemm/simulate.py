@@ -1,21 +1,25 @@
 """Thinning-based joint simulation of orders, inventory, cash, and filter.
 
-Orders are generated exactly by thinning: candidate times arrive from a
+One lockstep engine simulates a batch of paths.  Orders are generated
+exactly by thinning (Lewis & Shedler, 1979): candidate times arrive from a
 dominating homogeneous rate (per-side maxima of the regime intensities at
-the policy's minimum quotes, recomputed whenever the inventory gates flip),
-and a candidate becomes a fill with probability (observable rate)/(bound).
-Between fills the belief follows its no-order ODE; at fills it takes the
-multiplicative Bayes update.  The reference price is sampled exactly on a
-uniform reporting grid (one Gaussian block per path) and fill prices are
-drawn as Brownian bridges inside their reporting cell, so the penalized
-P&L does not depend on how densely the path is recorded.
+the policy's minimum quotes, switched with the inventory gates), and a
+candidate becomes a fill with probability (arrival rate)/(bound).  The
+arrival rate is the belief-averaged intensity, or with ``regime_true`` the
+intensity of the hidden regime, whose chain each path draws from its own
+substream.  Between fills the belief follows its no-order ODE, integrated
+with the filter's RK4 step; at fills it takes the multiplicative Bayes
+update.  The reference price is sampled exactly on a uniform reporting grid
+(one Gaussian block per path) and fill prices are drawn as Brownian bridges
+inside their reporting cell, so the penalized P&L does not depend on how
+densely the path is recorded.
 
-Both engines advance the belief through the same stop times (reporting grid
-plus candidate times) with the same RK4 subdivision, and every path owns
-its counter-based stream pair, so path i of a ``monte_carlo`` batch
-reproduces ``simulate_path(..., path_index=i)`` up to vectorized-math
-rounding.  ``simulate_with_regime`` draws the hidden chain explicitly and
-thins orders against the regime-true intensities for filter diagnostics.
+Every path owns its counter-based streams and advances through its own stop
+times (reporting grid plus candidate times), so its result does not depend
+on the other paths in its batch, up to vectorized-math rounding:
+``simulate_path`` and ``simulate_with_regime`` are one-path runs of the
+engine, and ``monte_carlo`` records its first paths without changing any
+P&L.
 """
 
 from __future__ import annotations
@@ -28,37 +32,39 @@ import numpy as np
 
 from . import hjb_full, hjb_partial
 from .errors import NumericsError
-from .filtering import FilterState, jump_update as _filter_jump
+from .filtering import FilterState, _rk4_step, jump_update as _filter_jump
+from .grid import belief_bracket, check_belief, time_bracket
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
 from .model import ModelSpec
-from .rng import PathStreams
+from .rng import REGIME, PathStreams, stream
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_REPORT_POINTS = 500
 DEFAULT_FILTER_STEP = 1e-3
 _BOUND_SLACK = 1.0 + 1e-9
-_FLOOR = 1e-300
 
 
 # -- feedback policies ---------------------------------------------------------
 
 
 class Policy:
-    """Feedback quote map.  ``quotes``/``quotes_batch`` return (bid, ask)
-    spreads with the stub sentinel on blocked sides; ``min_spreads`` supplies
-    the lower bounds behind the thinning dominating rate."""
+    """Feedback quote map.  ``quotes_batch(t, n, pi1, y)`` returns (bid, ask)
+    spread arrays, with the stub sentinel on blocked sides, at per-path
+    times, inventories and beliefs in regime 1; ``y`` holds the 0-based
+    hidden regimes in regime-true runs and is None otherwise.
+    ``min_spreads`` supplies the lower bounds behind the thinning
+    dominating rate."""
 
-    def quotes(self, t: float, n: int, probs: np.ndarray, y: int | None = None):
+    def quotes_batch(self, t: np.ndarray, n: np.ndarray, pi1: np.ndarray, y=None):
         raise NotImplementedError
 
-    def quotes_batch(self, t: np.ndarray, n: np.ndarray, pi1: np.ndarray):
-        bid = np.empty_like(t)
-        ask = np.empty_like(t)
-        for i in range(len(t)):
-            probs = np.array([pi1[i], 1.0 - pi1[i]])
-            bid[i], ask[i] = self.quotes(float(t[i]), int(n[i]), probs)
-        return bid, ask
+    def quotes(self, t: float, n: int, pi1: float, y: int | None = None) -> tuple[float, float]:
+        """Quotes at one state: ``quotes_batch`` on a batch of one."""
+        bid, ask = self.quotes_batch(
+            np.array([float(t)]), np.array([n]), np.array([pi1]), None if y is None else np.array([y])
+        )
+        return float(bid[0]), float(ask[0])
 
     def min_spreads(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -71,40 +77,39 @@ class FixedSpreadPolicy(Policy):
     delta_bid: float
     delta_ask: float
 
-    def quotes(self, t, n, probs, y=None):
-        return self.delta_bid, self.delta_ask
-
-    def quotes_batch(self, t, n, pi1):
+    def quotes_batch(self, t, n, pi1, y=None):
         return np.full_like(t, self.delta_bid), np.full_like(t, self.delta_ask)
 
     def min_spreads(self):
         return self.delta_bid, self.delta_ask
 
 
-class PartialInfoPolicy(Policy):
-    """Bilinear lookup into a solved partial-information surface."""
+class _SurfacePolicy(Policy):
+    """Quotes read from a solved surface; the thinning bounds are the
+    smallest spreads its tables quote on each side."""
 
-    def __init__(self, surface: hjb_partial.PartialInfoSurface):
+    def __init__(self, surface):
         self.surface = surface
-        self.n_star = int(surface.spec.inventory_cap_Nstar)
         bid = surface.spread_bid
         ask = surface.spread_ask
         self._min_bid = float(bid[:, :-1, :].min()) if bid.shape[1] > 1 else STUB_SPREAD
         self._min_ask = float(ask[:, 1:, :].min()) if ask.shape[1] > 1 else STUB_SPREAD
 
-    def quotes(self, t, n, probs, y=None):
-        return hjb_partial.policy(self.surface, t, n, float(probs[0]))
+    def min_spreads(self):
+        return self._min_bid, self._min_ask
 
-    def quotes_batch(self, t, n, pi1):
+
+class PartialInfoPolicy(_SurfacePolicy):
+    """Bilinear lookup into a solved partial-information surface."""
+
+    surface: hjb_partial.PartialInfoSurface
+
+    def quotes_batch(self, t, n, pi1, y=None):
         surf = self.surface
-        tg = surf.time_grid
-        cells = len(surf.pi_grid) - 1
-        s = np.clip(np.searchsorted(tg, t, side="right") - 1, 0, len(tg) - 2)
-        wt = (t - tg[s]) / (tg[s + 1] - tg[s])
-        j = np.clip((pi1 * cells).astype(int), 0, cells - 1)
-        wp = pi1 * cells - j
-        rows = (n + self.n_star).astype(int)
-        top = 2 * self.n_star
+        n_star = int(surf.spec.inventory_cap_Nstar)
+        s, wt = time_bracket(surf.time_grid, t)
+        j, wp = belief_bracket(len(surf.pi_grid) - 1, pi1)
+        rows = (n + n_star).astype(int)
 
         def lookup(table, safe_rows):
             lo = (1 - wp) * table[s, safe_rows, j] + wp * table[s, safe_rows, j + 1]
@@ -113,33 +118,23 @@ class PartialInfoPolicy(Policy):
 
         # clamp discarded blocked rows out of the stub entries before the
         # gather: np.where evaluates both branches and inf * 0 would warn
-        bid = np.where(n < self.n_star, lookup(surf.spread_bid, np.minimum(rows, top - 1)), STUB_SPREAD)
-        ask = np.where(-n < self.n_star, lookup(surf.spread_ask, np.maximum(rows, 1)), STUB_SPREAD)
+        bid = np.where(n < n_star, lookup(surf.spread_bid, np.minimum(rows, 2 * n_star - 1)), STUB_SPREAD)
+        ask = np.where(-n < n_star, lookup(surf.spread_ask, np.maximum(rows, 1)), STUB_SPREAD)
         return bid, ask
 
-    def min_spreads(self):
-        return self._min_bid, self._min_ask
 
+class FullInfoPolicy(_SurfacePolicy):
+    """Regime-feedback quotes; usable only in regime-true simulations."""
 
-class FullInfoPolicy(Policy):
-    """Regime-feedback quotes; usable only where the regime is simulated."""
+    surface: hjb_full.FullInfoSurface
 
-    def __init__(self, surface: hjb_full.FullInfoSurface):
-        self.surface = surface
-        bid = surface.spread_bid
-        ask = surface.spread_ask
-        self._min_bid = float(bid[:, :-1, :].min()) if bid.shape[1] > 1 else STUB_SPREAD
-        self._min_ask = float(ask[:, 1:, :].min()) if ask.shape[1] > 1 else STUB_SPREAD
-
-    def quotes(self, t, n, probs, y=None):
+    def quotes_batch(self, t, n, pi1, y=None):
         if y is None:
             raise NumericsError(
-                "full-information policy needs the regime; use simulate_with_regime"
+                "full-information policy needs the regime; simulate with regime_true"
             )
-        return hjb_full.policy(self.surface, t, n, y)
-
-    def min_spreads(self):
-        return self._min_bid, self._min_ask
+        check_belief(pi1)
+        return hjb_full.policy(self.surface, t, n, y + 1)
 
 
 # -- records ---------------------------------------------------------------------
@@ -215,6 +210,7 @@ class MonteCarloSummary:
     pnls: np.ndarray
     fills_bid_paths: np.ndarray
     fills_ask_paths: np.ndarray
+    records: tuple[PathRecord, ...] = ()  # the first export_paths paths
 
     def to_text(self) -> str:
         lines = [
@@ -275,67 +271,39 @@ def _batch_drift(spec, pi, bid, ask, bid_on, ask_on):
     return out
 
 
-class _QuotesForDrift:
-    """Policy adapter used inside filter integration: turns the reduced pi1
-    plus inventory into quote arrays, feeding the regime through when the
-    path carries one (regime-true simulations)."""
-
-    def __init__(self, policy: Policy, regime_at=None):
-        self.policy = policy
-        self.regime_at = regime_at
-
-    def __call__(self, t, n, pi_full):
-        if self.regime_at is None:
-            return self.policy.quotes_batch(t, n, pi_full[:, 0])
-        bid = np.empty_like(t)
-        ask = np.empty_like(t)
-        for i in range(len(t)):
-            y = self.regime_at(float(t[i]))
-            bid[i], ask[i] = self.policy.quotes(
-                float(t[i]), int(n[i]), pi_full[i], None if y is None else y + 1
-            )
-        return bid, ask
-
-
-def _batch_advance(spec, quotes_fn, pi, t0, t1, n, h_target):
+def _batch_advance(spec, quotes_fn, rows, pi, t0, t1, n, h_target):
     """RK4 the belief of every path from its t0 to its t1 (vectorized lockstep).
 
     The node sequence per path depends only on (t0, t1, h_target), never on
-    what is recorded, keeping scalar and batch runs aligned.
+    the batch or on what is recorded.  ``quotes_fn(rows, t, n, pi)`` gives
+    the quotes of the batch rows ``rows`` at RK4 stage states.  Returns the
+    beliefs and the number of coordinates clamped at the simplex floor.
     """
     if spec.n_regimes == 1:
-        return pi  # a single regime has a constant, trivial belief
+        return pi, 0  # a single regime has a constant, trivial belief
     gap = t1 - t0
     steps = np.maximum(np.ceil(gap / h_target - 1e-12).astype(int), 1)
     steps[gap <= 0.0] = 0
     h_all = np.where(steps > 0, gap / np.maximum(steps, 1), 0.0)
-    max_steps = int(steps.max()) if len(steps) else 0
     pi = pi.copy()
     n_star = spec.inventory_cap_Nstar
+    clamps = 0
 
-    for s in range(max_steps):
+    for s in range(int(steps.max(initial=0))):
         idx = np.flatnonzero(steps > s)
         h = h_all[idx]
-        tt = t0[idx] + s * h
+        sub_rows = rows[idx]
         sub_n = n[idx]
         bid_on = sub_n < n_star
         ask_on = -sub_n < n_star
-        cur = pi[idx]
 
         def deriv(t_stage, p_stage):
-            b, a = quotes_fn(t_stage, sub_n, p_stage)
+            b, a = quotes_fn(sub_rows, t_stage, sub_n, p_stage)
             return _batch_drift(spec, p_stage, b, a, bid_on, ask_on)
 
-        k1 = deriv(tt, cur)
-        k2 = deriv(tt + 0.5 * h, cur + 0.5 * h[:, None] * k1)
-        k3 = deriv(tt + 0.5 * h, cur + 0.5 * h[:, None] * k2)
-        k4 = deriv(tt + h, cur + h[:, None] * k3)
-        nxt = cur + (h[:, None] / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(nxt < _FLOOR):
-            logger.warning("belief coordinate clamped at the simplex floor")
-            nxt = np.maximum(nxt, _FLOOR)
-        pi[idx] = nxt / nxt.sum(axis=1, keepdims=True)
-    return pi
+        pi[idx], clamped = _rk4_step(pi[idx], t0[idx] + s * h, h, deriv)
+        clamps += clamped
+    return pi, clamps
 
 
 class _BridgedPrices:
@@ -388,179 +356,6 @@ def _penalized_pnl(spec: ModelSpec, x_final, s_final, n_final, inventory_integra
     )
 
 
-# -- scalar engine ----------------------------------------------------------------
-
-
-def simulate_path(
-    spec: ModelSpec,
-    policy: Policy,
-    seed: int,
-    *,
-    path_index: int = 0,
-    report_points: int = DEFAULT_REPORT_POINTS,
-    h_target: float = DEFAULT_FILTER_STEP,
-    collect: bool = True,
-    regime_path: list[tuple[float, int]] | None = None,
-    streams: PathStreams | None = None,
-) -> PathRecord:
-    """Simulate one path under the observable-intensity dynamics.
-
-    With ``regime_path`` given (sorted (switch time, 0-based regime) pairs
-    starting at t = 0) candidates are accepted at the regime-true intensity;
-    the filter still sees only the observables.
-    """
-    streams = streams or PathStreams(seed, path_index)
-    T = spec.horizon_T
-    lam_bid_max, lam_ask_max = _dominating_rates(spec, policy)
-    prices = _BridgedPrices(spec, streams.prices, report_points)
-    regime_at = _regime_lookup(regime_path) if regime_path is not None else lambda tt: None
-    quotes_fn = _QuotesForDrift(
-        policy, _regime_lookup(regime_path) if regime_path is not None else None
-    )
-
-    t = 0.0
-    n = spec.initial_inventory_n0
-    x = float(spec.initial_cash_x0)
-    pi = spec.initial_filter_mu0.copy()
-    fills: list[Fill] = []
-    inv_integral = 0.0
-    next_report = 1  # index of the next reporting node to stop at
-    next_candidate = math.nan  # nan = not drawn yet
-    rows: list[tuple] = []
-
-    def record_row(tt: float, s_here: float, side: str = "") -> None:
-        if not collect:
-            return
-        y = regime_at(tt)
-        b, a = policy.quotes(tt, n, pi, None if y is None else y + 1)
-        rows.append((tt, s_here, n, x, pi.copy(), b, a, side))
-
-    record_row(0.0, prices.node(0))
-
-    while t < T:
-        if math.isnan(next_candidate):
-            bound = lam_bid_max * spec.bid_active(n) + lam_ask_max * spec.ask_active(n)
-            next_candidate = (
-                t + float(streams.events.standard_exponential()) / bound
-                if bound > 0.0
-                else math.inf
-            )
-        t_report = next_report * prices.dt if next_report <= prices.cells else math.inf
-        t_stop = min(next_candidate, t_report, T)
-
-        inv_integral += float(n * n) * (t_stop - t)
-        if t_stop > t:
-            pi = _batch_advance(
-                spec, quotes_fn, pi[None, :], np.array([t]), np.array([t_stop]),
-                np.array([n]), h_target,
-            )[0]
-            t = t_stop
-
-        if t_stop == t_report and t_report <= T:
-            record_row(t_report, prices.node(next_report))
-            next_report += 1
-            if t_stop != next_candidate:
-                continue
-        if t_stop == next_candidate and next_candidate < T:
-            y = regime_at(t)
-            b, a = policy.quotes(t, n, pi, None if y is None else y + 1)
-            comp_b = _batch_components(spec, "bid", np.array([b]))[0]
-            comp_a = _batch_components(spec, "ask", np.array([a]))[0]
-            if regime_path is None:
-                rate_b = float(pi @ comp_b) if spec.bid_active(n) else 0.0
-                rate_a = float(pi @ comp_a) if spec.ask_active(n) else 0.0
-            else:
-                rate_b = float(comp_b[y]) if spec.bid_active(n) else 0.0
-                rate_a = float(comp_a[y]) if spec.ask_active(n) else 0.0
-            total = rate_b + rate_a
-            bound = lam_bid_max * spec.bid_active(n) + lam_ask_max * spec.ask_active(n)
-            if total > bound * _BOUND_SLACK:
-                raise NumericsError(
-                    "thinning bound violated: arrival rate above the dominator"
-                )
-            u1 = float(streams.events.random())
-            if u1 * bound < total:
-                u2 = float(streams.events.random())
-                side = "bid" if u2 * total < rate_b else "ask"
-                s_fill = prices.at_fill(t, streams.prices)
-                if side == "bid":
-                    x -= s_fill - b
-                    n += 1
-                    spread = float(b)
-                else:
-                    x += s_fill + a
-                    n -= 1
-                    spread = float(a)
-                fills.append(Fill(t, side, spread, s_fill))
-                pi = _filter_jump(FilterState(pi), side, spread, spec).probs.copy()
-                record_row(t, s_fill, side)
-            next_candidate = math.nan
-        elif t_stop >= T:
-            break
-
-    s_final = prices.terminal
-    if collect and (not rows or rows[-1][0] < T):
-        record_row(T, s_final)  # terminal reporting node can miss T by one ulp
-    pnl = _penalized_pnl(spec, x, s_final, n, inv_integral)
-
-    if collect and rows:
-        cols = list(zip(*rows))
-        times = np.array(cols[0])
-        price = np.array(cols[1])
-        inventory = np.array(cols[2])
-        cash = np.array(cols[3])
-        probs = np.array(cols[4])
-        s_bid = np.array(cols[5])
-        s_ask = np.array(cols[6])
-        sides = list(cols[7])
-    else:
-        times = np.array([T])
-        price = np.array([s_final])
-        inventory = np.array([n])
-        cash = np.array([x])
-        probs = pi[None, :].copy()
-        s_bid = np.array([STUB_SPREAD])
-        s_ask = np.array([STUB_SPREAD])
-        sides = [""]
-
-    return PathRecord(
-        seed=seed,
-        path_index=path_index,
-        fills=fills,
-        times=times,
-        price=price,
-        inventory=inventory,
-        cash=cash,
-        probs=probs,
-        spread_bid=s_bid,
-        spread_ask=s_ask,
-        event_side=sides,
-        n_final=int(n),
-        x_final=float(x),
-        s_final=float(s_final),
-        inventory_integral=float(inv_integral),
-        pnl_penalized=float(pnl),
-    )
-
-
-def _regime_lookup(regime_path):
-    if regime_path is None:
-        return lambda t: None
-    switch_times = [p[0] for p in regime_path]
-    states = [p[1] for p in regime_path]
-
-    def lookup(t: float) -> int:
-        idx = 0
-        for k, st in enumerate(switch_times):
-            if st <= t:
-                idx = k
-            else:
-                break
-        return states[idx]
-
-    return lookup
-
-
 def draw_regime_path(spec: ModelSpec, regime_rng) -> list[tuple[float, int]]:
     """Sample the hidden chain on [0, T]: initial state from the prior, then
     exponential holding times from the generator.  States are 0-based."""
@@ -584,68 +379,43 @@ def draw_regime_path(spec: ModelSpec, regime_rng) -> list[tuple[float, int]]:
     return path
 
 
-def simulate_with_regime(
-    spec: ModelSpec,
-    policy: Policy,
-    seed: int,
-    *,
-    path_index: int = 0,
-    report_points: int = DEFAULT_REPORT_POINTS,
-    h_target: float = DEFAULT_FILTER_STEP,
-    collect: bool = True,
-) -> tuple[PathRecord, list[tuple[float, int]]]:
-    """Simulate the hidden regime explicitly; orders arrive at the
-    regime-true intensity while the filter runs on observables only.
+def _regime_clock(spec: ModelSpec, streams: list[PathStreams]):
+    """Vectorized lookup ``(rows, t) -> 0-based regime`` of the batch's hidden
+    chains, drawn from each path's regime substream and held as switch
+    times padded with +inf."""
+    chains = [draw_regime_path(spec, s.regime) for s in streams]
+    width = max(len(c) for c in chains)
+    switch = np.full((len(chains), width), math.inf)
+    state = np.zeros((len(chains), width), dtype=int)
+    for row, chain in enumerate(chains):
+        switch[row, : len(chain)], state[row, : len(chain)] = zip(*chain)
 
-    Policies receive the 1-based regime index through their ``y`` argument.
-    Returns the path record plus the sampled (switch time, 0-based state)
-    regime path.
+    def at(rows, t):
+        return state[rows, np.sum(switch[rows] <= t[:, None], axis=1) - 1]
+
+    return at
+
+
+# -- the engine ---------------------------------------------------------------------
+
+
+def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows=True):
+    """Lockstep thinning over ``path_ids``; the first ``record`` of them are
+    recorded (every row, or with ``keep_rows`` off only the terminal one).
+
+    Returns per-path penalized P&L, bid and ask fill counts, and the records.
     """
-    streams = PathStreams(seed, path_index)
-    regime_path = draw_regime_path(spec, streams.regime)
-    record = simulate_path(
-        spec,
-        policy,
-        seed,
-        path_index=path_index,
-        report_points=report_points,
-        h_target=h_target,
-        collect=collect,
-        regime_path=regime_path,
-        streams=streams,
-    )
-    return record, regime_path
-
-
-# -- batch engine -------------------------------------------------------------------
-
-
-def monte_carlo(
-    spec: ModelSpec,
-    policy: Policy,
-    n_paths: int,
-    seed: int,
-    *,
-    report_points: int = DEFAULT_REPORT_POINTS,
-    h_target: float = DEFAULT_FILTER_STEP,
-    hist_bins: int = 30,
-) -> MonteCarloSummary:
-    """Vectorized Monte Carlo over path-indexed counter-based streams.
-
-    Deterministic for fixed (spec, policy, seed, n_paths) regardless of how
-    the work might be partitioned: each path consumes only its own streams
-    and aggregation is an ordered reduction over path indices.
-    """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
+    n_paths = len(path_ids)
     T = spec.horizon_T
     lam_bid_max, lam_ask_max = _dominating_rates(spec, policy)
     n_star = spec.inventory_cap_Nstar
-    quotes_fn = _QuotesForDrift(policy)
-
-    streams = [PathStreams(seed, p) for p in range(n_paths)]
+    streams = [PathStreams(seed, p) for p in path_ids]
     prices = [_BridgedPrices(spec, s.prices, report_points) for s in streams]
     report_dt = T / report_points
+    regime_at = _regime_clock(spec, streams) if regime_true else lambda rows, t: None
+
+    def quotes_fn(sel, t_sel, n_sel, pi_sel):
+        return policy.quotes_batch(t_sel, n_sel, pi_sel[:, 0], regime_at(sel, t_sel))
 
     t = np.zeros(n_paths)
     n = np.full(n_paths, spec.initial_inventory_n0, dtype=int)
@@ -657,6 +427,10 @@ def monte_carlo(
     next_report = np.ones(n_paths, dtype=int)
     next_candidate = np.full(n_paths, math.nan)
     active = np.ones(n_paths, dtype=bool)
+    clamps = 0
+    # recorded rows: (t, S, N, X, belief, event side)
+    log = [[(0.0, prices[p].node(0), n[p], x[p], pi[p].copy(), "")] for p in range(record)]
+    fills: list[list[Fill]] = [[] for _ in range(record)]
 
     while np.any(active):
         idx = np.flatnonzero(active)
@@ -672,10 +446,15 @@ def monte_carlo(
         t_stop = np.minimum(np.minimum(next_candidate[idx], t_report), T)
 
         inv_integral[idx] += n[idx].astype(float) ** 2 * (t_stop - t[idx])
-        pi[idx] = _batch_advance(spec, quotes_fn, pi[idx], t[idx], t_stop, n[idx], h_target)
+        pi[idx], clamped = _batch_advance(
+            spec, quotes_fn, idx, pi[idx], t[idx], t_stop, n[idx], h_target
+        )
+        clamps += clamped
         t[idx] = t_stop
 
         hit_report = (t_stop == t_report) & (t_report <= T)
+        for p in idx[hit_report & (idx < record)]:
+            log[p].append((t[p], prices[p].node(next_report[p]), n[p], x[p], pi[p].copy(), ""))
         next_report[idx[hit_report]] += 1
         at_end = t_stop >= T
         active[idx[at_end]] = False
@@ -683,36 +462,144 @@ def monte_carlo(
         cand = idx[(t_stop == next_candidate[idx]) & ~at_end]
         if len(cand) == 0:
             continue
-        qb, qa = policy.quotes_batch(t[cand], n[cand], pi[cand, 0])
+        next_candidate[cand] = math.nan
+        y = regime_at(cand, t[cand])
+        qb, qa = policy.quotes_batch(t[cand], n[cand], pi[cand, 0], y)
         comp_b = _batch_components(spec, "bid", qb)
         comp_a = _batch_components(spec, "ask", qa)
-        rate_b = np.einsum("pk,pk->p", pi[cand], comp_b) * (n[cand] < n_star)
-        rate_a = np.einsum("pk,pk->p", pi[cand], comp_a) * (-n[cand] < n_star)
+        # arrival rates: belief-averaged, or the hidden regime's own
+        weights = pi[cand] if y is None else np.eye(spec.n_regimes)[y]
+        rate_b = np.einsum("pk,pk->p", weights, comp_b) * (n[cand] < n_star)
+        rate_a = np.einsum("pk,pk->p", weights, comp_a) * (-n[cand] < n_star)
         total = rate_b + rate_a
         bound_arr = lam_bid_max * (n[cand] < n_star) + lam_ask_max * (-n[cand] < n_star)
         if np.any(total > bound_arr * _BOUND_SLACK):
             raise NumericsError("thinning bound violated: arrival rate above the dominator")
         for j, p in enumerate(cand):
-            u1 = float(streams[p].events.random())
-            if u1 * bound_arr[j] < total[j]:
-                u2 = float(streams[p].events.random())
-                is_bid = u2 * total[j] < rate_b[j]
-                s_fill = prices[p].at_fill(float(t[p]), streams[p].prices)
-                if is_bid:
-                    x[p] -= s_fill - qb[j]
-                    n[p] += 1
-                    fills_b[p] += 1
-                    weights = pi[p] * comp_b[j]
-                else:
-                    x[p] += s_fill + qa[j]
-                    n[p] -= 1
-                    fills_a[p] += 1
-                    weights = pi[p] * comp_a[j]
-                pi[p] = weights / weights.sum()
-            next_candidate[p] = math.nan
+            if float(streams[p].events.random()) * bound_arr[j] >= total[j]:
+                continue
+            side = "bid" if float(streams[p].events.random()) * total[j] < rate_b[j] else "ask"
+            s_fill = prices[p].at_fill(float(t[p]), streams[p].prices)
+            if side == "bid":
+                spread = float(qb[j])
+                x[p] -= s_fill - spread
+                n[p] += 1
+                fills_b[p] += 1
+            else:
+                spread = float(qa[j])
+                x[p] += s_fill + spread
+                n[p] -= 1
+                fills_a[p] += 1
+            pi[p] = _filter_jump(FilterState(pi[p]), side, spread, spec).probs
+            if p < record:
+                fills[p].append(Fill(float(t[p]), side, spread, s_fill))
+                log[p].append((t[p], s_fill, n[p], x[p], pi[p].copy(), side))
 
+    if clamps:
+        logger.warning("belief clamped at the simplex floor %d times", clamps)
     s_final = np.array([b.terminal for b in prices])
     pnls = np.asarray(_penalized_pnl(spec, x, s_final, n.astype(float), inv_integral))
+    records = []
+    for p in range(record):
+        if log[p][-1][0] < T:  # the terminal reporting node can miss T by one ulp
+            log[p].append((T, s_final[p], n[p], x[p], pi[p].copy(), ""))
+        kept = log[p] if keep_rows else log[p][-1:]
+        times, price, inventory, cash, probs, sides = (np.array(c) for c in zip(*kept))
+        bid, ask = policy.quotes_batch(
+            times, inventory, probs[:, 0], regime_at(np.full(len(times), p), times)
+        )
+        records.append(
+            PathRecord(
+                seed=seed,
+                path_index=int(path_ids[p]),
+                fills=fills[p],
+                times=times,
+                price=price,
+                inventory=inventory,
+                cash=cash,
+                probs=probs,
+                spread_bid=bid,
+                spread_ask=ask,
+                event_side=list(sides),
+                n_final=int(n[p]),
+                x_final=float(x[p]),
+                s_final=float(s_final[p]),
+                inventory_integral=float(inv_integral[p]),
+                pnl_penalized=float(pnls[p]),
+            )
+        )
+    return pnls, fills_b, fills_a, records
+
+
+def simulate_path(
+    spec: ModelSpec,
+    policy: Policy,
+    seed: int,
+    *,
+    path_index: int = 0,
+    report_points: int = DEFAULT_REPORT_POINTS,
+    h_target: float = DEFAULT_FILTER_STEP,
+    collect: bool = True,
+) -> PathRecord:
+    """Simulate path ``path_index`` alone under the observable-intensity
+    dynamics.  With ``collect`` off the record keeps only its terminal row."""
+    _, _, _, records = _run(
+        spec, policy, seed, [path_index], report_points, h_target, False, 1, collect
+    )
+    return records[0]
+
+
+def simulate_with_regime(
+    spec: ModelSpec,
+    policy: Policy,
+    seed: int,
+    *,
+    path_index: int = 0,
+    report_points: int = DEFAULT_REPORT_POINTS,
+    h_target: float = DEFAULT_FILTER_STEP,
+    collect: bool = True,
+) -> tuple[PathRecord, list[tuple[float, int]]]:
+    """Simulate the hidden regime explicitly; orders arrive at the
+    regime-true intensity while the filter runs on observables only.
+
+    Returns the path record plus the sampled (switch time, 0-based state)
+    regime path.
+    """
+    _, _, _, records = _run(
+        spec, policy, seed, [path_index], report_points, h_target, True, 1, collect
+    )
+    return records[0], draw_regime_path(spec, stream(seed, path_index, REGIME))
+
+
+def monte_carlo(
+    spec: ModelSpec,
+    policy: Policy,
+    n_paths: int,
+    seed: int,
+    *,
+    report_points: int = DEFAULT_REPORT_POINTS,
+    h_target: float = DEFAULT_FILTER_STEP,
+    hist_bins: int = 30,
+    regime_true: bool = False,
+    export_paths: int = 0,
+) -> MonteCarloSummary:
+    """Vectorized Monte Carlo over path-indexed counter-based streams.
+
+    With ``regime_true`` orders are thinned against the hidden regime's
+    intensity (the full-information comparison); the first ``export_paths``
+    paths come back recorded.  Deterministic for fixed (spec, policy, seed,
+    n_paths) regardless of how the work might be partitioned: each path
+    consumes only its own streams and aggregation is an ordered reduction
+    over path indices.
+    """
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
+    if export_paths < 0:
+        raise ValueError("export_paths must be non-negative")
+    pnls, fills_b, fills_a, records = _run(
+        spec, policy, seed, range(n_paths), report_points, h_target, regime_true,
+        min(export_paths, n_paths),
+    )
     mean = float(np.mean(pnls))
     stderr = float(np.std(pnls, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     counts, edges = np.histogram(pnls, bins=hist_bins)
@@ -727,4 +614,5 @@ def monte_carlo(
         pnls=pnls,
         fills_bid_paths=fills_b,
         fills_ask_paths=fills_a,
+        records=tuple(records),
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regimemm import cli
 from regimemm.cli import main
 from regimemm.model import format_config, table1_spec, with_params
 
@@ -108,12 +109,30 @@ class TestSolvePartial:
         assert "k = 2" in capsys.readouterr().err
 
     def test_byte_identical_rerun_except_wall_clock(self, config_path, tmp_path):
-        out = str(tmp_path / "out")
-        for _ in range(2):
-            assert main(["solve-partial", config_path, "--out", out, "--mpi", "12"]) == 0
-        run_dir = run_files(out, "solve-partial")
-        # same hash directory reused; surface identical, manifests differ only in clock
-        assert (run_dir / "surface_partial.csv").exists()
+        # every output file repeats byte for byte; the manifest differs at
+        # most in its wall-clock line
+        commands = [
+            ["solve-partial", config_path, "--mpi", "12"],
+            ["simulate", config_path, "--policy", "partial", "--mpi", "12", "--paths", "6"],
+            ["simulate", config_path, "--policy", "full", "--paths", "3"],
+        ]
+        for argv in commands:
+            dirs = []
+            for rerun in ("a", "b"):
+                out = tmp_path / rerun / argv[0] / argv[2]
+                assert main(argv + ["--out", str(out)]) == 0
+                dirs.append(run_files(out, argv[0]))
+            names = sorted(p.name for p in dirs[0].iterdir())
+            assert names == sorted(p.name for p in dirs[1].iterdir())
+            assert dirs[0].name == dirs[1].name  # same manifest hash
+            for name in names:
+                first, second = ((d / name).read_bytes() for d in dirs)
+                if name == "manifest.txt":
+                    first, second = (
+                        b"".join(l for l in text.splitlines(True) if not l.startswith(b"wall_clock_seconds"))
+                        for text in (first, second)
+                    )
+                assert first == second, f"{argv[0]} {argv[2]}: {name} differs on rerun"
 
 
 class TestSimulate:
@@ -172,6 +191,47 @@ class TestSimulate:
         )
         assert code == 3
         assert "surface unavailable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--policy", "fixed:0.04", "--paths", "0"],
+            ["--policy", "full", "--paths", "0"],
+            ["--policy", "fixed:0.04", "--seed", "-1"],
+            ["--policy", "fixed:0.04", "--export-paths", "-1"],
+        ],
+        ids=["paths-0", "full-paths-0", "seed-negative", "export-paths-negative"],
+    )
+    def test_bad_counts_exit_2(self, config_path, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", config_path, "--out", str(tmp_path / "o")] + args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_full_policy_summary_has_per_path_fills(self, config_path, tmp_path, monkeypatch):
+        summaries = []
+        engine = cli.simulate.monte_carlo
+
+        def spy(*args, **kwargs):
+            summaries.append(engine(*args, **kwargs))
+            return summaries[-1]
+
+        monkeypatch.setattr(cli.simulate, "monte_carlo", spy)
+        out = str(tmp_path / "out")
+        argv = ["simulate", config_path, "--out", out, "--policy", "full", "--paths", "3"]
+        assert main(argv + ["--seed", "2", "--export-paths", "2"]) == 0
+        (summary,) = summaries
+        assert len(summary.fills_bid_paths) == len(summary.fills_ask_paths) == 3
+        assert summary.mean_fills_bid == pytest.approx(summary.fills_bid_paths.mean(), rel=1e-15)
+        # the exported paths are the first paths of the summary's own batch
+        for p, rec in enumerate(summary.records):
+            assert rec.fills_bid == summary.fills_bid_paths[p]
+            assert rec.pnl_penalized == summary.pnls[p]
+        run_dir = run_files(out, "simulate")
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.txt", "path_000.csv", "path_001.csv", "summary.txt",
+        ]
 
     def test_deterministic_rerun(self, config_path, tmp_path):
         out1 = str(tmp_path / "a")

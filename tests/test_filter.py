@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from oracles import bayes_filter
 from regimemm.errors import NumericsError
 from regimemm.filtering import (
     FilterState,
+    _rk4_step,
     attractor,
     constant_spread_policy,
     drift,
@@ -14,7 +16,8 @@ from regimemm.filtering import (
     jump_update,
     observable_rates,
 )
-from regimemm.model import table1_spec, with_params
+from regimemm.intensity import IntensityFamily
+from regimemm.model import RegimeSpec, table1_spec, with_params
 
 E = math.e
 HALF = FilterState(np.array([0.5, 0.5]))
@@ -201,6 +204,42 @@ class TestEvolve:
         tt[dup] -= 1e-12
         sup_err = np.max(np.abs(np.interp(times, tt, pp) - oracle_path[:, 0]))
         assert sup_err < 5e-3
+
+    def test_batch_rk4_step_matches_single_steps(self):
+        # one integrator for evolve and the engine: each row of a batch step
+        # with per-path t and h equals the single-belief step
+        spec = table1_spec()
+        spreads = (0.03, 0.05)
+
+        def deriv(t, p):
+            if p.ndim == 1:
+                return drift(FilterState(p), spreads, 0, spec)
+            return np.array([drift(FilterState(row), spreads, 0, spec) for row in p])
+
+        pis = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        t = np.array([0.0, 0.3, 0.7])
+        h = np.array([1e-3, 2.5e-3, 4e-3])
+        batch, clamped = _rk4_step(pis, t, h, deriv)
+        assert clamped == 0
+        for i in range(3):
+            single, _ = _rk4_step(pis[i], t[i], h[i], deriv)
+            np.testing.assert_array_equal(batch[i], single)
+
+    def test_clamp_warning_once_per_call(self, caplog):
+        # a frozen chain with one very liquid regime: the quiet period drives
+        # that regime's belief below the floor on many steps
+        base = table1_spec()
+        fast = IntensityFamily.exponential(3000.0, 25.0)
+        spec = with_params(
+            base, regimes=(RegimeSpec("fast", fast, fast), base.regimes[1]),
+            generator_Q=np.zeros((2, 2)),
+        )
+        with caplog.at_level(logging.WARNING, logger="regimemm.filtering"):
+            traj = evolve(HALF, constant_spread_policy(0.04, 0.04), [], spec)
+        clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
+        assert len(clamps) == 1
+        assert int(clamps[0].getMessage().split()[-2]) > 1
+        assert traj.final.probs[0] > 0.0
 
 
 class TestAttractor:

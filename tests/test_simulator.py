@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from scipy import stats
 
 from regimemm.errors import NumericsError
 from regimemm.filtering import FilterState
+from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_full import solve_constrained
+from regimemm.hjb_partial import policy as hjb_partial_policy
 from regimemm.hjb_partial import solve as solve_partial
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, table1_spec, with_params
@@ -21,6 +24,26 @@ from regimemm.simulate import (
 )
 
 FIXED = FixedSpreadPolicy(0.04, 0.04)
+
+
+def small_policy(spec, name):
+    """The three engine policies on coarse surfaces."""
+    if name == "FIXED":
+        return FIXED
+    if name == "PARTIAL":
+        return PartialInfoPolicy(solve_partial(spec, m_pi=30))
+    return FullInfoPolicy(solve_constrained(spec, n_steps=100))
+
+
+def flooring_spec():
+    """A frozen chain with one very liquid regime: quiet periods push that
+    regime's belief below the simplex floor."""
+    base = table1_spec()
+    fast = IntensityFamily.exponential(3000.0, 25.0)
+    return with_params(
+        base, regimes=(RegimeSpec("fast", fast, fast), base.regimes[1]),
+        generator_Q=np.zeros((2, 2)),
+    )
 
 
 def one_regime_spec(a=2.0, b=25.0, n_star=50, T=1.0):
@@ -158,14 +181,52 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(table1_spec(), FIXED, n_paths=0, seed=1)
 
-    def test_batch_matches_scalar_paths(self):
+    @pytest.mark.parametrize("name", ["FIXED", "PARTIAL", "FULL"])
+    def test_batch_matches_scalar_paths(self, name):
+        # partition invariance: path p run alone gives the P&L and fills it
+        # has inside a batch of 25 (FULL thins against the hidden regime)
         spec = table1_spec()
-        summary = monte_carlo(spec, FIXED, n_paths=25, seed=41, report_points=100)
+        policy = small_policy(spec, name)
+        regime_true = name == "FULL"
+        summary = monte_carlo(
+            spec, policy, n_paths=25, seed=41, report_points=100, regime_true=regime_true
+        )
         for p in (0, 7, 24):
-            rec = simulate_path(
-                spec, FIXED, seed=41, path_index=p, collect=False, report_points=100
-            )
+            if regime_true:
+                rec, _ = simulate_with_regime(
+                    spec, policy, seed=41, path_index=p, collect=False, report_points=100
+                )
+            else:
+                rec = simulate_path(
+                    spec, policy, seed=41, path_index=p, collect=False, report_points=100
+                )
             assert abs(rec.pnl_penalized - summary.pnls[p]) < 1e-12
+            assert rec.fills_bid == summary.fills_bid_paths[p]
+            assert rec.fills_ask == summary.fills_ask_paths[p]
+
+    def test_recording_leaves_pnl_unchanged(self):
+        spec = table1_spec()
+        policy = small_policy(spec, "FULL")
+        kwargs = dict(n_paths=25, seed=41, report_points=100, regime_true=True)
+        plain = monte_carlo(spec, policy, **kwargs)
+        recorded = monte_carlo(spec, policy, export_paths=3, **kwargs)
+        assert plain.records == ()
+        np.testing.assert_array_equal(recorded.pnls, plain.pnls)
+        assert [rec.path_index for rec in recorded.records] == [0, 1, 2]
+        for p, rec in enumerate(recorded.records):
+            assert rec.pnl_penalized == plain.pnls[p]
+            assert rec.fills_bid == plain.fills_bid_paths[p]
+            assert rec.fills_ask == plain.fills_ask_paths[p]
+            assert rec.times[0] == 0.0 and rec.times[-1] == spec.horizon_T
+        with pytest.raises(ValueError):
+            monte_carlo(spec, FIXED, n_paths=2, seed=1, export_paths=-1)
+
+    def test_clamp_warning_once_per_run(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="regimemm.simulate"):
+            monte_carlo(flooring_spec(), FIXED, n_paths=2, seed=1, report_points=20)
+        clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
+        assert len(clamps) == 1
+        assert int(clamps[0].getMessage().split()[-2]) > 1
 
     def test_deterministic_rerun(self):
         a = monte_carlo(table1_spec(), FIXED, n_paths=30, seed=5, report_points=50)
@@ -273,3 +334,45 @@ class TestBound:
         pol = FixedSpreadPolicy(STUB_SPREAD, 0.04)
         rec = simulate_path(table1_spec(), pol, seed=4)
         assert all(f.side == "ask" for f in rec.fills)
+
+
+class TestLookupDomain:
+    @pytest.fixture(scope="class")
+    def partial(self):
+        return PartialInfoPolicy(solve_partial(table1_spec(), m_pi=20))
+
+    def test_partial_batch_rejects_belief_outside_unit_interval(self, partial):
+        with pytest.raises(ValueError, match="belief"):
+            partial.quotes_batch(np.array([0.5]), np.array([0]), np.array([1.5]))
+
+    def test_partial_batch_rejects_time_outside_horizon(self, partial):
+        with pytest.raises(ValueError, match="outside"):
+            partial.quotes_batch(np.array([-1.0]), np.array([0]), np.array([0.5]))
+
+    def test_partial_batch_clamps_time_within_slack(self, partial):
+        n, pi1 = np.array([0]), np.array([0.3])
+        at_end = partial.quotes_batch(np.array([1.0]), n, pi1)
+        past = partial.quotes_batch(np.array([1.0 + 1e-13]), n, pi1)
+        assert at_end == past
+
+    def test_partial_batch_matches_scalar_policy(self, partial):
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, 1.0, 200)
+        n = rng.integers(-3, 4, 200)
+        pi1 = rng.uniform(0.0, 1.0, 200)
+        scalar = [hjb_partial_policy(partial.surface, t[i], int(n[i]), pi1[i]) for i in range(200)]
+        batch = partial.quotes_batch(t, n, pi1)
+        # the batch gathers in the other order (belief, then time): rounding only
+        np.testing.assert_allclose(batch, np.array(scalar).T, rtol=0, atol=1e-15)
+        assert partial.quotes(t[5], int(n[5]), pi1[5]) == (batch[0][5], batch[1][5])
+
+    def test_full_batch_matches_scalar_policy_and_checks_belief(self):
+        policy = small_policy(table1_spec(), "FULL")
+        rng = np.random.default_rng(4)
+        t = rng.uniform(0.0, 1.0, 100)
+        n = rng.integers(-3, 4, 100)
+        y = rng.integers(0, 2, 100)
+        scalar = [full_policy(policy.surface, t[i], int(n[i]), int(y[i]) + 1) for i in range(100)]
+        np.testing.assert_array_equal(policy.quotes_batch(t, n, np.full(100, 0.5), y), np.array(scalar).T)
+        with pytest.raises(ValueError, match="belief"):
+            policy.quotes_batch(t, n, np.full(100, -0.5), y)
