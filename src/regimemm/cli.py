@@ -133,7 +133,6 @@ def cmd_solve_partial(args) -> int:
     spec, code = _load_spec(args.config)
     if spec is None:
         return code
-    m_t = None if args.mt in (None, "auto") else int(args.mt)
     manifest = RunManifest(
         "solve-partial",
         spec,
@@ -142,7 +141,7 @@ def cmd_solve_partial(args) -> int:
     )
     try:
         surface = hjb_partial.solve(
-            spec, m_pi=args.mpi, m_t=m_t, belief_gradient_scale=args.belief_gradient_scale
+            spec, m_pi=args.mpi, m_t=args.mt, belief_gradient_scale=args.belief_gradient_scale
         )
     except UnsupportedConfigError as exc:
         return _fail(str(exc), EXIT_CONFIG)
@@ -259,7 +258,6 @@ def cmd_compare(args) -> int:
     stamp = f"# manifest = {manifest.hash}\n"
     beliefs = (0.0, 0.6, 1.0)
     times = np.linspace(0.0, spec.horizon_T, 201)
-    fmt = lambda v: format(v, ".17g")
     buf = io.StringIO()
     buf.write(stamp)
     buf.write(
@@ -267,14 +265,17 @@ def cmd_compare(args) -> int:
         + ",".join(f"partial_ask_pi{pi:g}" for pi in beliefs)
         + ",full_ask_i1,full_ask_i2\n"
     )
-    for t in times:
-        for n in spec.inventory_levels():
-            row = [fmt(t), str(int(n))]
-            for pi in beliefs:
-                row.append(fmt(hjb_partial.policy(partial, float(t), int(n), pi)[1]))
-            for i in (1, 2):
-                row.append(fmt(hjb_full.policy(full, float(t), int(n), i)[1]))
-            buf.write(",".join(row) + "\n")
+    # one array call per output column: asks[r][s] is the row at times[s], levels[r]
+    asks = [
+        np.column_stack(
+            [hjb_partial.policy(partial, times, int(n), pi)[1] for pi in beliefs]
+            + [hjb_full.policy(full, times, np.full(times.shape, n), i)[1] for i in (1, 2)]
+        ).tolist()
+        for n in spec.inventory_levels()
+    ]
+    for s, t in enumerate(times.tolist()):
+        for n, table in zip(spec.inventory_levels().tolist(), asks):
+            buf.write("%.17g,%d" % (t, n) + "".join(",%.17g" % v for v in table[s]) + "\n")
     _write(run_dir / "compare_ask.csv", buf.getvalue())
 
     lines = [stamp.strip()]
@@ -295,17 +296,23 @@ def cmd_compare(args) -> int:
     return _finish(run_dir, manifest, started)
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """argparse type: an integer in [lo, hi]; anything else exits 2."""
+def _number_in(kind, lo, hi=None):
+    """argparse type: a ``kind`` (int or float) in [lo, hi]; anything else,
+    NaN included, exits 2."""
 
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < lo or (hi is not None and value > hi):
+    def number(text: str):
+        value = kind(text)
+        if not value >= lo or (hi is not None and value > hi):
             bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
             raise argparse.ArgumentTypeError(f"{value} is not {bound}")
         return value
 
-    return integer
+    return number
+
+
+def _steps_or_auto(text: str) -> int | None:
+    """argparse type for ``--mt``: a positive step count, or None for 'auto'."""
+    return None if text == "auto" else _number_in(int, 1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,24 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-full", help="solve the full-information system")
     add_common(p)
-    p.add_argument("--steps", type=int, default=hjb_full.DEFAULT_TIME_STEPS)
+    p.add_argument("--steps", type=_number_in(int, 1), default=hjb_full.DEFAULT_TIME_STEPS)
     p.set_defaults(func=cmd_solve_full)
 
     p = sub.add_parser("solve-partial", help="solve the partial-information scheme")
     add_common(p)
-    p.add_argument("--mpi", type=int, default=hjb_partial.DEFAULT_PI_CELLS)
-    p.add_argument("--mt", default=None, help="time steps, or 'auto' for CFL-driven")
-    p.add_argument("--belief-gradient-scale", type=float, default=1.0)
+    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+    p.add_argument(
+        "--mt", type=_steps_or_auto, default=None, help="time steps, or 'auto' for CFL-driven"
+    )
+    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
     p.set_defaults(func=cmd_solve_partial)
 
     p = sub.add_parser("simulate", help="Monte Carlo under a feedback policy")
     add_common(p)
     p.add_argument("--policy", required=True, help="partial | full | fixed:D")
-    p.add_argument("--paths", type=_int_in(1), default=1000)
-    p.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=0)
-    p.add_argument("--mpi", type=int, default=hjb_partial.DEFAULT_PI_CELLS)
-    p.add_argument("--belief-gradient-scale", type=float, default=1.0)
-    p.add_argument("--export-paths", type=_int_in(0), default=4)
+    p.add_argument("--paths", type=_number_in(int, 1), default=1000)
+    p.add_argument("--seed", type=_number_in(int, 0, 2**64 - 1), default=0)
+    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
+    p.add_argument("--export-paths", type=_number_in(int, 0), default=4)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("attractor", help="quiet-period equilibrium belief")
@@ -349,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="partial vs full information spread series")
     add_common(p)
-    p.add_argument("--mpi", type=int, default=hjb_partial.DEFAULT_PI_CELLS)
-    p.add_argument("--belief-gradient-scale", type=float, default=1.0)
+    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
     p.set_defaults(func=cmd_compare)
     return parser
 

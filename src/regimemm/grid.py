@@ -1,4 +1,4 @@
-"""Bracketing lookups on the solvers' stored grids.
+"""The solvers' stored grids: bracketing lookups and the grid-file codec.
 
 Every interpolated read of a solved surface -- one point or a batch of
 paths -- locates its time interval and belief cell here, so all lookups
@@ -6,9 +6,16 @@ share one domain contract: a time within 1e-12 of the grid's span is
 clamped onto it and a time further out raises ``ValueError``, as does a
 belief outside [0, 1].  Scalars and arrays are both accepted; the returned
 indices and weights take the input's shape.
+
+Both solved surfaces persist as one grid file: ``# key = value`` header
+lines, a column header row, then one row ``t,n,x,theta,spread_bid,spread_ask``
+per node of a (time, inventory, x) grid, numbers at 17 significant digits.
+``grid_to_csv`` writes it and ``grid_from_csv`` reads it back exactly.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -43,3 +50,71 @@ def belief_bracket(cells: int, pi):
     scaled = check_belief(pi) * cells
     j = np.minimum(scaled.astype(int), cells - 1)
     return j, scaled - j
+
+
+_TABLES = ("theta", "spread_bid", "spread_ask")
+_BLOCK_ROWS = 1 << 16  # rows formatted per block, which bounds the writer's scratch memory
+
+
+def _digits(values) -> list[str]:
+    return ["%.17g" % v for v in np.asarray(values).tolist()]
+
+
+def grid_to_csv(headers: list[str], axis: str, axes, tables) -> str:
+    """Grid file of ``tables`` (each shaped like the ``axes`` grid, time
+    major), with ``axis`` naming the third axis in the column header row.
+
+    Each axis is formatted once; the tables go through one C-level ``%``
+    map per block of time levels.  ``%.17g`` and ``format(x, ".17g")``
+    share one float formatter, so the bytes equal a per-value loop's.
+    """
+    times, levels, third = axes
+    tail = [f"{n},{x}," for n in _digits(levels) for x in _digits(third)]
+    flat = [np.asarray(table).reshape(len(times), len(tail)) for table in tables]
+    row = "%s%.17g,%.17g,%.17g\n".__mod__
+    step = max(1, _BLOCK_ROWS // len(tail))
+    heads = [t + "," for t in _digits(times)]
+    parts = [f"# {line}\n" for line in headers]
+    parts.append(",".join(("t", "n", axis) + _TABLES) + "\n")
+    for s in range(0, len(times), step):
+        prefix = [head + rest for head in heads[s : s + step] for rest in tail]
+        values = [table[s : s + step].ravel().tolist() for table in flat]
+        parts.append("".join(map(row, zip(prefix, *values))))
+    return "".join(parts)
+
+
+def grid_from_csv(text: str):
+    """``(headers, axes, tables)`` of a grid file.
+
+    ``headers`` holds the ``key = value`` header lines without their ``#``;
+    the axes are the sorted distinct coordinates, so rows may come in any
+    order.  Raises ``ValueError`` unless every node of the axes' grid
+    appears exactly once in rows of six numbers.
+    """
+    headers, pos = [], 0
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        line, pos = text[pos:end], end
+        if line.startswith("#"):
+            if "=" in line:
+                headers.append(line[1:].strip())
+        elif line.strip():
+            break  # the column header row
+    # numpy's C reader parses bytes with correct rounding; a str source
+    # would hold a second, wider copy of the body
+    body = io.BytesIO(text.encode())
+    body.seek(len(text[:pos].encode()))
+    data = np.loadtxt(body, delimiter=",", ndmin=2)
+    if data.shape[1] != 6:
+        raise ValueError(f"grid file rows have {data.shape[1]} columns, expected 6")
+    axes, index = zip(*(np.unique(data[:, c], return_inverse=True) for c in range(3)))
+    shape = tuple(len(a) for a in axes)
+    size = int(np.prod(shape))
+    if len(data) != size:
+        raise ValueError(f"grid file has {len(data)} rows for a {'x'.join(map(str, shape))} grid")
+    node = np.ravel_multi_index(index, shape)
+    if np.bincount(node, minlength=size).max() != 1:
+        raise ValueError("grid file repeats a node and misses another")
+    tables = np.empty((3, size))
+    tables[:, node] = data[:, 3:].T
+    return headers, axes, tuple(table.reshape(shape) for table in tables)

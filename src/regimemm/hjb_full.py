@@ -10,13 +10,12 @@ per-regime profile phi_i(t) plus the explicit drift term mu n (T - t).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .grid import time_bracket
+from .grid import grid_from_csv, grid_to_csv, time_bracket
 from .intensity import STUB_SPREAD, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
@@ -265,64 +264,27 @@ def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> U
 
 
 def surface_to_csv(surface: FullInfoSurface, extra_headers: dict | None = None) -> str:
-    """Grid file: '# key=value' spec echo headers, then one row per
+    """Grid file: '# key = value' spec echo headers, then one row per
     (t, n, i) node with theta and both spreads, 17 significant digits."""
-    buf = io.StringIO()
-    for line in format_config(surface.spec).strip().splitlines():
-        buf.write(f"# {line}\n")
-    for key, val in (extra_headers or {}).items():
-        buf.write(f"# {key} = {val}\n")
-    buf.write("t,n,i,theta,spread_bid,spread_ask\n")
-    n_star = int(surface.spec.inventory_cap_Nstar)
-    fmt = lambda x: format(x, ".17g")
-    for s, t in enumerate(surface.time_grid):
-        for r in range(2 * n_star + 1):
-            for i in range(surface.spec.n_regimes):
-                buf.write(
-                    ",".join(
-                        [
-                            fmt(t),
-                            str(r - n_star),
-                            str(i + 1),
-                            fmt(surface.theta[s, r, i]),
-                            fmt(surface.spread_bid[s, r, i]),
-                            fmt(surface.spread_ask[s, r, i]),
-                        ]
-                    )
-                    + "\n"
-                )
-    return buf.getvalue()
+    spec = surface.spec
+    headers = format_config(spec).strip().splitlines()
+    headers += [f"{key} = {val}" for key, val in (extra_headers or {}).items()]
+    axes = (surface.time_grid, spec.inventory_levels(), np.arange(1, spec.n_regimes + 1))
+    return grid_to_csv(
+        headers, "i", axes, (surface.theta, surface.spread_bid, surface.spread_ask)
+    )
 
 
 def surface_from_csv(text: str) -> FullInfoSurface:
-    config_lines = []
-    rows = []
-    header_seen = False
-    for raw in text.splitlines():
-        if raw.startswith("#"):
-            stripped = raw[1:].strip()
-            if "=" in stripped and not stripped.startswith(("manifest", "cfl_")):
-                config_lines.append(stripped)
-            continue
-        if not raw.strip():
-            continue
-        if not header_seen:
-            header_seen = True  # column header row
-            continue
-        rows.append(raw.split(","))
-    spec = parse_config("\n".join(config_lines))
-    n_star = int(spec.inventory_cap_Nstar)
-    k = spec.n_regimes
-    times = sorted({float(r[0]) for r in rows})
-    t_index = {t: s for s, t in enumerate(times)}
-    theta = np.empty((len(times), 2 * n_star + 1, k))
-    bid = np.empty_like(theta)
-    ask = np.empty_like(theta)
-    for r in rows:
-        s = t_index[float(r[0])]
-        row = int(r[1]) + n_star
-        col = int(r[2]) - 1
-        theta[s, row, col] = float(r[3])
-        bid[s, row, col] = float(r[4])
-        ask[s, row, col] = float(r[5])
-    return FullInfoSurface(spec, np.array(times), theta, bid, ask)
+    """Inverse of ``surface_to_csv``; rows may come in any order.  Raises
+    ``ValueError`` for a grid that misses a node of the spec's inventories
+    and regimes."""
+    headers, (times, levels, regimes), tables = grid_from_csv(text)
+    spec = parse_config(
+        "\n".join(h for h in headers if not h.startswith(("manifest", "cfl_")))
+    )
+    if not np.array_equal(levels, spec.inventory_levels()):
+        raise ValueError("grid file inventories do not match the inventory cap")
+    if not np.array_equal(regimes, np.arange(1, spec.n_regimes + 1)):
+        raise ValueError(f"grid file regimes do not match 1..{spec.n_regimes}")
+    return FullInfoSurface(spec, times, *tables)

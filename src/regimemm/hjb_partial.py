@@ -22,14 +22,13 @@ the solved surface is the expected penalized P&L of its own feedback policy;
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
-from .grid import belief_bracket, time_bracket
+from .grid import belief_bracket, grid_from_csv, grid_to_csv, time_bracket
 from .intensity import STUB_SPREAD
 from .model import ModelSpec, TwoRegimeParams, format_config, parse_config, two_regime_reduction
 
@@ -79,11 +78,14 @@ class PartialInfoSurface:
             raise ValueError(f"inventory {n} outside [-{n_star}, {n_star}]")
         return n + n_star
 
-    def _bilinear(self, table: np.ndarray, t: float, row: int, pi: float) -> float:
+    def _bilinear(self, table: np.ndarray, t, row: int, pi: float):
+        """Time first, then belief; an array of times gives an array."""
         s, wt = time_bracket(self.time_grid, t)
         j, wp = belief_bracket(len(self.pi_grid) - 1, pi)
+        wt = wt[..., None]
         plane = (1.0 - wt) * table[s, row] + wt * table[s + 1, row]
-        return float((1.0 - wp) * plane[j] + wp * plane[j + 1])
+        value = (1.0 - wp) * plane[..., j] + wp * plane[..., j + 1]
+        return float(value) if value.ndim == 0 else value
 
     def theta_at(self, t: float, n: int, pi: float) -> float:
         return self._bilinear(self.theta, t, self.row_of(n), pi)
@@ -118,9 +120,13 @@ class Stepper:
             raise UnsupportedConfigError(
                 "partial-information solver requires a finite inventory cap"
             )
+        self.scale = float(belief_gradient_scale)
+        if not self.scale >= 0.0:
+            # a negative scale flips the upwind coefficients: the explicit
+            # step is then not monotone (Barles-Souganidis)
+            raise ValueError(f"belief_gradient_scale {self.scale:g} must be >= 0")
         self.spec = spec
         self.red = red
-        self.scale = float(belief_gradient_scale)
         self.levels = spec.inventory_levels().astype(float)
         self.pi_grid = np.linspace(0.0, 1.0, m_pi + 1)
         self.d_pi = 1.0 / m_pi
@@ -265,23 +271,17 @@ def solve(
     )
 
 
-def policy(surface: PartialInfoSurface, t: float, n: int, pi: float) -> tuple[float, float]:
+def policy(surface: PartialInfoSurface, t, n: int, pi: float):
     """Bilinear interpolation of the stored spread tables at (t, pi).
 
-    Blocked sides (|n| at the cap) return the stub sentinel.
+    Blocked sides (|n| at the cap) return the stub sentinel.  A scalar ``t``
+    gives a pair of floats; an array of times gives a pair of arrays.
     """
     spec = surface.spec
     row = surface.row_of(n)
-    bid = (
-        surface._bilinear(surface.spread_bid, t, row, pi)
-        if spec.bid_active(n)
-        else STUB_SPREAD
-    )
-    ask = (
-        surface._bilinear(surface.spread_ask, t, row, pi)
-        if spec.ask_active(n)
-        else STUB_SPREAD
-    )
+    stub = STUB_SPREAD if np.ndim(t) == 0 else np.full(np.shape(t), STUB_SPREAD)
+    bid = surface._bilinear(surface.spread_bid, t, row, pi) if spec.bid_active(n) else stub
+    ask = surface._bilinear(surface.spread_ask, t, row, pi) if spec.ask_active(n) else stub
     return bid, ask
 
 
@@ -341,92 +341,44 @@ def convergence_report(
 def surface_to_csv(surface: PartialInfoSurface, extra_headers: dict | None = None) -> str:
     """Same grid-file layout as the full-information surface, with rows
     (t, n, pi, theta, spread_bid, spread_ask) and a cfl report header."""
-    buf = io.StringIO()
-    for line in format_config(surface.spec).strip().splitlines():
-        buf.write(f"# {line}\n")
     rep = surface.cfl_report
-    buf.write(f"# cfl_max_coeff = {rep.max_coefficient:.17g}\n")
-    buf.write(f"# cfl_min_dt = {rep.min_dt:.17g}\n")
-    buf.write(f"# cfl_max_dt = {rep.max_dt:.17g}\n")
-    buf.write(f"# cfl_n_steps = {rep.n_steps}\n")
-    buf.write(f"# belief_gradient_scale = {surface.belief_gradient_scale:.17g}\n")
-    for key, val in (extra_headers or {}).items():
-        buf.write(f"# {key} = {val}\n")
-    buf.write("t,n,pi,theta,spread_bid,spread_ask\n")
-    n_star = int(surface.spec.inventory_cap_Nstar)
-    fmt = lambda x: format(x, ".17g")
-    for s, t in enumerate(surface.time_grid):
-        for r in range(surface.theta.shape[1]):
-            for j, pi in enumerate(surface.pi_grid):
-                buf.write(
-                    ",".join(
-                        [
-                            fmt(t),
-                            str(r - n_star),
-                            fmt(pi),
-                            fmt(surface.theta[s, r, j]),
-                            fmt(surface.spread_bid[s, r, j]),
-                            fmt(surface.spread_ask[s, r, j]),
-                        ]
-                    )
-                    + "\n"
-                )
-    return buf.getvalue()
+    headers = format_config(surface.spec).strip().splitlines() + [
+        f"cfl_max_coeff = {rep.max_coefficient:.17g}",
+        f"cfl_min_dt = {rep.min_dt:.17g}",
+        f"cfl_max_dt = {rep.max_dt:.17g}",
+        f"cfl_n_steps = {rep.n_steps}",
+        f"belief_gradient_scale = {surface.belief_gradient_scale:.17g}",
+    ]
+    headers += [f"{key} = {val}" for key, val in (extra_headers or {}).items()]
+    axes = (surface.time_grid, surface.spec.inventory_levels(), surface.pi_grid)
+    return grid_to_csv(
+        headers, "pi", axes, (surface.theta, surface.spread_bid, surface.spread_ask)
+    )
 
 
 def surface_from_csv(text: str) -> PartialInfoSurface:
+    """Inverse of ``surface_to_csv``; rows may come in any order.  Raises
+    ``ValueError`` for a grid that misses a node of the spec's inventories
+    or of a uniform belief grid."""
+    lines, (times, levels, pis), tables = grid_from_csv(text)
     config_lines = []
     headers: dict[str, str] = {}
-    rows = []
-    header_seen = False
-    for raw in text.splitlines():
-        if raw.startswith("#"):
-            stripped = raw[1:].strip()
-            if "=" in stripped:
-                key = stripped.partition("=")[0].strip()
-                if key.startswith(("cfl_", "belief_gradient_scale", "manifest")):
-                    headers[key] = stripped.partition("=")[2].strip()
-                else:
-                    config_lines.append(stripped)
-            continue
-        if not raw.strip():
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        rows.append(raw.split(","))
+    for line in lines:
+        key, _, val = line.partition("=")
+        if key.strip().startswith(("cfl_", "belief_gradient_scale", "manifest")):
+            headers[key.strip()] = val.strip()
+        else:
+            config_lines.append(line)
     spec = parse_config("\n".join(config_lines))
-    red = two_regime_reduction(spec)
-    n_star = int(spec.inventory_cap_Nstar)
-    times = np.array(sorted({float(r[0]) for r in rows}))
-    pis = np.array(sorted({float(r[2]) for r in rows}))
-    t_index = {t: s for s, t in enumerate(times)}
-    p_index = {p: j for j, p in enumerate(pis)}
-    shape = (len(times), 2 * n_star + 1, len(pis))
-    theta = np.empty(shape)
-    bid = np.empty(shape)
-    ask = np.empty(shape)
-    for r in rows:
-        s = t_index[float(r[0])]
-        row = int(r[1]) + n_star
-        j = p_index[float(r[2])]
-        theta[s, row, j] = float(r[3])
-        bid[s, row, j] = float(r[4])
-        ask[s, row, j] = float(r[5])
+    if not np.array_equal(levels, spec.inventory_levels()):
+        raise ValueError("grid file inventories do not match the inventory cap")
+    if not np.array_equal(pis, np.linspace(0.0, 1.0, len(pis))):
+        raise ValueError("grid file beliefs are not a uniform grid over [0, 1]")
     report = CflReport(
         max_coefficient=float(headers.get("cfl_max_coeff", "nan")),
         min_dt=float(headers.get("cfl_min_dt", "nan")),
         max_dt=float(headers.get("cfl_max_dt", "nan")),
         n_steps=int(headers.get("cfl_n_steps", "0")),
     )
-    return PartialInfoSurface(
-        spec=spec,
-        reduction=red,
-        time_grid=times,
-        pi_grid=pis,
-        theta=theta,
-        spread_bid=bid,
-        spread_ask=ask,
-        cfl_report=report,
-        belief_gradient_scale=float(headers.get("belief_gradient_scale", "1")),
-    )
+    scale = float(headers.get("belief_gradient_scale", "1"))
+    return PartialInfoSurface(spec, two_regime_reduction(spec), times, pis, *tables, report, scale)

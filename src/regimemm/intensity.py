@@ -459,14 +459,3 @@ def hamiltonian_value(fam, gamma, d, bounds):
     delta = optimal_spread(fam, gamma, d, bounds)
     return side_value(fam, gamma, delta, d)
 
-
-def hamiltonian_closed_form(fam: IntensityFamily, gamma: float, d, bounds):
-    """Interior-case closed form -lam^2 / (lam' - gamma lam) at the maximizer.
-
-    Only meaningful where the maximizer is interior; used as a cross-check.
-    """
-    delta = optimal_spread(fam, gamma, d, bounds)
-    lam = np.asarray(eval_intensity(fam, delta))
-    dlam = np.asarray(eval_derivative(fam, delta))
-    out = -lam * lam / (dlam - gamma * lam)
-    return float(out) if np.ndim(d) == 0 else out

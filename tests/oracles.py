@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch (plain loops, scipy
 building blocks) and shares no code with the package internals it checks.
 """
 
+import io
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
-from regimemm.intensity import eval_intensity
+from regimemm.intensity import eval_derivative, eval_intensity, optimal_spread
+from regimemm.model import format_config
 
 
 def bayes_filter(spec, delta_bid, delta_ask, horizon, dt, event_times):
@@ -84,3 +86,67 @@ def one_regime_backward_ode(spec, n_steps):
             for y, v1, v2, v3, v4 in zip(th, k1, k2, k3, k4)
         ]
     return np.array(th)
+
+
+def hamiltonian_closed_form(fam, gamma, d, bounds):
+    """Interior-case closed form -lam^2 / (lam' - gamma lam) at the maximizer.
+
+    Only meaningful where the maximizer is interior; used as a cross-check.
+    """
+    delta = optimal_spread(fam, gamma, d, bounds)
+    lam = np.asarray(eval_intensity(fam, delta))
+    dlam = np.asarray(eval_derivative(fam, delta))
+    out = -lam * lam / (dlam - gamma * lam)
+    return float(out) if np.ndim(d) == 0 else out
+
+
+def _grid_csv_loop(surface, headers, axis, third, extra_headers):
+    """Per-value loop writer of a surface grid file: the byte-level reference
+    for the vectorized codec."""
+    buf = io.StringIO()
+    for line in format_config(surface.spec).strip().splitlines():
+        buf.write(f"# {line}\n")
+    for line in headers:
+        buf.write(f"# {line}\n")
+    for key, val in (extra_headers or {}).items():
+        buf.write(f"# {key} = {val}\n")
+    buf.write(f"t,n,{axis},theta,spread_bid,spread_ask\n")
+    n_star = int(surface.spec.inventory_cap_Nstar)
+    fmt = lambda x: format(x, ".17g")
+    for s, t in enumerate(surface.time_grid):
+        for r in range(2 * n_star + 1):
+            for j, x in enumerate(third):
+                buf.write(
+                    ",".join(
+                        [
+                            fmt(t),
+                            str(r - n_star),
+                            x,
+                            fmt(surface.theta[s, r, j]),
+                            fmt(surface.spread_bid[s, r, j]),
+                            fmt(surface.spread_ask[s, r, j]),
+                        ]
+                    )
+                    + "\n"
+                )
+    return buf.getvalue()
+
+
+def full_surface_csv_loop(surface, extra_headers=None):
+    """Full-information grid file, one node at a time."""
+    regimes = [str(i + 1) for i in range(surface.spec.n_regimes)]
+    return _grid_csv_loop(surface, [], "i", regimes, extra_headers)
+
+
+def partial_surface_csv_loop(surface, extra_headers=None):
+    """Partial-information grid file with its cfl headers, one node at a time."""
+    rep = surface.cfl_report
+    headers = [
+        f"cfl_max_coeff = {rep.max_coefficient:.17g}",
+        f"cfl_min_dt = {rep.min_dt:.17g}",
+        f"cfl_max_dt = {rep.max_dt:.17g}",
+        f"cfl_n_steps = {rep.n_steps}",
+        f"belief_gradient_scale = {surface.belief_gradient_scale:.17g}",
+    ]
+    beliefs = [format(pi, ".17g") for pi in surface.pi_grid]
+    return _grid_csv_loop(surface, headers, "pi", beliefs, extra_headers)

@@ -112,7 +112,9 @@ class TestSolvePartial:
         # every output file repeats byte for byte; the manifest differs at
         # most in its wall-clock line
         commands = [
+            ["solve-full", config_path, "--steps", "40"],
             ["solve-partial", config_path, "--mpi", "12"],
+            ["compare", config_path, "--mpi", "12"],
             ["simulate", config_path, "--policy", "partial", "--mpi", "12", "--paths", "6"],
             ["simulate", config_path, "--policy", "full", "--paths", "3"],
         ]
@@ -258,3 +260,36 @@ class TestCompare:
         summary = (run_dir / "summary.txt").read_text()
         assert "pi = 0.6" in summary
         assert "stub (side blocked)" in summary
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-partial", "--mpi", "0"],
+            ["compare", "--mpi", "0"],
+            ["simulate", "--policy", "fixed:0.04", "--mpi", "0"],
+            ["solve-full", "--steps", "0"],
+            ["solve-partial", "--belief-gradient-scale", "-1", "--mt", "3"],
+            ["solve-partial", "--belief-gradient-scale", "nan"],
+            ["solve-partial", "--mt", "0"],
+            ["solve-partial", "--mt", "many"],
+        ],
+        ids=[
+            "solve-partial-mpi-0", "compare-mpi-0", "simulate-mpi-0", "solve-full-steps-0",
+            "negative-scale", "nan-scale", "mt-0", "mt-word",
+        ],
+    )
+    def test_bad_grid_argument_exit_2(self, config_path, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], config_path, "--out", str(tmp_path / "o")] + argv[1:])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mt_auto_and_count_accepted(self, config_path, tmp_path):
+        for mt in ("auto", "40"):
+            out = tmp_path / mt
+            assert main(["solve-partial", config_path, "--out", str(out), "--mpi", "8", "--mt", mt]) == 0
+            manifest = (run_files(out, "solve-partial") / "manifest.txt").read_text()
+            assert f"mt = {mt}\n" in manifest

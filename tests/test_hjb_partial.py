@@ -160,6 +160,14 @@ class TestMonotoneStep:
         with pytest.raises(NumericsError):
             stepper.step(theta, dt=1.0)
 
+    def test_negative_scale_rejected(self):
+        # a negative scale flips the upwind coefficients, so no step is monotone
+        for scale in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="belief_gradient_scale"):
+                Stepper(table1_spec(), m_pi=10, belief_gradient_scale=scale)
+        with pytest.raises(ValueError, match="belief_gradient_scale"):
+            solve(table1_spec(), m_pi=10, m_t=3, belief_gradient_scale=-1.0)
+
 
 class TestConvergence:
     def test_ladder_differences_decrease(self):
@@ -220,6 +228,15 @@ class TestPolicy:
         assert bid == STUB_SPREAD and math.isfinite(ask)
         bid, ask = policy(surf, 0.5, -3, 0.4)
         assert ask == STUB_SPREAD and math.isfinite(bid)
+
+    def test_array_of_times_matches_scalar_calls(self):
+        surf = solve(table1_spec(), m_pi=20)
+        times = np.linspace(0.0, 1.0, 37)
+        for n in (-3, 0, 3):
+            for pi in (0.0, 0.37, 1.0):
+                bids, asks = policy(surf, times, n, pi)
+                pairs = np.array([policy(surf, float(t), n, pi) for t in times])
+                assert np.array_equal(bids, pairs[:, 0]) and np.array_equal(asks, pairs[:, 1])
 
     def test_terminal_values_via_policy(self):
         surf = solve(table1_spec(terminal_cost_c=0.01), m_pi=40)

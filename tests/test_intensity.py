@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import hamiltonian_closed_form
 
 from regimemm.intensity import (
     IntensityFamily,
@@ -10,7 +11,6 @@ from regimemm.intensity import (
     eval_second_derivative,
     family_violations,
     hamiltonian,
-    hamiltonian_closed_form,
     hamiltonian_value,
     meets_strong_assumptions,
     optimal_spread,

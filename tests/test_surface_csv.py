@@ -1,0 +1,94 @@
+"""The surface grid-file codec, for both solved surfaces: bytes against the
+per-value loop writers in ``oracles``, exact reads in any row order, and
+rejection of grids that are incomplete or malformed."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from oracles import full_surface_csv_loop, partial_surface_csv_loop
+
+from regimemm import hjb_full, hjb_partial
+from regimemm.model import format_config, table1_spec
+
+TABLES = ("time_grid", "theta", "spread_bid", "spread_ask")
+
+
+def full_surface():
+    return hjb_full.solve_constrained(table1_spec(terminal_cost_c=0.01), n_steps=6)
+
+
+def partial_surface():
+    return hjb_partial.solve(table1_spec(terminal_cost_c=0.01), m_pi=6, m_t=10)
+
+
+KINDS = {
+    "full": (full_surface, hjb_full, full_surface_csv_loop),
+    "partial": (partial_surface, hjb_partial, partial_surface_csv_loop),
+}
+
+
+@pytest.fixture(params=sorted(KINDS))
+def kind(request):
+    make, module, loop_writer = KINDS[request.param]
+    surface = make()
+    theta = surface.theta.copy()
+    bid = surface.spread_bid.copy()
+    theta[0, 0, 0] = -0.0
+    theta[1, 1, 0] = 1.0 / 3.0
+    theta[-1, 2, 1] = 0.1
+    bid[2, 3, 1] = -2.0 / 3.0
+    bid[1, 2, 0] = 5e-324
+    surface = dataclasses.replace(surface, theta=theta, spread_bid=bid)
+    assert np.isinf(surface.spread_ask).any()  # stub sentinels on blocked sides
+    return surface, module, loop_writer
+
+
+def split(text):
+    """(header block including the column row, body rows)."""
+    lines = text.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    return "".join(lines[:start]), lines[start:]
+
+
+def test_writer_matches_loop_reference(kind):
+    surface, module, loop_writer = kind
+    extra = {"manifest": "0123456789abcdef", "note": "a = b"}
+    text = module.surface_to_csv(surface, extra)
+    assert text == loop_writer(surface, extra)
+    assert "-0," in text and "0.33333333333333331" in text and ",inf" in text
+
+
+def test_shuffled_rows_read_back_exactly(kind):
+    surface, module, _ = kind
+    head, rows = split(module.surface_to_csv(surface, {"manifest": "m"}))
+    np.random.default_rng(5).shuffle(rows)
+    back = module.surface_from_csv(head + "".join(rows))
+    for name in TABLES:
+        np.testing.assert_allclose(getattr(back, name), getattr(surface, name), rtol=0, atol=0)
+    assert format_config(back.spec) == format_config(surface.spec)
+
+
+def test_incomplete_or_malformed_grid_rejected(kind):
+    surface, module, _ = kind
+    head, rows = split(module.surface_to_csv(surface))
+    bad = {
+        "rows": rows[:-3],  # truncated file
+        "node": rows[:-1] + rows[-2:-1],  # last node replaced by a repeat
+        "changed": rows[:-1] + [rows[-1].rsplit(",", 1)[0] + "\n"],  # one short row
+        "5 columns": [row.rsplit(",", 1)[0] + "\n" for row in rows],
+        "inventories": [row for row in rows if row.split(",")[1] != "3"],
+    }
+    for message, body in bad.items():
+        with pytest.raises(ValueError, match=message):
+            module.surface_from_csv(head + "".join(body))
+
+
+def test_missing_third_axis_node_rejected():
+    # a whole regime (full) or belief column (partial) gone leaves a complete
+    # but smaller grid, which does not match the spec or a uniform belief grid
+    for make, module, _ in KINDS.values():
+        head, rows = split(module.surface_to_csv(make()))
+        body = [row for row in rows if row.split(",")[2] != "1"]
+        with pytest.raises(ValueError, match="regimes|beliefs"):
+            module.surface_from_csv(head + "".join(body))
