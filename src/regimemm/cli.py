@@ -268,8 +268,8 @@ def cmd_compare(args) -> int:
     # one array call per output column: asks[r][s] is the row at times[s], levels[r]
     asks = [
         np.column_stack(
-            [hjb_partial.policy(partial, times, int(n), pi)[1] for pi in beliefs]
-            + [hjb_full.policy(full, times, np.full(times.shape, n), i)[1] for i in (1, 2)]
+            [hjb_partial.policy(partial, times, n, pi)[1] for pi in beliefs]
+            + [hjb_full.policy(full, times, n, i)[1] for i in (1, 2)]
         ).tolist()
         for n in spec.inventory_levels()
     ]

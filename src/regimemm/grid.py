@@ -1,11 +1,12 @@
-"""The solvers' stored grids: bracketing lookups and the grid-file codec.
+"""The solvers' stored grids: one lookup and the grid-file codec.
 
-Every interpolated read of a solved surface -- one point or a batch of
-paths -- locates its time interval and belief cell here, so all lookups
-share one domain contract: a time within 1e-12 of the grid's span is
-clamped onto it and a time further out raises ``ValueError``, as does a
-belief outside [0, 1].  Scalars and arrays are both accepted; the returned
-indices and weights take the input's shape.
+Every read of a solved surface, partial or full information, one point or
+a broadcast batch, is one ``gather`` on the brackets found here, so all
+lookups share one interpolation and one domain contract: a time within
+1e-12 of the grid's span is clamped onto it and a time further out raises
+``ValueError``, as do a belief outside [0, 1] and an inventory outside
+[-N*, N*].  Scalars and arrays are both accepted; the returned indices and
+weights take the input's shape.
 
 Both solved surfaces persist as one grid file: ``# key = value`` header
 lines, a column header row, then one row ``t,n,x,theta,spread_bid,spread_ask``
@@ -50,6 +51,37 @@ def belief_bracket(cells: int, pi):
     scaled = check_belief(pi) * cells
     j = np.minimum(scaled.astype(int), cells - 1)
     return j, scaled - j
+
+
+def inventory_row(cap: int, n):
+    """Row ``n + cap`` of inventory ``n`` in a table over the inventories
+    -cap..cap, after checking that ``n`` lies among them."""
+    n = np.asarray(n)
+    inside = np.abs(n) <= cap
+    if n.dtype.kind == "f":  # integer input, the engine's, needs no whole-number test
+        inside &= n == np.round(n)
+    if not inside.all():
+        raise ValueError(f"inventory {n[~inside].flat[0]:g} outside [-{cap}, {cap}]")
+    return (n + cap).astype(int)
+
+
+def gather(table: np.ndarray, s, wt, rows, k, wp=None):
+    """``table[time level, inventory row, k]`` interpolated in time (``s, wt``
+    from ``time_bracket``); with ``wp`` (``k, wp`` from ``belief_bracket``)
+    each time level is first interpolated in belief.  Indices broadcast."""
+
+    def level(s):
+        cell = table[s, rows, k]
+        return cell if wp is None else (1 - wp) * cell + wp * table[s, rows, k + 1]
+
+    return (1 - wt) * level(s) + wt * level(s + 1)
+
+
+def check_count(name: str, value) -> int:
+    """``value``, after checking that it is an integer >= 1 (a grid size)."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 _TABLES = ("theta", "spread_bid", "spread_ask")

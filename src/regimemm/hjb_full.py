@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .grid import grid_from_csv, grid_to_csv, time_bracket
+from .grid import check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 from .intensity import STUB_SPREAD, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
@@ -36,17 +36,20 @@ class FullInfoSurface:
     spread_bid: np.ndarray
     spread_ask: np.ndarray
 
-    def row_of(self, n: int) -> int:
-        n_star = int(self.spec.inventory_cap_Nstar)
-        if not -n_star <= n <= n_star:
-            raise ValueError(f"inventory {n} outside [-{n_star}, {n_star}]")
-        return n + n_star
-
-    def theta_at(self, t: float, n: int, i: int) -> float:
-        """Linear interpolation of theta in t; i is a 1-based regime index."""
+    def _brackets(self, t, n, i):
+        """Domain-checked ``gather`` arguments of broadcast points (t, n, i);
+        i is a 1-based regime index."""
         s, w = time_bracket(self.time_grid, t)
-        r = self.row_of(n)
-        return float((1.0 - w) * self.theta[s, r, i - 1] + w * self.theta[s + 1, r, i - 1])
+        rows = inventory_row(int(self.spec.inventory_cap_Nstar), n)
+        col = np.asarray(i) - 1
+        if np.any((col < 0) | (col >= self.spec.n_regimes)):
+            raise ValueError(f"regime index outside 1..{self.spec.n_regimes}")
+        return s, w, rows, col
+
+    def theta_at(self, t, n, i):
+        """theta at broadcast (t, n, i), linear in t; scalars give a float."""
+        value = gather(self.theta, *self._brackets(t, n, i))
+        return float(value) if value.ndim == 0 else value
 
 
 def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
@@ -98,6 +101,7 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
     """
     if spec.unbounded_inventory:
         raise UnsupportedConfigError("finite inventory cap required; use solve_unconstrained")
+    n_steps = check_count("n_steps", n_steps)
     levels = spec.inventory_levels().astype(float)
     k = spec.n_regimes
     h = spec.horizon_T / n_steps
@@ -125,26 +129,17 @@ def policy(surface: FullInfoSurface, t, n, i):
 
     theta is interpolated linearly in t and the spreads recomputed from the
     interpolated inventory differences, so the policy is continuous in t.
-    Scalar arguments give a pair of floats; arrays of one shape (a batch of
-    paths) give a pair of arrays, with one spread evaluation per regime.
+    The arguments broadcast against each other: scalars give a pair of
+    floats, arrays (a batch of paths) a pair of arrays, with one spread
+    evaluation per regime.
     """
     spec = surface.spec
-    n_star = int(spec.inventory_cap_Nstar)
-    s, w = time_bracket(surface.time_grid, t)
-    n = np.asarray(n)
-    col = np.asarray(i) - 1
-    if np.any(np.abs(n) > n_star):
-        raise ValueError(f"inventory outside [-{n_star}, {n_star}]")
-    if np.any((col < 0) | (col >= spec.n_regimes)):
-        raise ValueError(f"regime index outside 1..{spec.n_regimes}")
-    r = n + n_star
-
-    def theta(rows):
-        return (1.0 - w) * surface.theta[s, rows, col] + w * surface.theta[s + 1, rows, col]
-
-    here = theta(r)
-    d_bid = theta(np.minimum(r + 1, 2 * n_star)) - here
-    d_ask = theta(np.maximum(r - 1, 0)) - here
+    top = 2 * int(spec.inventory_cap_Nstar)
+    s, w, r, col = surface._brackets(t, n, i)
+    here = gather(surface.theta, s, w, r, col)
+    d_bid = gather(surface.theta, s, w, np.minimum(r + 1, top), col) - here
+    d_ask = gather(surface.theta, s, w, np.maximum(r - 1, 0), col) - here
+    n, col = np.broadcast_to(n, here.shape), np.broadcast_to(col, here.shape)
     bid = np.full(here.shape, STUB_SPREAD)
     ask = np.full(here.shape, STUB_SPREAD)
     gamma = spec.risk_aversion_gamma
@@ -227,6 +222,7 @@ def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> U
         or spec.terminal_cost_c != 0.0
     ):
         raise UnsupportedConfigError("unconstrained inventory requires gamma = zeta = c = 0")
+    n_steps = check_count("n_steps", n_steps)
     k = spec.n_regimes
     bounds = spec.spread_bounds
     q = spec.generator_Q

@@ -28,21 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
-from .grid import belief_bracket, grid_from_csv, grid_to_csv, time_bracket
+from .grid import belief_bracket, check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 from .intensity import STUB_SPREAD
 from .model import ModelSpec, TwoRegimeParams, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
 CFL_SAFETY = 0.9
-
-
-def reduced_coeffs(spec: ModelSpec) -> TwoRegimeParams:
-    """Closed-form scalar coefficients q_hat, m_hat, w of the reduction.
-
-    Requires two regimes, gamma = 0, symmetric proportional exponential
-    intensities; raises UnsupportedConfigError naming the failed requirement.
-    """
-    return two_regime_reduction(spec)
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,6 @@ class PartialInfoSurface:
     """
 
     spec: ModelSpec
-    reduction: TwoRegimeParams
     time_grid: np.ndarray
     pi_grid: np.ndarray
     theta: np.ndarray
@@ -72,23 +62,16 @@ class PartialInfoSurface:
     cfl_report: CflReport
     belief_gradient_scale: float = 1.0
 
-    def row_of(self, n: int) -> int:
-        n_star = int(self.spec.inventory_cap_Nstar)
-        if not -n_star <= n <= n_star:
-            raise ValueError(f"inventory {n} outside [-{n_star}, {n_star}]")
-        return n + n_star
-
-    def _bilinear(self, table: np.ndarray, t, row: int, pi: float):
-        """Time first, then belief; an array of times gives an array."""
+    def _brackets(self, t, n, pi):
+        """Domain-checked ``gather`` arguments of broadcast points (t, n, pi)."""
         s, wt = time_bracket(self.time_grid, t)
         j, wp = belief_bracket(len(self.pi_grid) - 1, pi)
-        wt = wt[..., None]
-        plane = (1.0 - wt) * table[s, row] + wt * table[s + 1, row]
-        value = (1.0 - wp) * plane[..., j] + wp * plane[..., j + 1]
-        return float(value) if value.ndim == 0 else value
+        return s, wt, inventory_row(int(self.spec.inventory_cap_Nstar), n), j, wp
 
-    def theta_at(self, t: float, n: int, pi: float) -> float:
-        return self._bilinear(self.theta, t, self.row_of(n), pi)
+    def theta_at(self, t, n, pi):
+        """theta at broadcast (t, n, pi); scalars give a float."""
+        value = gather(self.theta, *self._brackets(t, n, pi))
+        return float(value) if value.ndim == 0 else value
 
 
 def _grid_maps(pi_grid: np.ndarray, red: TwoRegimeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +93,7 @@ class Stepper:
     """
 
     def __init__(self, spec: ModelSpec, m_pi: int, belief_gradient_scale: float = 1.0):
-        red = reduced_coeffs(spec)
+        red = two_regime_reduction(spec)
         if not red.q11 < 0.0:
             raise UnsupportedConfigError(
                 "partial-information scheme needs a strictly negative q11 "
@@ -128,6 +111,7 @@ class Stepper:
         self.spec = spec
         self.red = red
         self.levels = spec.inventory_levels().astype(float)
+        m_pi = check_count("m_pi", m_pi)
         self.pi_grid = np.linspace(0.0, 1.0, m_pi + 1)
         self.d_pi = 1.0 / m_pi
         self.q_hat = red.q_hat(self.pi_grid)
@@ -220,7 +204,7 @@ def solve(
     stepper = Stepper(spec, m_pi, belief_gradient_scale)
     T = spec.horizon_T
     theta = stepper.terminal_panel()
-    target_dt = T / m_t if m_t else math.inf
+    target_dt = math.inf if m_t is None else T / check_count("m_t", m_t)
 
     thetas = [theta]
     bids = []
@@ -236,7 +220,7 @@ def solve(
         max_coeff = max(max_coeff, coeff)
         dt_cfl = cfl_safety / coeff if coeff > 0.0 else math.inf
         dt = min(dt_cfl, target_dt, t)
-        if m_t and not auto_refine and target_dt > dt_cfl + 1e-15:
+        if m_t is not None and not auto_refine and target_dt > dt_cfl + 1e-15:
             raise NumericsError(
                 f"CFL violation: requested dt {target_dt:.3e} exceeds stable dt {dt_cfl:.3e}"
             )
@@ -260,7 +244,6 @@ def solve(
     )
     return PartialInfoSurface(
         spec=spec,
-        reduction=stepper.red,
         time_grid=np.array(times[order]),
         pi_grid=stepper.pi_grid,
         theta=np.array(thetas[order]),
@@ -271,17 +254,21 @@ def solve(
     )
 
 
-def policy(surface: PartialInfoSurface, t, n: int, pi: float):
-    """Bilinear interpolation of the stored spread tables at (t, pi).
+def policy(surface: PartialInfoSurface, t, n, pi):
+    """Bilinear interpolation of the stored spread tables at (t, n, pi).
 
-    Blocked sides (|n| at the cap) return the stub sentinel.  A scalar ``t``
-    gives a pair of floats; an array of times gives a pair of arrays.
+    The arguments broadcast against each other: scalars give a pair of
+    floats, arrays (a batch of paths, a column of times) a pair of arrays.
+    Blocked sides (|n| at the cap) return the stub sentinel.
     """
-    spec = surface.spec
-    row = surface.row_of(n)
-    stub = STUB_SPREAD if np.ndim(t) == 0 else np.full(np.shape(t), STUB_SPREAD)
-    bid = surface._bilinear(surface.spread_bid, t, row, pi) if spec.bid_active(n) else stub
-    ask = surface._bilinear(surface.spread_ask, t, row, pi) if spec.ask_active(n) else stub
+    s, wt, rows, j, wp = surface._brackets(t, n, pi)
+    top = 2 * int(surface.spec.inventory_cap_Nstar)
+    # a blocked side's row holds the +inf stub, and a zero weight times inf
+    # is NaN: gather from the nearest quoted row, then discard the value
+    bid = np.where(rows < top, gather(surface.spread_bid, s, wt, np.minimum(rows, top - 1), j, wp), STUB_SPREAD)
+    ask = np.where(rows > 0, gather(surface.spread_ask, s, wt, np.maximum(rows, 1), j, wp), STUB_SPREAD)
+    if bid.ndim == 0:
+        return float(bid), float(ask)
     return bid, ask
 
 
@@ -318,16 +305,12 @@ def convergence_report(
             raise ValueError("each ladder step must refine the belief grid by 2")
     surfaces = [solve(spec, m_pi=m, **solve_kwargs) for m in ladder]
     probe_times = np.linspace(0.0, spec.horizon_T, n_probe_times)
+    levels = spec.inventory_levels()[:, None, None]
     diffs = []
     for coarse, fine in zip(surfaces, surfaces[1:]):
-        worst = 0.0
-        for row in range(coarse.theta.shape[1]):
-            n = row - int(spec.inventory_cap_Nstar)
-            for j, pi in enumerate(coarse.pi_grid):
-                for t in probe_times:
-                    d = abs(coarse.theta_at(t, n, pi) - fine.theta_at(t, n, pi))
-                    worst = max(worst, d)
-        diffs.append(worst)
+        # every (inventory, coarse belief node, probe time) point at once
+        points = (probe_times, levels, coarse.pi_grid[:, None])
+        diffs.append(float(np.max(np.abs(coarse.theta_at(*points) - fine.theta_at(*points)))))
     ratios = tuple(
         diffs[i] / diffs[i + 1] if diffs[i + 1] > 0 else math.inf
         for i in range(len(diffs) - 1)
@@ -381,4 +364,4 @@ def surface_from_csv(text: str) -> PartialInfoSurface:
         n_steps=int(headers.get("cfl_n_steps", "0")),
     )
     scale = float(headers.get("belief_gradient_scale", "1"))
-    return PartialInfoSurface(spec, two_regime_reduction(spec), times, pis, *tables, report, scale)
+    return PartialInfoSurface(spec, times, pis, *tables, report, scale)

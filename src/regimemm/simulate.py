@@ -33,7 +33,7 @@ import numpy as np
 from . import hjb_full, hjb_partial
 from .errors import NumericsError
 from .filtering import FilterState, _rk4_step, jump_update as _filter_jump
-from .grid import belief_bracket, check_belief, time_bracket
+from .grid import check_belief
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
 from .model import ModelSpec
 from .rng import REGIME, PathStreams, stream
@@ -52,9 +52,10 @@ class Policy:
     """Feedback quote map.  ``quotes_batch(t, n, pi1, y)`` returns (bid, ask)
     spread arrays, with the stub sentinel on blocked sides, at per-path
     times, inventories and beliefs in regime 1; ``y`` holds the 0-based
-    hidden regimes in regime-true runs and is None otherwise.
-    ``min_spreads`` supplies the lower bounds behind the thinning
-    dominating rate."""
+    hidden regimes in regime-true runs and is None otherwise.  The surface
+    policies delegate to their solver's ``policy``: the engine quotes from
+    the lookup the solver reports.  ``min_spreads`` supplies the lower
+    bounds behind the thinning dominating rate."""
 
     def quotes_batch(self, t: np.ndarray, n: np.ndarray, pi1: np.ndarray, y=None):
         raise NotImplementedError
@@ -105,22 +106,7 @@ class PartialInfoPolicy(_SurfacePolicy):
     surface: hjb_partial.PartialInfoSurface
 
     def quotes_batch(self, t, n, pi1, y=None):
-        surf = self.surface
-        n_star = int(surf.spec.inventory_cap_Nstar)
-        s, wt = time_bracket(surf.time_grid, t)
-        j, wp = belief_bracket(len(surf.pi_grid) - 1, pi1)
-        rows = (n + n_star).astype(int)
-
-        def lookup(table, safe_rows):
-            lo = (1 - wp) * table[s, safe_rows, j] + wp * table[s, safe_rows, j + 1]
-            hi = (1 - wp) * table[s + 1, safe_rows, j] + wp * table[s + 1, safe_rows, j + 1]
-            return (1 - wt) * lo + wt * hi
-
-        # clamp discarded blocked rows out of the stub entries before the
-        # gather: np.where evaluates both branches and inf * 0 would warn
-        bid = np.where(n < n_star, lookup(surf.spread_bid, np.minimum(rows, 2 * n_star - 1)), STUB_SPREAD)
-        ask = np.where(-n < n_star, lookup(surf.spread_ask, np.maximum(rows, 1)), STUB_SPREAD)
-        return bid, ask
+        return hjb_partial.policy(self.surface, t, n, pi1)
 
 
 class FullInfoPolicy(_SurfacePolicy):

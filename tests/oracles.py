@@ -150,3 +150,19 @@ def partial_surface_csv_loop(surface, extra_headers=None):
     ]
     beliefs = [format(pi, ".17g") for pi in surface.pi_grid]
     return _grid_csv_loop(surface, headers, "pi", beliefs, extra_headers)
+
+
+def convergence_sup_loop(surfaces, probe_times):
+    """Sup differences of successive ladder surfaces, one scalar ``theta_at``
+    call per (inventory, coarse belief node, probe time): the reference for
+    the broadcast lookup in ``convergence_report``."""
+    diffs = []
+    for coarse, fine in zip(surfaces, surfaces[1:]):
+        n_star = int(coarse.spec.inventory_cap_Nstar)
+        worst = 0.0
+        for n in range(-n_star, n_star + 1):
+            for pi in coarse.pi_grid:
+                for t in probe_times:
+                    worst = max(worst, abs(coarse.theta_at(t, n, pi) - fine.theta_at(t, n, pi)))
+        diffs.append(worst)
+    return tuple(diffs)

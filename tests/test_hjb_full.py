@@ -159,6 +159,34 @@ class TestPolicy:
         _, ask = policy(surf, t_mid, 1, 1)
         assert ask == pytest.approx(0.04 - d, abs=1e-12)
 
+    def test_broadcast_points_match_scalar_calls(self):
+        surf = solve_constrained(table1_spec(), n_steps=50)
+        times = np.linspace(0.0, 1.0, 7)[:, None, None]
+        levels = np.arange(-3, 4)[:, None]
+        regimes = np.array([1, 2])
+        bids, asks = policy(surf, times, levels, regimes)
+        thetas = surf.theta_at(times, levels, regimes)
+        assert bids.shape == asks.shape == thetas.shape == (7, 7, 2)
+        for (a, r, k), theta in np.ndenumerate(thetas):
+            t, n, i = float(times[a, 0, 0]), int(levels[r, 0]), int(regimes[k])
+            assert (bids[a, r, k], asks[a, r, k]) == policy(surf, t, n, i)
+            assert theta == surf.theta_at(t, n, i)
+
+    @pytest.mark.parametrize("n, i", [(4, 1), (-4, 2), (0.5, 1), (0, 0), (0, 3)])
+    def test_lookup_off_the_grid_rejected(self, n, i):
+        surf = solve_constrained(table1_spec(), n_steps=50)
+        with pytest.raises(ValueError, match="inventory|regime"):
+            surf.theta_at(0.5, n, i)
+        with pytest.raises(ValueError, match="inventory|regime"):
+            policy(surf, 0.5, n, i)
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    def test_bad_step_count_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_constrained(table1_spec(), n_steps=n_steps)
+
 
 class TestUnconstrained:
     def unconstrained_spec(self, *, mu=0.0, k1=True):
@@ -183,6 +211,11 @@ class TestUnconstrained:
             generator_Q=np.asarray(q),
             initial_filter_mu0=np.asarray(mu0),
         )
+
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    def test_bad_step_count_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_unconstrained(self.unconstrained_spec(), n_steps=n_steps)
 
     def test_driftless_linear_profile(self):
         sol = solve_unconstrained(self.unconstrained_spec(), n_steps=200)

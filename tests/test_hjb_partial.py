@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from oracles import convergence_sup_loop
 
 from regimemm.errors import NumericsError, UnsupportedConfigError
+from regimemm.grid import inventory_row
 from regimemm.hjb_full import comparison_bounds, solve_constrained
 from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_partial import (
     Stepper,
     convergence_report,
     policy,
-    reduced_coeffs,
     solve,
     surface_from_csv,
     surface_to_csv,
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
-from regimemm.model import RegimeSpec, table1_spec, with_params
+from regimemm.model import RegimeSpec, table1_spec, two_regime_reduction, with_params
 
 
 def zero_order_spec(c=0.0):
@@ -30,19 +31,19 @@ def zero_order_spec(c=0.0):
 
 class TestReducedCoeffs:
     def test_table1_midpoint(self):
-        red = reduced_coeffs(table1_spec())
+        red = two_regime_reduction(table1_spec())
         assert red.q_hat(0.5) == 0.0
         assert red.m_hat(0.5) == 3.0
         assert red.w(0.5) == 1.0
 
     def test_boundaries(self):
-        red = reduced_coeffs(table1_spec())
+        red = two_regime_reduction(table1_spec())
         assert (red.q_hat(0.0), red.m_hat(0.0), red.w(0.0)) == (5.0, 5.0, 0.0)
         assert (red.q_hat(1.0), red.m_hat(1.0), red.w(1.0)) == (-5.0, 1.0, 0.0)
 
     def test_named_rejections(self):
         with pytest.raises(UnsupportedConfigError, match="gamma"):
-            reduced_coeffs(with_params(table1_spec(), risk_aversion_gamma=0.1))
+            two_regime_reduction(with_params(table1_spec(), risk_aversion_gamma=0.1))
 
 
 class TestSolve:
@@ -59,7 +60,7 @@ class TestSolve:
 
     def test_terminal_spreads_with_cost(self):
         surf = solve(table1_spec(terminal_cost_c=0.01), m_pi=40)
-        r0 = surf.row_of(0)
+        r0 = inventory_row(3, 0)
         # ask at n=0: 1/b + c; bid at n=0 symmetric
         assert np.allclose(surf.spread_ask[-1, r0, :], 0.05, atol=1e-12)
         assert np.allclose(surf.spread_bid[-1, r0, :], 0.05, atol=1e-12)
@@ -169,11 +170,39 @@ class TestMonotoneStep:
             solve(table1_spec(), m_pi=10, m_t=3, belief_gradient_scale=-1.0)
 
 
+class TestGridArguments:
+    @pytest.mark.parametrize("m_pi", [0, -2, 2.5])
+    def test_bad_belief_cells_rejected(self, m_pi):
+        with pytest.raises(ValueError, match="m_pi"):
+            Stepper(table1_spec(), m_pi=m_pi)
+        with pytest.raises(ValueError, match="m_pi"):
+            solve(table1_spec(), m_pi=m_pi)
+
+    @pytest.mark.parametrize("m_t", [0, -5, 2.5])
+    def test_bad_time_steps_rejected(self, m_t):
+        with pytest.raises(ValueError, match="m_t"):
+            solve(table1_spec(), m_pi=10, m_t=m_t)
+
+    def test_none_is_auto_and_a_count_caps_the_step(self):
+        auto = solve(table1_spec(), m_pi=10, m_t=None)
+        m_t = 4 * auto.cfl_report.n_steps
+        capped = solve(table1_spec(), m_pi=10, m_t=m_t)
+        assert capped.cfl_report.n_steps >= m_t > auto.cfl_report.n_steps
+        assert capped.cfl_report.max_dt <= 1.0 / m_t * (1 + 1e-12)
+
+
 class TestConvergence:
     def test_ladder_differences_decrease(self):
         rep = convergence_report(table1_spec(), ladder=(25, 50, 100))
         assert len(rep.sup_differences) == 2
         assert rep.sup_differences[0] > rep.sup_differences[1] > 0
+
+    def test_matches_scalar_lookup_loop(self):
+        ladder = (25, 50, 100)
+        rep = convergence_report(table1_spec(), ladder=ladder)
+        surfaces = [solve(table1_spec(), m_pi=m) for m in ladder]
+        probe_times = np.linspace(0.0, 1.0, 41)
+        assert rep.sup_differences == convergence_sup_loop(surfaces, probe_times)
 
     def test_bad_ladder_rejected(self):
         with pytest.raises(ValueError):
@@ -219,8 +248,8 @@ class TestPolicy:
         j = 17
         pi = float(surf.pi_grid[j])
         bid, ask = policy(surf, t, 1, pi)
-        assert bid == pytest.approx(surf.spread_bid[s, surf.row_of(1), j], abs=1e-12)
-        assert ask == pytest.approx(surf.spread_ask[s, surf.row_of(1), j], abs=1e-12)
+        assert bid == pytest.approx(surf.spread_bid[s, inventory_row(3, 1), j], abs=1e-12)
+        assert ask == pytest.approx(surf.spread_ask[s, inventory_row(3, 1), j], abs=1e-12)
 
     def test_blocked_sides(self):
         surf = solve(table1_spec(), m_pi=20)
@@ -228,6 +257,28 @@ class TestPolicy:
         assert bid == STUB_SPREAD and math.isfinite(ask)
         bid, ask = policy(surf, 0.5, -3, 0.4)
         assert ask == STUB_SPREAD and math.isfinite(bid)
+
+    def test_broadcast_points_match_scalar_calls(self):
+        surf = solve(table1_spec(), m_pi=20)
+        rng = np.random.default_rng(5)
+        times = rng.uniform(0.0, 1.0, 9)[:, None, None]
+        levels = np.arange(-3, 4)[:, None]
+        beliefs = np.append(rng.uniform(0.0, 1.0, 5), [0.0, 1.0])
+        bids, asks = policy(surf, times, levels, beliefs)
+        thetas = surf.theta_at(times, levels, beliefs)
+        assert bids.shape == asks.shape == thetas.shape == (9, 7, 7)
+        for (a, r, j), theta in np.ndenumerate(thetas):
+            t, n, pi = float(times[a, 0, 0]), int(levels[r, 0]), float(beliefs[j])
+            assert (bids[a, r, j], asks[a, r, j]) == policy(surf, t, n, pi)
+            assert theta == surf.theta_at(t, n, pi)
+
+    @pytest.mark.parametrize("n", [-4, 4, 0.5, math.nan])
+    def test_inventory_off_the_grid_rejected(self, n):
+        surf = solve(table1_spec(), m_pi=20)
+        with pytest.raises(ValueError, match=r"inventory .* outside \[-3, 3\]"):
+            policy(surf, 0.5, n, 0.4)
+        with pytest.raises(ValueError, match=r"inventory .* outside \[-3, 3\]"):
+            surf.theta_at(np.array([0.5, 0.5]), np.array([0, n]), 0.4)
 
     def test_array_of_times_matches_scalar_calls(self):
         surf = solve(table1_spec(), m_pi=20)

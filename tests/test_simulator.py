@@ -362,9 +362,19 @@ class TestLookupDomain:
         pi1 = rng.uniform(0.0, 1.0, 200)
         scalar = [hjb_partial_policy(partial.surface, t[i], int(n[i]), pi1[i]) for i in range(200)]
         batch = partial.quotes_batch(t, n, pi1)
-        # the batch gathers in the other order (belief, then time): rounding only
-        np.testing.assert_allclose(batch, np.array(scalar).T, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(batch, np.array(scalar).T)
         assert partial.quotes(t[5], int(n[5]), pi1[5]) == (batch[0][5], batch[1][5])
+
+    @pytest.mark.parametrize("n", [-4, 4])
+    def test_partial_batch_rejects_inventory_beyond_cap(self, partial, n):
+        with pytest.raises(ValueError, match=r"inventory .* outside \[-3, 3\]"):
+            partial.quotes_batch(np.array([0.5, 0.5]), np.array([0, n]), np.array([0.3, 0.3]))
+
+    @pytest.mark.parametrize("n", [-4, 4])
+    def test_full_batch_rejects_inventory_beyond_cap(self, n):
+        policy = small_policy(table1_spec(), "FULL")
+        with pytest.raises(ValueError, match=r"inventory .* outside \[-3, 3\]"):
+            policy.quotes_batch(np.array([0.5]), np.array([n]), np.array([0.3]), np.array([0]))
 
     def test_full_batch_matches_scalar_policy_and_checks_belief(self):
         policy = small_policy(table1_spec(), "FULL")
