@@ -280,17 +280,17 @@ def cmd_compare(args) -> int:
 
     lines = [stamp.strip()]
     lines.append("ask-spread excess of partial information at pi = 0.6, t = 0:")
-    for n in spec.inventory_levels():
+    for n, table in zip(spec.inventory_levels().tolist(), asks):
         if not spec.ask_active(n):
-            lines.append(f"n = {int(n)}: stub (side blocked)")
+            lines.append(f"n = {n}: stub (side blocked)")
             continue
-        ask_part = hjb_partial.policy(partial, 0.0, int(n), 0.6)[1]
-        ask_f = [hjb_full.policy(full, 0.0, int(n), i)[1] for i in (1, 2)]
+        # the t = times[0] = 0 row: columns pi = 0, 0.6, 1, then regimes 1, 2
+        ask_part, ask_f = table[0][1], table[0][3:]
         ratios = ", ".join(
             f"vs regime {i + 1}: {100.0 * (ask_part / a - 1.0):+.2f}%"
             for i, a in enumerate(ask_f)
         )
-        lines.append(f"n = {int(n)}: partial {ask_part:.6f} ({ratios})")
+        lines.append(f"n = {n}: partial {ask_part:.6f} ({ratios})")
     _write(run_dir / "summary.txt", "\n".join(lines) + "\n")
     print("\n".join(lines[1:]))
     return _finish(run_dir, manifest, started)

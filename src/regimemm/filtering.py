@@ -32,7 +32,10 @@ DEFAULT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class FilterState:
-    """Belief over regimes: strictly positive coordinates summing to one."""
+    """Belief over regimes: strictly positive coordinates summing to one.
+
+    ``probs`` is one belief (k,) or a batch of per-path beliefs (P, k).
+    """
 
     probs: np.ndarray
 
@@ -42,7 +45,7 @@ class FilterState:
         object.__setattr__(self, "probs", p)
 
     def check(self, atol: float = 1e-10) -> None:
-        if abs(float(self.probs.sum()) - 1.0) > atol:
+        if np.any(np.abs(self.probs.sum(axis=-1) - 1.0) > atol):
             raise ValueError("belief does not sum to 1")
         if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
             raise ValueError("belief left the open simplex")
@@ -50,68 +53,75 @@ class FilterState:
 
 @dataclass(frozen=True)
 class ObservableRates:
-    """Belief-weighted order-arrival rates seen by the market maker."""
+    """Belief-weighted order-arrival rates seen by the market maker: floats
+    for one belief, (P,) arrays for a batch."""
 
-    bid_rate: float
-    ask_rate: float
-    bid_components: np.ndarray  # per-regime lam_i(bid spread)
+    bid_rate: float | np.ndarray
+    ask_rate: float | np.ndarray
+    bid_components: np.ndarray  # per-regime lam_i(bid spread), (..., k)
     ask_components: np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self):
         return self.bid_rate + self.ask_rate
 
 
-def _side_components(spec: ModelSpec, side: str, delta: float) -> np.ndarray:
-    fams = [
-        r.bid_intensity if side == "bid" else r.ask_intensity for r in spec.regimes
-    ]
-    if is_stub(delta):
-        return np.zeros(len(fams))
-    return np.array([eval_intensity(f, float(delta)) for f in fams])
+def _components(spec: ModelSpec, side: str, delta, on=True) -> np.ndarray:
+    """Per-regime intensities lam_i(delta), shaped delta's shape + (k,).
+
+    Stub spreads and a blocked side (``on``, the side's inventory gate, a
+    bool or a per-path bool array, false) give zero: both enter as one 0/1
+    factor.
+    """
+    delta = np.asarray(delta, dtype=float)
+    stub = is_stub(delta)
+    safe = np.where(stub, 0.0, delta)
+    lam = np.empty(delta.shape + (spec.n_regimes,))
+    for i, r in enumerate(spec.regimes):
+        lam[..., i] = eval_intensity(r.bid_intensity if side == "bid" else r.ask_intensity, safe)
+    return lam * (~stub & on)[..., None]
 
 
-def observable_rates(
-    state: FilterState, spreads: tuple[float, float], n: int, spec: ModelSpec
-) -> ObservableRates:
-    """Average regime intensities under the belief, zeroed on a blocked side."""
-    delta_bid, delta_ask = spreads
-    bid_on = spec.bid_active(n)
-    ask_on = spec.ask_active(n)
-    bid_comp = _side_components(spec, "bid", delta_bid) if bid_on else np.zeros(spec.n_regimes)
-    ask_comp = _side_components(spec, "ask", delta_ask) if ask_on else np.zeros(spec.n_regimes)
+def observable_rates(state: FilterState, spreads, n, spec: ModelSpec) -> ObservableRates:
+    """Average regime intensities under the belief, zeroed on a blocked side.
+
+    Broadcasts over paths: ``state`` may hold a (P, k) batch, with spreads
+    and ``n`` scalars or (P,) arrays.
+    """
+    bid = _components(spec, "bid", spreads[0], spec.bid_active(n))
+    ask = _components(spec, "ask", spreads[1], spec.ask_active(n))
+    # row-wise belief averages: (P,) for a batch, a float for one belief
     return ObservableRates(
-        bid_rate=float(state.probs @ bid_comp),
-        ask_rate=float(state.probs @ ask_comp),
-        bid_components=bid_comp,
-        ask_components=ask_comp,
+        bid_rate=np.einsum("...k,...k->...", state.probs, bid)[()],
+        ask_rate=np.einsum("...k,...k->...", state.probs, ask)[()],
+        bid_components=bid,
+        ask_components=ask,
     )
 
 
-def drift(
-    state: FilterState, spreads: tuple[float, float], n: int, spec: ModelSpec
-) -> np.ndarray:
+def drift(state: FilterState, spreads, n, spec: ModelSpec) -> np.ndarray:
     """Between-order belief velocity; tangent to the simplex (sums to zero).
 
     Coordinate i moves by generator transport plus pi_i times the gap between
-    the observable rate and regime i's own rate, summed over active sides.
+    the observable rate and regime i's own rate, summed over active sides (a
+    blocked side's rates are zero).  Broadcasts like ``observable_rates``.
     """
     pi = state.probs
-    out = spec.generator_Q.T @ pi
     rates = observable_rates(state, spreads, n, spec)
-    if spec.bid_active(n):
-        out = out + pi * (rates.bid_rate - rates.bid_components)
-    if spec.ask_active(n):
-        out = out + pi * (rates.ask_rate - rates.ask_components)
+    out = pi @ spec.generator_Q
+    out = out + pi * (rates.bid_rate[..., None] - rates.bid_components)
+    out = out + pi * (rates.ask_rate[..., None] - rates.ask_components)
     return out
 
 
-def jump_update(state: FilterState, side: str, spread: float, spec: ModelSpec) -> FilterState:
-    """Bayes update at an order: reweight by that side's regime intensities."""
-    comp = _side_components(spec, side, spread)
-    raw = state.probs * comp
-    total = float(raw.sum())
-    if total <= 0.0:
+def jump_update(state: FilterState, side: str, spread, spec: ModelSpec) -> FilterState:
+    """Bayes update at an order: reweight by that side's regime intensities.
+
+    Broadcasts over a (P, k) batch of beliefs with per-path spreads.
+    """
+    raw = state.probs * _components(spec, side, spread)
+    total = raw.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise NumericsError("jump update with zero observable intensity")
     return FilterState(raw / total)
 

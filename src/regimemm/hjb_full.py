@@ -22,6 +22,15 @@ from .model import ModelSpec, format_config, parse_config
 DEFAULT_TIME_STEPS = 2000
 
 
+def _regime_column(spec: ModelSpec, i):
+    """0-based table column of the 1-based regime indices ``i``, after
+    checking that they lie in 1..k."""
+    col = np.asarray(i) - 1
+    if np.any((col < 0) | (col >= spec.n_regimes)):
+        raise ValueError(f"regime index outside 1..{spec.n_regimes}")
+    return col
+
+
 @dataclass(frozen=True)
 class FullInfoSurface:
     """theta(t, n, i) plus feedback spread tables on a uniform time grid.
@@ -41,10 +50,7 @@ class FullInfoSurface:
         i is a 1-based regime index."""
         s, w = time_bracket(self.time_grid, t)
         rows = inventory_row(int(self.spec.inventory_cap_Nstar), n)
-        col = np.asarray(i) - 1
-        if np.any((col < 0) | (col >= self.spec.n_regimes)):
-            raise ValueError(f"regime index outside 1..{self.spec.n_regimes}")
-        return s, w, rows, col
+        return s, w, rows, _regime_column(self.spec, i)
 
     def theta_at(self, t, n, i):
         """theta at broadcast (t, n, i), linear in t; scalars give a float."""
@@ -202,13 +208,16 @@ class UnconstrainedSolution:
     phi: np.ndarray  # shape (len(time_grid), k)
 
     def phi_at(self, t: float) -> np.ndarray:
-        s, w = time_bracket(self.time_grid, t)
-        return (1.0 - w) * self.phi[s] + w * self.phi[s + 1]
+        """(phi_1, ..., phi_k) at one time t, linear in t."""
+        return gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, slice(None))
 
-    def theta_at(self, t: float, n: int, i: int) -> float:
-        return float(
-            self.spec.drift_mu * n * (self.spec.horizon_T - t) + self.phi_at(t)[i - 1]
-        )
+    def theta_at(self, t, n, i):
+        """theta at broadcast (t, n, i); i is a 1-based regime index and
+        scalars give a float."""
+        col = _regime_column(self.spec, i)
+        phi = gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, col)
+        value = self.spec.drift_mu * n * (self.spec.horizon_T - t) + phi
+        return float(value) if np.ndim(value) == 0 else value
 
 
 def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> UnconstrainedSolution:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NumericsError, UnsupportedConfigError
 from .grid import belief_bracket, check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 from .intensity import STUB_SPREAD
-from .model import ModelSpec, TwoRegimeParams, format_config, parse_config, two_regime_reduction
+from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
 CFL_SAFETY = 0.9
@@ -74,15 +74,6 @@ class PartialInfoSurface:
         return float(value) if value.ndim == 0 else value
 
 
-def _grid_maps(pi_grid: np.ndarray, red: TwoRegimeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolation indices/weights of the post-order beliefs pi/m_hat(pi)."""
-    cells = len(pi_grid) - 1
-    target = pi_grid / red.m_hat(pi_grid)
-    i0 = np.clip((target * cells).astype(int), 0, cells - 1)
-    wt = target * cells - i0
-    return i0, wt
-
-
 class Stepper:
     """Precomputed grid data plus the explicit-step evaluation.
 
@@ -117,7 +108,8 @@ class Stepper:
         self.q_hat = red.q_hat(self.pi_grid)
         self.m_hat = red.m_hat(self.pi_grid)
         self.w = red.w(self.pi_grid)
-        self.i0, self.wt = _grid_maps(self.pi_grid, red)
+        # bracket of the post-order belief pi/m_hat(pi), in [0, 1] since m >= 1
+        self.i0, self.wt = belief_bracket(m_pi, self.pi_grid / self.m_hat)
         self.q_pos = np.maximum(self.q_hat, 0.0)
         self.q_neg = np.minimum(self.q_hat, 0.0)
         self.base = (

@@ -271,8 +271,11 @@ def meets_strong_assumptions(
 ) -> bool:
     """Sampled check of lam' < 0 and lam * lam'' < c (lam')^2 with c < 2.
 
-    This is the regularity needed for the fixed-point spread mode; curves
-    failing it fall back to grid search.
+    This is the regularity the fixed-point spread mode needs.  It is a
+    diagnostic: ``optimal_spread`` never consults it.  Only tabulated curves
+    use grid search; for the other non-exponential families bisection runs
+    regardless and raises ``NumericsError`` when it cannot bracket or
+    converge.
     """
     grid = _probe_grid(fam, lo, hi, n_probe)
     d1 = np.asarray(eval_derivative(fam, grid))

@@ -9,10 +9,13 @@ arrival rate is the belief-averaged intensity, or with ``regime_true`` the
 intensity of the hidden regime, whose chain each path draws from its own
 substream.  Between fills the belief follows its no-order ODE, integrated
 with the filter's RK4 step; at fills it takes the multiplicative Bayes
-update.  The reference price is sampled exactly on a uniform reporting grid
-(one Gaussian block per path) and fill prices are drawn as Brownian bridges
-inside their reporting cell, so the penalized P&L does not depend on how
-densely the path is recorded.
+update.  The belief drift, the arrival rates and the Bayes update are
+``filtering``'s ``drift``, ``observable_rates`` and ``jump_update`` called
+on the batch, so the engine holds no copy of the filter.  The reference
+price is sampled exactly on a uniform reporting grid (one Gaussian block
+per path) and fill prices are drawn as Brownian bridges inside their
+reporting cell, so the penalized P&L does not depend on how densely the
+path is recorded.
 
 Every path owns its counter-based streams and advances through its own stop
 times (reporting grid plus candidate times), so its result does not depend
@@ -32,7 +35,8 @@ import numpy as np
 
 from . import hjb_full, hjb_partial
 from .errors import NumericsError
-from .filtering import FilterState, _rk4_step, jump_update as _filter_jump
+from .filtering import FilterState, _rk4_step, drift, observable_rates
+from .filtering import jump_update as _filter_jump
 from .grid import check_belief
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
 from .model import ModelSpec
@@ -214,10 +218,6 @@ class MonteCarloSummary:
 # -- shared primitives ------------------------------------------------------------
 
 
-def _side_families(spec: ModelSpec, side: str):
-    return [r.bid_intensity if side == "bid" else r.ask_intensity for r in spec.regimes]
-
-
 def _dominating_rates(spec: ModelSpec, policy: Policy) -> tuple[float, float]:
     """Per-side dominating rates: max over regimes at the policy's minimum quote."""
     out = []
@@ -229,32 +229,9 @@ def _dominating_rates(spec: ModelSpec, policy: Policy) -> tuple[float, float]:
             raise NumericsError(
                 "policy must provide a finite minimum spread for the thinning bound"
             )
-        out.append(max(float(eval_intensity(f, dmin)) for f in _side_families(spec, side)))
+        fams = [r.bid_intensity if side == "bid" else r.ask_intensity for r in spec.regimes]
+        out.append(max(float(eval_intensity(f, dmin)) for f in fams))
     return out[0], out[1]
-
-
-def _batch_components(spec: ModelSpec, side: str, delta: np.ndarray) -> np.ndarray:
-    """Per-regime intensities at per-path spreads; stub spreads give zero."""
-    fams = _side_families(spec, side)
-    stub = is_stub(delta)
-    safe = np.where(stub, 0.0, delta)
-    out = np.empty((len(delta), spec.n_regimes))
-    for i, fam in enumerate(fams):
-        out[:, i] = eval_intensity(fam, safe)
-    out[stub] = 0.0
-    return out
-
-
-def _batch_drift(spec, pi, bid, ask, bid_on, ask_on):
-    """Belief velocity for a batch of paths; (P, k) in, (P, k) out."""
-    out = pi @ spec.generator_Q
-    lam_b = _batch_components(spec, "bid", bid)
-    lam_a = _batch_components(spec, "ask", ask)
-    rate_b = np.einsum("pk,pk->p", pi, lam_b)
-    rate_a = np.einsum("pk,pk->p", pi, lam_a)
-    out = out + bid_on[:, None] * pi * (rate_b[:, None] - lam_b)
-    out = out + ask_on[:, None] * pi * (rate_a[:, None] - lam_a)
-    return out
 
 
 def _batch_advance(spec, quotes_fn, rows, pi, t0, t1, n, h_target):
@@ -272,7 +249,6 @@ def _batch_advance(spec, quotes_fn, rows, pi, t0, t1, n, h_target):
     steps[gap <= 0.0] = 0
     h_all = np.where(steps > 0, gap / np.maximum(steps, 1), 0.0)
     pi = pi.copy()
-    n_star = spec.inventory_cap_Nstar
     clamps = 0
 
     for s in range(int(steps.max(initial=0))):
@@ -280,12 +256,10 @@ def _batch_advance(spec, quotes_fn, rows, pi, t0, t1, n, h_target):
         h = h_all[idx]
         sub_rows = rows[idx]
         sub_n = n[idx]
-        bid_on = sub_n < n_star
-        ask_on = -sub_n < n_star
 
         def deriv(t_stage, p_stage):
-            b, a = quotes_fn(sub_rows, t_stage, sub_n, p_stage)
-            return _batch_drift(spec, p_stage, b, a, bid_on, ask_on)
+            spreads = quotes_fn(sub_rows, t_stage, sub_n, p_stage)
+            return drift(FilterState(p_stage), spreads, sub_n, spec)
 
         pi[idx], clamped = _rk4_step(pi[idx], t0[idx] + s * h, h, deriv)
         clamps += clamped
@@ -451,16 +425,14 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
         next_candidate[cand] = math.nan
         y = regime_at(cand, t[cand])
         qb, qa = policy.quotes_batch(t[cand], n[cand], pi[cand, 0], y)
-        comp_b = _batch_components(spec, "bid", qb)
-        comp_a = _batch_components(spec, "ask", qa)
         # arrival rates: belief-averaged, or the hidden regime's own
         weights = pi[cand] if y is None else np.eye(spec.n_regimes)[y]
-        rate_b = np.einsum("pk,pk->p", weights, comp_b) * (n[cand] < n_star)
-        rate_a = np.einsum("pk,pk->p", weights, comp_a) * (-n[cand] < n_star)
-        total = rate_b + rate_a
+        rates = observable_rates(FilterState(weights), (qb, qa), n[cand], spec)
+        rate_b, total = rates.bid_rate, rates.total
         bound_arr = lam_bid_max * (n[cand] < n_star) + lam_ask_max * (-n[cand] < n_star)
         if np.any(total > bound_arr * _BOUND_SLACK):
             raise NumericsError("thinning bound violated: arrival rate above the dominator")
+        filled = []  # (path, side, spread, fill price) of the accepted candidates
         for j, p in enumerate(cand):
             if float(streams[p].events.random()) * bound_arr[j] >= total[j]:
                 continue
@@ -476,7 +448,16 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
                 x[p] += s_fill + spread
                 n[p] -= 1
                 fills_a[p] += 1
-            pi[p] = _filter_jump(FilterState(pi[p]), side, spread, spec).probs
+            filled.append((p, side, spread, s_fill))
+        # the Bayes update: one batch call per side over this iteration's fills
+        for side in ("bid", "ask"):
+            on_side = [(p, spread) for p, s, spread, _ in filled if s == side]
+            if on_side:
+                paths, spreads = (list(c) for c in zip(*on_side))
+                pi[paths] = _filter_jump(
+                    FilterState(pi[paths]), side, np.array(spreads), spec
+                ).probs
+        for p, side, spread, s_fill in filled:
             if p < record:
                 fills[p].append(Fill(float(t[p]), side, spread, s_fill))
                 log[p].append((t[p], s_fill, n[p], x[p], pi[p].copy(), side))

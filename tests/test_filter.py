@@ -133,6 +133,63 @@ class TestJumpUpdate:
         new.check()
 
 
+class TestBroadcast:
+    """The engine runs the filter on (P, k) batches: each row of a broadcast
+    call must equal the one-belief call at that row's spreads and inventory."""
+
+    # rows: n = +3 and -3 at the cap quoting finite spreads on the blocked
+    # side (as FixedSpreadPolicy does), a stub bid, a stub ask, beliefs at
+    # and next to the simplex floor, and interior points
+    PI1 = np.array([0.5, 0.3, 0.6, 0.45, 1e-300, 1.0 - 1e-16, 1e-16, 0.9])
+    BID = np.array([0.04, 0.04, math.inf, 0.1, 0.04, 0.02, -0.05, 0.2])
+    ASK = np.array([0.04, 0.07, 0.03, math.inf, 0.05, 0.02, 0.1, -0.02])
+    N = np.array([3, -3, 0, 1, 0, 2, -1, -2])
+
+    def batch(self):
+        return FilterState(np.column_stack([self.PI1, 1.0 - self.PI1]))
+
+    def rows(self):
+        for p in range(len(self.PI1)):
+            state = FilterState(np.array([self.PI1[p], 1.0 - self.PI1[p]]))
+            yield p, state, (float(self.BID[p]), float(self.ASK[p])), int(self.N[p])
+
+    def test_observable_rates_rows_equal_single_calls(self):
+        spec = table1_spec()
+        rates = observable_rates(self.batch(), (self.BID, self.ASK), self.N, spec)
+        assert rates.bid_rate.shape == rates.ask_rate.shape == (len(self.PI1),)
+        for p, state, spreads, n in self.rows():
+            one = observable_rates(state, spreads, n, spec)
+            np.testing.assert_array_equal(rates.bid_rate[p], one.bid_rate)
+            np.testing.assert_array_equal(rates.ask_rate[p], one.ask_rate)
+            np.testing.assert_array_equal(rates.bid_components[p], one.bid_components)
+            np.testing.assert_array_equal(rates.ask_components[p], one.ask_components)
+        # the capped rows quote finite spreads on their blocked side, the
+        # stub rows +inf: all of them give zero
+        np.testing.assert_array_equal(rates.bid_components[[0, 2]], 0.0)
+        np.testing.assert_array_equal(rates.ask_components[[1, 3]], 0.0)
+
+    def test_drift_rows_equal_single_calls(self):
+        spec = table1_spec()
+        batch = drift(self.batch(), (self.BID, self.ASK), self.N, spec)
+        assert batch.shape == (len(self.PI1), 2)
+        for p, state, spreads, n in self.rows():
+            np.testing.assert_array_equal(batch[p], drift(state, spreads, n, spec))
+
+    @pytest.mark.parametrize("side", ["bid", "ask"])
+    def test_jump_update_rows_equal_single_calls(self, side):
+        spec = table1_spec()
+        spreads = np.where(np.isinf(self.BID) | np.isinf(self.ASK), 0.04, self.BID)
+        batch = jump_update(self.batch(), side, spreads, spec)
+        assert batch.probs.shape == (len(self.PI1), 2)
+        for p, state, _, _ in self.rows():
+            one = jump_update(state, side, float(spreads[p]), spec)
+            np.testing.assert_array_equal(batch.probs[p], one.probs)
+
+    def test_jump_update_on_a_stub_row_raises(self):
+        with pytest.raises(NumericsError):
+            jump_update(self.batch(), "bid", self.BID, table1_spec())
+
+
 class TestEvolve:
     def test_no_events_long_run_hits_attractor(self):
         spec = with_params(table1_spec(), horizon_T=5.0)
@@ -212,9 +269,7 @@ class TestEvolve:
         spreads = (0.03, 0.05)
 
         def deriv(t, p):
-            if p.ndim == 1:
-                return drift(FilterState(p), spreads, 0, spec)
-            return np.array([drift(FilterState(row), spreads, 0, spec) for row in p])
+            return drift(FilterState(p), spreads, 0, spec)
 
         pis = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
         t = np.array([0.0, 0.3, 0.7])

@@ -245,6 +245,29 @@ class TestUnconstrained:
             0.4 * 3 * 0.75 + sol.phi_at(0.25)[0], rel=1e-12
         )
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_regime_index_outside_one_to_k_rejected(self, i):
+        # i = 0 used to read the last regime and i = k + 1 to raise IndexError
+        sol = solve_unconstrained(self.unconstrained_spec(mu=0.4, k1=False), n_steps=50)
+        with pytest.raises(ValueError, match="regime index"):
+            sol.theta_at(0.5, 0, i)
+        with pytest.raises(ValueError, match="regime index"):
+            sol.theta_at(np.array([0.5, 0.5]), np.array([0, 1]), np.array([1, i]))
+
+    def test_broadcast_points_match_scalar_calls(self):
+        sol = solve_unconstrained(self.unconstrained_spec(mu=0.4, k1=False), n_steps=50)
+        rng = np.random.default_rng(11)
+        t = np.append(rng.uniform(0.0, 1.0, 40), [0.0, 1.0])
+        n = rng.integers(-6, 7, len(t))
+        i = rng.integers(1, 3, len(t))
+        batch = sol.theta_at(t, n, i)
+        assert batch.shape == t.shape
+        scalar = [sol.theta_at(float(a), int(b), int(c)) for a, b, c in zip(t, n, i)]
+        np.testing.assert_array_equal(batch, scalar)
+        assert isinstance(scalar[0], float)
+        for a, c in zip(t, i):
+            assert sol.theta_at(float(a), 0, int(c)) == sol.phi_at(float(a))[c - 1]
+
     def test_precondition_errors(self):
         with pytest.raises(UnsupportedConfigError):
             solve_unconstrained(table1_spec())
