@@ -23,8 +23,9 @@ from .model import ModelSpec, two_regime_reduction
 
 logger = logging.getLogger(__name__)
 
-# Coordinates are clamped here before renormalization so the belief stays in
-# the open simplex even when a regime becomes numerically impossible.
+# Every belief coordinate is kept at or above this floor, so no regime ever
+# becomes impossible even when its evidence underflows.  The complement of a
+# coordinate below about 1e-17 rounds to exactly 1.0, so a coordinate may be 1.
 _FLOOR = 1e-300
 
 DEFAULT_STEP = 1e-3
@@ -32,7 +33,7 @@ DEFAULT_STEP = 1e-3
 
 @dataclass(frozen=True)
 class FilterState:
-    """Belief over regimes: strictly positive coordinates summing to one.
+    """Belief over regimes: coordinates of at least ``_FLOOR`` summing to one.
 
     ``probs`` is one belief (k,) or a batch of per-path beliefs (P, k).
     """
@@ -47,8 +48,8 @@ class FilterState:
     def check(self, atol: float = 1e-10) -> None:
         if np.any(np.abs(self.probs.sum(axis=-1) - 1.0) > atol):
             raise ValueError("belief does not sum to 1")
-        if np.any(self.probs <= 0.0) or np.any(self.probs >= 1.0):
-            raise ValueError("belief left the open simplex")
+        if not np.all(self.probs >= _FLOOR):
+            raise ValueError("belief coordinate below the simplex floor")
 
 
 @dataclass(frozen=True)
@@ -117,13 +118,14 @@ def drift(state: FilterState, spreads, n, spec: ModelSpec) -> np.ndarray:
 def jump_update(state: FilterState, side: str, spread, spec: ModelSpec) -> FilterState:
     """Bayes update at an order: reweight by that side's regime intensities.
 
-    Broadcasts over a (P, k) batch of beliefs with per-path spreads.
+    Broadcasts over a (P, k) batch of beliefs with per-path spreads.  A
+    coordinate the update pushes below the simplex floor is raised to it.
     """
     raw = state.probs * _components(spec, side, spread)
     total = raw.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise NumericsError("jump update with zero observable intensity")
-    return FilterState(raw / total)
+    return FilterState(np.maximum(raw / total, _FLOOR))
 
 
 def _rk4_step(pi: np.ndarray, t, h, deriv) -> tuple[np.ndarray, int]:
@@ -143,7 +145,18 @@ def _rk4_step(pi: np.ndarray, t, h, deriv) -> tuple[np.ndarray, int]:
     clamped = int(np.count_nonzero(out < _FLOOR))
     if clamped:
         out = np.maximum(out, _FLOOR)
-    return out / out.sum(axis=-1, keepdims=True), clamped
+    # a sum just above one can divide a floored coordinate below the floor
+    return np.maximum(out / out.sum(axis=-1, keepdims=True), _FLOOR), clamped
+
+
+def _hermite(y0, f0, y1, f1, h, theta):
+    """Dense output inside a belief step of length ``h``: the cubic Hermite
+    interpolant of the end beliefs ``y0``, ``y1`` and their drifts ``f0``,
+    ``f1`` at fraction ``theta`` of the step, floored like the steps."""
+    t2, t3 = theta * theta, theta * theta * theta
+    out = (2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (3.0 * t2 - 2.0 * t3) * y1
+    out = out + h * ((t3 - 2.0 * t2 + theta) * f0 + (t3 - t2) * f1)
+    return np.maximum(out, _FLOOR)
 
 
 @dataclass

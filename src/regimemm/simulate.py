@@ -7,22 +7,27 @@ the policy's minimum quotes, switched with the inventory gates), and a
 candidate becomes a fill with probability (arrival rate)/(bound).  The
 arrival rate is the belief-averaged intensity, or with ``regime_true`` the
 intensity of the hidden regime, whose chain each path draws from its own
-substream.  Between fills the belief follows its no-order ODE, integrated
-with the filter's RK4 step; at fills it takes the multiplicative Bayes
-update.  The belief drift, the arrival rates and the Bayes update are
-``filtering``'s ``drift``, ``observable_rates`` and ``jump_update`` called
-on the batch, so the engine holds no copy of the filter.  The reference
-price is sampled exactly on a uniform reporting grid (one Gaussian block
-per path) and fill prices are drawn as Brownian bridges inside their
-reporting cell, so the penalized P&L does not depend on how densely the
-path is recorded.
+substream.  The belief is a piecewise-deterministic process: between
+fills it follows its no-order ODE, integrated with the filter's RK4 step,
+and at fills it takes the multiplicative Bayes update.  The belief drift,
+the arrival rates and the Bayes update are ``filtering``'s ``drift``,
+``observable_rates`` and ``jump_update`` called on the batch, so the engine
+holds no copy of the filter.  The reference price is sampled exactly on a
+uniform reporting grid (one Gaussian block per path) and fill prices are
+drawn as Brownian bridges inside their reporting cell, so the penalized P&L
+does not depend on how densely the path is recorded.
 
-Every path owns its counter-based streams and advances through its own stop
-times (reporting grid plus candidate times), so its result does not depend
-on the other paths in its batch, up to vectorized-math rounding:
-``simulate_path`` and ``simulate_with_regime`` are one-path runs of the
-engine, and ``monte_carlo`` records its first paths without changing any
-P&L.
+The engine is event driven.  Every path owns its counter-based streams and
+stops only at its own events: its nodes ``k * h_target``, its thinning
+candidates and T.  No gap exceeds ``h_target``, so each stop is one RK4
+step, and a path's result does not depend on the other paths in its batch,
+up to vectorized-math rounding.  Recorded rows at the reporting times take
+their belief from the cubic Hermite dense output of the step that spans
+them (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), so recording moves
+no node: ``simulate_path`` and ``simulate_with_regime`` are one-path runs of
+the engine, and ``monte_carlo`` records its first paths without changing
+any P&L.  Paths run in blocks of ``_CHUNK``, so memory does not grow with
+the path count beyond the per-path results.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 
 from . import hjb_full, hjb_partial
 from .errors import NumericsError
-from .filtering import FilterState, _rk4_step, drift, observable_rates
+from .filtering import _FLOOR, FilterState, _hermite, _rk4_step, drift, observable_rates
 from .filtering import jump_update as _filter_jump
 from .grid import check_belief
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
@@ -45,8 +50,11 @@ from .rng import REGIME, PathStreams, stream
 logger = logging.getLogger(__name__)
 
 DEFAULT_REPORT_POINTS = 500
-DEFAULT_FILTER_STEP = 1e-3
+# The belief step: on table1 under the partial policy it keeps every path's
+# fill counts, its P&L within 1e-10 and its belief within 2e-7 of h = 1e-4.
+DEFAULT_FILTER_STEP = 5e-3
 _BOUND_SLACK = 1.0 + 1e-9
+_CHUNK = 4096  # paths per lockstep block
 
 
 # -- feedback policies ---------------------------------------------------------
@@ -200,6 +208,11 @@ class MonteCarloSummary:
     pnls: np.ndarray
     fills_bid_paths: np.ndarray
     fills_ask_paths: np.ndarray
+    # run counters, summed over paths: belief RK4 steps, thinning candidates
+    # stopped at, and belief coordinates clamped at the simplex floor
+    rk4_steps: int
+    candidates: int
+    clamps: int
     records: tuple[PathRecord, ...] = ()  # the first export_paths paths
 
     def to_text(self) -> str:
@@ -211,6 +224,9 @@ class MonteCarloSummary:
             f"fills_ask = {self.mean_fills_ask:.17g}",
             "hist_edges = " + " ".join(format(v, ".17g") for v in self.hist_edges),
             "hist_counts = " + " ".join(str(int(v)) for v in self.hist_counts),
+            f"rk4_steps = {self.rk4_steps}",
+            f"candidates = {self.candidates}",
+            f"clamps = {self.clamps}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -234,36 +250,26 @@ def _dominating_rates(spec: ModelSpec, policy: Policy) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _batch_advance(spec, quotes_fn, rows, pi, t0, t1, n, h_target):
-    """RK4 the belief of every path from its t0 to its t1 (vectorized lockstep).
+def _batch_advance(spec, velocity, rows, pi, t0, t1, n):
+    """One RK4 step of the belief of every path from its t0 to its t1.
 
-    The node sequence per path depends only on (t0, t1, h_target), never on
-    the batch or on what is recorded.  ``quotes_fn(rows, t, n, pi)`` gives
-    the quotes of the batch rows ``rows`` at RK4 stage states.  Returns the
-    beliefs and the number of coordinates clamped at the simplex floor.
+    The engine stops each path only at its own belief-step nodes, thinning
+    candidates and T, so no gap exceeds the node spacing and one step spans
+    it; a path's nodes depend only on its own streams, never on the batch or
+    on what is recorded.  ``velocity(rows, t, n, pi)`` is the belief drift of
+    the batch rows ``rows`` at RK4 stage states.  Returns the beliefs, the
+    number of steps taken and the number of coordinates clamped at the
+    simplex floor.
     """
-    if spec.n_regimes == 1:
-        return pi, 0  # a single regime has a constant, trivial belief
-    gap = t1 - t0
-    steps = np.maximum(np.ceil(gap / h_target - 1e-12).astype(int), 1)
-    steps[gap <= 0.0] = 0
-    h_all = np.where(steps > 0, gap / np.maximum(steps, 1), 0.0)
+    go = np.flatnonzero(t1 > t0)
+    if spec.n_regimes == 1 or len(go) == 0:
+        return pi, 0, 0  # a single regime has a constant, trivial belief
+    sub_rows, sub_n = rows[go], n[go]
     pi = pi.copy()
-    clamps = 0
-
-    for s in range(int(steps.max(initial=0))):
-        idx = np.flatnonzero(steps > s)
-        h = h_all[idx]
-        sub_rows = rows[idx]
-        sub_n = n[idx]
-
-        def deriv(t_stage, p_stage):
-            spreads = quotes_fn(sub_rows, t_stage, sub_n, p_stage)
-            return drift(FilterState(p_stage), spreads, sub_n, spec)
-
-        pi[idx], clamped = _rk4_step(pi[idx], t0[idx] + s * h, h, deriv)
-        clamps += clamped
-    return pi, clamps
+    pi[go], clamped = _rk4_step(
+        pi[go], t0[go], (t1 - t0)[go], lambda t, p: velocity(sub_rows, t, sub_n, p)
+    )
+    return pi, len(go), clamped
 
 
 class _BridgedPrices:
@@ -359,11 +365,16 @@ def _regime_clock(spec: ModelSpec, streams: list[PathStreams]):
 # -- the engine ---------------------------------------------------------------------
 
 
-def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows=True):
-    """Lockstep thinning over ``path_ids``; the first ``record`` of them are
-    recorded (every row, or with ``keep_rows`` off only the terminal one).
+def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows):
+    """Lockstep thinning over one block of ``path_ids``; the first ``record``
+    of them are recorded (every row, or with ``keep_rows`` off only the
+    terminal one).
 
-    Returns per-path penalized P&L, bid and ask fill counts, and the records.
+    Each iteration moves every active path to its next stop: its next node
+    ``k * h_target``, its next thinning candidate, or T.  Recorded rows at
+    report times take their belief from the dense output of the step that
+    spans them, so recording moves no node.  Returns per-path penalized P&L,
+    bid and ask fill counts, the records and the run counters.
     """
     n_paths = len(path_ids)
     T = spec.horizon_T
@@ -371,11 +382,14 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     n_star = spec.inventory_cap_Nstar
     streams = [PathStreams(seed, p) for p in path_ids]
     prices = [_BridgedPrices(spec, s.prices, report_points) for s in streams]
-    report_dt = T / report_points
+    report_t = np.arange(1, report_points + 1) * (T / report_points)
+    # a single regime's belief is constant, so it needs no nodes
+    node_dt = h_target if spec.n_regimes > 1 else math.inf
     regime_at = _regime_clock(spec, streams) if regime_true else lambda rows, t: None
 
-    def quotes_fn(sel, t_sel, n_sel, pi_sel):
-        return policy.quotes_batch(t_sel, n_sel, pi_sel[:, 0], regime_at(sel, t_sel))
+    def velocity(sel, t_sel, n_sel, pi_sel):
+        spreads = policy.quotes_batch(t_sel, n_sel, pi_sel[:, 0], regime_at(sel, t_sel))
+        return drift(FilterState(pi_sel), spreads, n_sel, spec)
 
     t = np.zeros(n_paths)
     n = np.full(n_paths, spec.initial_inventory_n0, dtype=int)
@@ -384,13 +398,15 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     inv_integral = np.zeros(n_paths)
     fills_b = np.zeros(n_paths, dtype=int)
     fills_a = np.zeros(n_paths, dtype=int)
-    next_report = np.ones(n_paths, dtype=int)
+    next_node = np.ones(n_paths, dtype=int)
     next_candidate = np.full(n_paths, math.nan)
     active = np.ones(n_paths, dtype=bool)
-    clamps = 0
+    counts = {"rk4_steps": 0, "candidates": 0, "clamps": 0}
     # recorded rows: (t, S, N, X, belief, event side)
     log = [[(0.0, prices[p].node(0), n[p], x[p], pi[p].copy(), "")] for p in range(record)]
     fills: list[list[Fill]] = [[] for _ in range(record)]
+    next_report = np.ones(record, dtype=int)
+    dense = record if keep_rows else 0  # the paths whose report rows are kept
 
     while np.any(active):
         idx = np.flatnonzero(active)
@@ -402,26 +418,44 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
                 if bound > 0.0
                 else math.inf
             )
-        t_report = np.where(next_report[idx] <= report_points, next_report[idx] * report_dt, math.inf)
-        t_stop = np.minimum(np.minimum(next_candidate[idx], t_report), T)
+        t_node = next_node[idx] * node_dt
+        t_stop = np.minimum(np.minimum(next_candidate[idx], t_node), T)
+        t0, pi0 = t[idx], pi[idx]
 
-        inv_integral[idx] += n[idx].astype(float) ** 2 * (t_stop - t[idx])
-        pi[idx], clamped = _batch_advance(
-            spec, quotes_fn, idx, pi[idx], t[idx], t_stop, n[idx], h_target
-        )
-        clamps += clamped
+        inv_integral[idx] += n[idx].astype(float) ** 2 * (t_stop - t0)
+        pi[idx], steps, clamped = _batch_advance(spec, velocity, idx, pi0, t0, t_stop, n[idx])
+        counts["rk4_steps"] += steps
+        counts["clamps"] += clamped
         t[idx] = t_stop
+        next_node[idx[t_stop >= t_node]] += 1
 
-        hit_report = (t_stop == t_report) & (t_report <= T)
-        for p in idx[hit_report & (idx < record)]:
-            log[p].append((t[p], prices[p].node(next_report[p]), n[p], x[p], pi[p].copy(), ""))
-        next_report[idx[hit_report]] += 1
+        # report rows inside this step, from its cubic Hermite dense output
+        rec = np.flatnonzero(idx < dense)
+        many = np.searchsorted(report_t, t_stop[rec], side="right") + 1 - next_report[idx[rec]]
+        rec, many = rec[many > 0], many[many > 0]
+        if len(rec):
+            sel = idx[rec]
+            first = next_report[sel]
+            f0 = velocity(sel, t0[rec], n[sel], pi0[rec])
+            f1 = velocity(sel, t_stop[rec], n[sel], pi[sel])
+            h = (t_stop - t0)[rec]
+            of = np.repeat(np.arange(len(rec)), many)  # the step each row falls in
+            # each row's 1-based report index: first, first + 1, ... within its step
+            r = np.repeat(first - np.cumsum(many) + many, many) + np.arange(len(of))
+            theta = (report_t[r - 1] - t0[rec][of]) / h[of]
+            beliefs = _hermite(
+                pi0[rec][of], f0[of], pi[sel][of], f1[of], h[of, None], theta[:, None]
+            )
+            for p, row, belief in zip(sel[of], r, beliefs):
+                log[p].append((report_t[row - 1], prices[p].node(row), n[p], x[p], belief, ""))
+            next_report[sel] = first + many
+
         at_end = t_stop >= T
         active[idx[at_end]] = False
-
         cand = idx[(t_stop == next_candidate[idx]) & ~at_end]
         if len(cand) == 0:
             continue
+        counts["candidates"] += len(cand)
         next_candidate[cand] = math.nan
         y = regime_at(cand, t[cand])
         qb, qa = policy.quotes_batch(t[cand], n[cand], pi[cand, 0], y)
@@ -457,13 +491,13 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
                 pi[paths] = _filter_jump(
                     FilterState(pi[paths]), side, np.array(spreads), spec
                 ).probs
+                # the update raises a coordinate it pushes under the floor to it
+                counts["clamps"] += int(np.count_nonzero(pi[paths] == _FLOOR))
         for p, side, spread, s_fill in filled:
             if p < record:
                 fills[p].append(Fill(float(t[p]), side, spread, s_fill))
                 log[p].append((t[p], s_fill, n[p], x[p], pi[p].copy(), side))
 
-    if clamps:
-        logger.warning("belief clamped at the simplex floor %d times", clamps)
     s_final = np.array([b.terminal for b in prices])
     pnls = np.asarray(_penalized_pnl(spec, x, s_final, n.astype(float), inv_integral))
     records = []
@@ -495,7 +529,36 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
                 pnl_penalized=float(pnls[p]),
             )
         )
-    return pnls, fills_b, fills_a, records
+    return pnls, fills_b, fills_a, records, counts
+
+
+def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows=True):
+    """The lockstep engine over ``path_ids`` in blocks of ``_CHUNK`` paths,
+    merged in path order, so memory grows with the block, not the run.
+
+    Returns per-path penalized P&L, bid and ask fill counts, the records of
+    the first ``record`` paths and the summed run counters.
+    """
+    if not h_target > 0.0:
+        raise ValueError("h_target must be positive")
+    parts = [
+        _lockstep(
+            spec, policy, seed, path_ids[lo : lo + _CHUNK], report_points, h_target,
+            regime_true, min(max(record - lo, 0), _CHUNK), keep_rows,
+        )
+        for lo in range(0, len(path_ids), _CHUNK)
+    ]
+    pnls, fills_b, fills_a, records, counts = zip(*parts)
+    counts = {key: sum(c[key] for c in counts) for key in counts[0]}
+    if counts["clamps"]:
+        logger.warning("belief clamped at the simplex floor %d times", counts["clamps"])
+    return (
+        np.concatenate(pnls),
+        np.concatenate(fills_b),
+        np.concatenate(fills_a),
+        [rec for block in records for rec in block],
+        counts,
+    )
 
 
 def simulate_path(
@@ -510,7 +573,7 @@ def simulate_path(
 ) -> PathRecord:
     """Simulate path ``path_index`` alone under the observable-intensity
     dynamics.  With ``collect`` off the record keeps only its terminal row."""
-    _, _, _, records = _run(
+    *_, records, _ = _run(
         spec, policy, seed, [path_index], report_points, h_target, False, 1, collect
     )
     return records[0]
@@ -532,7 +595,7 @@ def simulate_with_regime(
     Returns the path record plus the sampled (switch time, 0-based state)
     regime path.
     """
-    _, _, _, records = _run(
+    *_, records, _ = _run(
         spec, policy, seed, [path_index], report_points, h_target, True, 1, collect
     )
     return records[0], draw_regime_path(spec, stream(seed, path_index, REGIME))
@@ -563,7 +626,7 @@ def monte_carlo(
         raise ValueError("n_paths must be positive")
     if export_paths < 0:
         raise ValueError("export_paths must be non-negative")
-    pnls, fills_b, fills_a, records = _run(
+    pnls, fills_b, fills_a, records, counters = _run(
         spec, policy, seed, range(n_paths), report_points, h_target, regime_true,
         min(export_paths, n_paths),
     )
@@ -582,4 +645,5 @@ def monte_carlo(
         fills_bid_paths=fills_b,
         fills_ask_paths=fills_a,
         records=tuple(records),
+        **counters,
     )

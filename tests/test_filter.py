@@ -132,6 +132,21 @@ class TestJumpUpdate:
         new = jump_update(state, "bid", 0.04, table1_spec())
         new.check()
 
+    @pytest.mark.parametrize("probs", [[1e-16, 1.0 - 1e-16], [1e-300, 1.0]], ids=["1e-16", "floor"])
+    def test_beliefs_near_a_vertex_pass_the_check(self, probs):
+        # the complement of a tiny coordinate rounds to 1.0; the update keeps
+        # the tiny one at or above the simplex floor
+        state = FilterState(np.array(probs))
+        state.check()
+        new = jump_update(state, "bid", 0.04, table1_spec())
+        new.check()
+        assert new.probs[0] >= 1e-300 and new.probs[1] == 1.0
+
+    def test_check_rejects_a_coordinate_below_the_floor(self):
+        for probs in ([0.0, 1.0], [1e-310, 1.0], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="floor"):
+                FilterState(np.array(probs)).check()
+
 
 class TestBroadcast:
     """The engine runs the filter on (P, k) batches: each row of a broadcast

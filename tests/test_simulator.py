@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from regimemm import simulate
 from regimemm.errors import NumericsError
 from regimemm.filtering import FilterState
 from regimemm.hjb_full import policy as full_policy
@@ -182,9 +183,10 @@ class TestMonteCarlo:
             monte_carlo(table1_spec(), FIXED, n_paths=0, seed=1)
 
     @pytest.mark.parametrize("name", ["FIXED", "PARTIAL", "FULL"])
-    def test_batch_matches_scalar_paths(self, name):
-        # partition invariance: path p run alone gives the P&L and fills it
-        # has inside a batch of 25 (FULL thins against the hidden regime)
+    def test_batch_matches_scalar_paths(self, name, monkeypatch):
+        # partition invariance: path p run alone, or the batch run in chunks,
+        # gives the P&L and fills it has inside a batch of 25 (FULL thins
+        # against the hidden regime)
         spec = table1_spec()
         policy = small_policy(spec, name)
         regime_true = name == "FULL"
@@ -203,6 +205,15 @@ class TestMonteCarlo:
             assert abs(rec.pnl_penalized - summary.pnls[p]) < 1e-12
             assert rec.fills_bid == summary.fills_bid_paths[p]
             assert rec.fills_ask == summary.fills_ask_paths[p]
+        # the same batch run in chunks of 7 paths, merged in path order
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        chunked = monte_carlo(
+            spec, policy, n_paths=25, seed=41, report_points=100, regime_true=regime_true
+        )
+        assert np.max(np.abs(chunked.pnls - summary.pnls)) < 1e-12
+        np.testing.assert_array_equal(chunked.fills_bid_paths, summary.fills_bid_paths)
+        np.testing.assert_array_equal(chunked.fills_ask_paths, summary.fills_ask_paths)
+        assert (chunked.rk4_steps, chunked.candidates) == (summary.rk4_steps, summary.candidates)
 
     def test_recording_leaves_pnl_unchanged(self):
         spec = table1_spec()
@@ -228,6 +239,27 @@ class TestMonteCarlo:
         assert len(clamps) == 1
         assert int(clamps[0].getMessage().split()[-2]) > 1
 
+    def test_records_span_chunks(self, monkeypatch):
+        spec = table1_spec()
+        kwargs = dict(n_paths=5, seed=3, report_points=30, export_paths=3)
+        plain = monte_carlo(spec, FIXED, **kwargs)
+        monkeypatch.setattr(simulate, "_CHUNK", 2)
+        chunked = monte_carlo(spec, FIXED, **kwargs)
+        assert [rec.path_index for rec in chunked.records] == [0, 1, 2]
+        for a, b in zip(plain.records, chunked.records):
+            np.testing.assert_array_equal(a.times, b.times)
+            np.testing.assert_allclose(a.probs, b.probs, rtol=0.0, atol=1e-12)
+            assert a.event_side == b.event_side
+            assert abs(a.pnl_penalized - b.pnl_penalized) < 1e-12
+
+    def test_clamp_warning_once_over_chunks(self, caplog, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", 1)
+        with caplog.at_level(logging.WARNING, logger="regimemm.simulate"):
+            s = monte_carlo(flooring_spec(), FIXED, n_paths=2, seed=1, report_points=20)
+        clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
+        assert len(clamps) == 1
+        assert int(clamps[0].getMessage().split()[-2]) == s.clamps > 1
+
     def test_deterministic_rerun(self):
         a = monte_carlo(table1_spec(), FIXED, n_paths=30, seed=5, report_points=50)
         b = monte_carlo(table1_spec(), FIXED, n_paths=30, seed=5, report_points=50)
@@ -241,6 +273,31 @@ class TestMonteCarlo:
         assert s.hist_counts.sum() == 200
         text = s.to_text()
         assert text.startswith("mean_pnl = ")
+        assert text.endswith(
+            f"rk4_steps = {s.rk4_steps}\ncandidates = {s.candidates}\nclamps = {s.clamps}\n"
+        )
+
+    @pytest.mark.parametrize("h", [None, 2e-3, 0.3])
+    def test_step_count_is_nodes_plus_candidates(self, h):
+        # a path steps once per stop: its nodes k * h, its candidates and T
+        spec = table1_spec()
+        kwargs = {} if h is None else {"h_target": h}
+        s = monte_carlo(spec, FIXED, n_paths=40, seed=8, report_points=50, **kwargs)
+        h = simulate.DEFAULT_FILTER_STEP if h is None else h
+        nodes = math.ceil(spec.horizon_T / h)
+        assert s.candidates >= s.fills_bid_paths.sum() + s.fills_ask_paths.sum()
+        assert s.paths * nodes <= s.rk4_steps <= s.paths * nodes + s.candidates + s.paths
+
+    def test_counters_with_one_regime(self):
+        # a constant belief takes no steps; every candidate is still counted
+        s = monte_carlo(one_regime_spec(), FIXED, n_paths=30, seed=4, report_points=10)
+        assert s.rk4_steps == 0
+        assert s.candidates >= int(s.fills_bid_paths.sum() + s.fills_ask_paths.sum())
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
+    def test_non_positive_step_rejected(self, h):
+        with pytest.raises(ValueError, match="h_target"):
+            monte_carlo(table1_spec(), FIXED, n_paths=2, seed=1, h_target=h)
 
     def test_value_function_consistency_partial_policy(self):
         # Monte Carlo mean within 3 standard errors of theta(0, 0, 0.5)
@@ -258,6 +315,39 @@ class TestMonteCarlo:
         fix = monte_carlo(spec, FIXED, n_paths=3000, seed=7, report_points=100)
         paired_se = float(np.std(fix.pnls - opt.pnls, ddof=1) / math.sqrt(3000))
         assert fix.mean_pnl <= opt.mean_pnl + 3.0 * paired_se
+
+
+class TestFilterStep:
+    """The default belief step against h = 1e-4 on the partial policy, at the
+    per-path tolerances that chose the default: P&L within 1e-10 and belief
+    within 2e-7, with equal fill counts.  70 report rows put the report times
+    off the step nodes, so the recorded beliefs come from dense output."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        spec = table1_spec()
+        policy = small_policy(spec, "PARTIAL")
+        kwargs = dict(n_paths=8, seed=12, report_points=70, export_paths=8)
+        return (
+            monte_carlo(spec, policy, **kwargs),
+            monte_carlo(spec, policy, h_target=1e-4, **kwargs),
+        )
+
+    def test_default_step_matches_fine_step(self, runs):
+        coarse, fine = runs
+        np.testing.assert_array_equal(coarse.fills_bid_paths, fine.fills_bid_paths)
+        np.testing.assert_array_equal(coarse.fills_ask_paths, fine.fills_ask_paths)
+        assert np.max(np.abs(coarse.pnls - fine.pnls)) < 1e-10
+        for a, b in zip(coarse.records, fine.records):
+            assert np.max(np.abs(a.probs[-1] - b.probs[-1])) < 2e-7
+
+    def test_report_rows_match_fine_step(self, runs):
+        coarse, fine = runs
+        for a, b in zip(coarse.records, fine.records):
+            np.testing.assert_array_equal(a.times, b.times)
+            rows = [i for i, side in enumerate(a.event_side) if side == ""]
+            assert len(rows) == 71
+            assert np.max(np.abs(a.probs[rows] - b.probs[rows])) < 2e-7
 
 
 class TestWithRegime:
