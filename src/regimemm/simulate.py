@@ -42,7 +42,7 @@ from . import hjb_full, hjb_partial
 from .errors import NumericsError
 from .filtering import _FLOOR, FilterState, _hermite, _rk4_step, drift, observable_rates
 from .filtering import jump_update as _filter_jump
-from .grid import check_belief
+from .grid import check_belief, check_count
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
 from .model import ModelSpec
 from .rng import REGIME, PathStreams, stream
@@ -539,8 +539,9 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     Returns per-path penalized P&L, bid and ask fill counts, the records of
     the first ``record`` paths and the summed run counters.
     """
-    if not h_target > 0.0:
-        raise ValueError("h_target must be positive")
+    check_count("report_points", report_points)
+    if not 0.0 < h_target < math.inf:
+        raise ValueError(f"h_target must be finite and > 0, got {h_target!r}")
     parts = [
         _lockstep(
             spec, policy, seed, path_ids[lo : lo + _CHUNK], report_points, h_target,
@@ -622,8 +623,7 @@ def monte_carlo(
     consumes only its own streams and aggregation is an ordered reduction
     over path indices.
     """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
+    check_count("n_paths", n_paths)
     if export_paths < 0:
         raise ValueError("export_paths must be non-negative")
     pnls, fills_b, fills_a, records, counters = _run(

@@ -2,6 +2,8 @@
 
 Everything here is deliberately written from scratch (plain loops, scipy
 building blocks) and shares no code with the package internals it checks.
+``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
+is the solver's storage, not the step.
 """
 
 import io
@@ -10,6 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
 from regimemm.intensity import eval_derivative, eval_intensity, optimal_spread
 from regimemm.model import format_config
 
@@ -166,3 +169,34 @@ def convergence_sup_loop(surfaces, probe_times):
                     worst = max(worst, abs(coarse.theta_at(t, n, pi) - fine.theta_at(t, n, pi)))
         diffs.append(worst)
     return tuple(diffs)
+
+
+def solve_all_levels(spec, m_pi, cfl_safety=0.9):
+    """The partial-information march with its step rule unchanged, keeping
+    every marching level: the reference for the solver's output time grid,
+    whose levels a lookup on this surface must reproduce."""
+    stepper = Stepper(spec, m_pi)
+    T = spec.horizon_T
+    theta = stepper.terminal_panel()
+    thetas, bids, asks, times, dts = [theta], [], [], [T], []
+    max_coeff = 0.0
+    t = T
+    while t > 0.0:
+        bid, ask, rhs, coeff = stepper.evaluate(theta)
+        bids.append(bid)
+        asks.append(ask)
+        max_coeff = max(max_coeff, coeff)
+        dt = min(cfl_safety / coeff, t)
+        theta = theta + dt * rhs
+        t = 0.0 if t - dt <= 1e-15 * T else t - dt
+        thetas.append(theta)
+        times.append(t)
+        dts.append(dt)
+    bid, ask, _, _ = stepper.evaluate(theta)
+    bids.append(bid)
+    asks.append(ask)
+    report = CflReport(max_coeff, min(dts), max(dts), len(dts))
+    return PartialInfoSurface(
+        spec, np.array(times[::-1]), stepper.pi_grid, np.array(thetas[::-1]),
+        np.array(bids[::-1]), np.array(asks[::-1]), report,
+    )

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import convergence_sup_loop
+from oracles import convergence_sup_loop, solve_all_levels
 
 from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.grid import inventory_row
@@ -11,6 +12,7 @@ from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_partial import (
     Stepper,
     convergence_report,
+    output_levels,
     policy,
     solve,
     surface_from_csv,
@@ -92,10 +94,17 @@ class TestSolve:
     def test_cfl_report_populated(self):
         surf = solve(table1_spec(), m_pi=50)
         rep = surf.cfl_report
-        assert rep.n_steps == len(surf.time_grid) - 1
+        # the report counts the march, which the stored grid no longer mirrors
+        assert rep == solve_all_levels(table1_spec(), 50).cfl_report
+        assert len(surf.time_grid) == output_levels(50)
         assert rep.max_coefficient > 0
         assert 0 < rep.min_dt <= rep.max_dt
         assert rep.max_dt * rep.max_coefficient <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("safety", [3.0, 0.0, math.nan, -0.5])
+    def test_bad_cfl_safety_rejected(self, safety):
+        with pytest.raises(ValueError, match="cfl_safety"):
+            solve(table1_spec(), m_pi=10, cfl_safety=safety)
 
     def test_fixed_time_grid_auto_refines(self):
         surf = solve(table1_spec(), m_pi=50, m_t=10, auto_refine=True)
@@ -118,6 +127,75 @@ class TestSolve:
         assert s2.belief_gradient_scale == 2.0
         mid = abs(s1.theta_at(0.0, 0, 0.5) - s2.theta_at(0.0, 0, 0.5))
         assert mid > 1e-4
+
+
+class TestOutputGrid:
+    """The stored levels against a march that keeps every level."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.01], ids=["c0", "c0.01"])
+    def pair(self, request):
+        spec = table1_spec(terminal_cost_c=request.param)
+        return solve(spec, m_pi=40), solve_all_levels(spec, 40)
+
+    def test_uniform_grid_of_the_rule(self, pair):
+        surf, ref = pair
+        np.testing.assert_array_equal(surf.time_grid, np.linspace(0.0, 1.0, output_levels(40)))
+        assert surf.cfl_report == ref.cfl_report
+
+    def test_levels_are_the_all_levels_lookup(self, pair):
+        surf, ref = pair
+        t = surf.time_grid[:, None, None]
+        n = surf.spec.inventory_levels()[:, None]
+        np.testing.assert_allclose(surf.theta, ref.theta_at(t, n, surf.pi_grid), rtol=0, atol=1e-15)
+        bid, ask = policy(ref, t, n, surf.pi_grid)
+        np.testing.assert_allclose(surf.spread_bid, bid, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(surf.spread_ask, ask, rtol=0, atol=1e-15)
+
+    def test_end_levels_bit_identical(self, pair):
+        surf, ref = pair
+        for name in ("theta", "spread_bid", "spread_ask"):
+            for s in (0, -1):
+                np.testing.assert_array_equal(getattr(surf, name)[s], getattr(ref, name)[s])
+
+    def test_stub_rows_stay_stubs(self, pair):
+        surf, _ = pair
+        assert np.all(surf.spread_bid[:, -1] == STUB_SPREAD)
+        assert np.all(surf.spread_ask[:, 0] == STUB_SPREAD)
+        assert np.isfinite(surf.spread_bid[:, :-1]).all() and np.isfinite(surf.spread_ask[:, 1:]).all()
+
+    def test_level_count_below_the_march(self):
+        for m_pi in (10, 25, 100, 200):
+            surf = solve(table1_spec(), m_pi=m_pi)
+            assert len(surf.time_grid) == output_levels(m_pi) <= surf.cfl_report.n_steps + 1
+
+    def test_random_lookups_within_half_the_refinement_gap(self):
+        spec = table1_spec()
+        surf, ref = solve(spec, m_pi=200), solve_all_levels(spec, 200)
+        # the stored m_pi = 400 surface stands in for the 2 m_pi solution: its
+        # own storage error is a tenth of the gap measured here
+        fine = solve(spec, m_pi=400)
+        rng = np.random.default_rng(7)
+        points = (rng.uniform(0.0, 1.0, 20_000), rng.integers(-3, 4, 20_000), rng.uniform(0.0, 1.0, 20_000))
+
+        def looked_up(s):
+            bid, ask = policy(s, *points)  # blocked sides hold the stub
+            return s.theta_at(*points), bid[np.isfinite(bid)], ask[np.isfinite(ask)]
+
+        worst = lambda a, b: max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+        gap, err = worst(looked_up(ref), looked_up(fine)), worst(looked_up(surf), looked_up(ref))
+        assert gap > 5e-6
+        assert err < 0.5 * gap, (err, gap)
+
+    def test_memory_holds_output_levels_only(self):
+        tracemalloc.start()
+        try:
+            surf = solve(table1_spec(), m_pi=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = surf.theta.nbytes + surf.spread_bid.nbytes + surf.spread_ask.nbytes
+        assert nbytes == 3 * output_levels(200) * 7 * 201 * 8
+        assert peak < 2 * nbytes
 
 
 class TestMirror:
@@ -183,6 +261,11 @@ class TestGridArguments:
         with pytest.raises(ValueError, match="m_t"):
             solve(table1_spec(), m_pi=10, m_t=m_t)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_empty_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon_T"):
+            solve(with_params(table1_spec(), horizon_T=horizon), m_pi=10)
+
     def test_none_is_auto_and_a_count_caps_the_step(self):
         auto = solve(table1_spec(), m_pi=10, m_t=None)
         m_t = 4 * auto.cfl_report.n_steps
@@ -203,6 +286,12 @@ class TestConvergence:
         surfaces = [solve(table1_spec(), m_pi=m) for m in ladder]
         probe_times = np.linspace(0.0, 1.0, 41)
         assert rep.sup_differences == convergence_sup_loop(surfaces, probe_times)
+
+    def test_first_order_convergence(self):
+        # an upwind scheme of order one halves its error per refinement
+        rep = convergence_report(table1_spec(), ladder=(25, 50, 100, 200))
+        assert len(rep.ratios) == 2
+        assert all(1.6 <= r <= 2.5 for r in rep.ratios), rep.ratios
 
     def test_bad_ladder_rejected(self):
         with pytest.raises(ValueError):

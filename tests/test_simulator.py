@@ -299,6 +299,28 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="h_target"):
             monte_carlo(table1_spec(), FIXED, n_paths=2, seed=1, h_target=h)
 
+    @pytest.mark.parametrize(
+        "entry, name, value",
+        [
+            (entry, name, value)
+            for entry in (simulate_path, simulate_with_regime, monte_carlo)
+            for name, value in [
+                ("report_points", 0),
+                ("report_points", -3),
+                ("report_points", 2.5),
+                ("h_target", math.inf),
+            ]
+        ]
+        + [(monte_carlo, "n_paths", 0), (monte_carlo, "n_paths", 2.5)],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_one_domain_contract(self, entry, name, value):
+        # one path count, one report grid and one finite positive filter step
+        kwargs = {"n_paths": 2} if entry is monte_carlo else {}
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            entry(table1_spec(), FIXED, seed=1, **kwargs)
+
     def test_value_function_consistency_partial_policy(self):
         # Monte Carlo mean within 3 standard errors of theta(0, 0, 0.5)
         spec = table1_spec()
