@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 from .errors import ConfigError, NumericsError, UnsupportedConfigError
 from .intensity import (
     STUB_SPREAD,
-    HamiltonianResult,
     IntensityFamily,
     eval_intensity,
-    hamiltonian,
     optimal_spread,
     spread_thresholds,
     utility,
@@ -56,10 +54,8 @@ __all__ = [
     "NumericsError",
     "UnsupportedConfigError",
     "STUB_SPREAD",
-    "HamiltonianResult",
     "IntensityFamily",
     "eval_intensity",
-    "hamiltonian",
     "optimal_spread",
     "spread_thresholds",
     "utility",

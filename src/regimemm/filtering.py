@@ -194,12 +194,11 @@ def evolve(
     events: list[tuple[float, str]],
     spec: ModelSpec,
     *,
-    t0: float = 0.0,
     t_end: float | None = None,
     step: float = DEFAULT_STEP,
     record_every: int = 1,
 ) -> FilterTrajectory:
-    """Integrate the belief from t0 to t_end applying order events on the way.
+    """Integrate the belief from 0 to t_end applying order events on the way.
 
     ``policy(t, n, probs) -> (bid_spread, ask_spread)`` supplies the quotes
     that shape both the drift and the jump updates.  Events are (time, side)
@@ -208,16 +207,16 @@ def evolve(
     the drift is integrated with RK4 steps of ``min(step, gap/10)``.
     """
     t_end = spec.horizon_T if t_end is None else t_end
-    if any(e[0] < t0 or e[0] > t_end for e in events):
-        raise ValueError("event times must lie within [t0, t_end]")
+    if any(e[0] < 0.0 or e[0] > t_end for e in events):
+        raise ValueError("event times must lie within [0, t_end]")
     if any(events[i][0] > events[i + 1][0] for i in range(len(events) - 1)):
         raise ValueError("event times must be sorted")
 
     pi = np.array(state.probs, dtype=float)
     n = spec.initial_inventory_n0
     traj = FilterTrajectory()
-    traj.append(t0, pi)
-    t = t0
+    t = 0.0
+    traj.append(t, pi)
     clamps = 0
 
     def deriv(tau, p):

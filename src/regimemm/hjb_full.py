@@ -98,6 +98,23 @@ def _spread_tables(spec: ModelSpec, theta_panel: np.ndarray) -> tuple[np.ndarray
     return bid, ask
 
 
+def _march(deriv, terminal: np.ndarray, T: float, n_steps: int) -> np.ndarray:
+    """Classical RK4 for d y / d tau = deriv(t, y), tau = T - t, from
+    y(T) = terminal down to t = 0 over ``n_steps`` uniform steps; row s of
+    the result is y at t = s T / n_steps."""
+    h = T / n_steps
+    y = np.empty((n_steps + 1,) + terminal.shape)
+    y[n_steps] = terminal
+    for s in range(n_steps, 0, -1):
+        t, here = s * h, y[s]
+        k1 = deriv(t, here)
+        k2 = deriv(t - 0.5 * h, here + 0.5 * h * k1)
+        k3 = deriv(t - 0.5 * h, here + 0.5 * h * k2)
+        k4 = deriv(t - h, here + h * k3)
+        y[s - 1] = here + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> FullInfoSurface:
     """Backward RK4 integration of the capped-inventory system.
 
@@ -109,18 +126,9 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
         raise UnsupportedConfigError("finite inventory cap required; use solve_unconstrained")
     n_steps = check_count("n_steps", n_steps)
     levels = spec.inventory_levels().astype(float)
-    k = spec.n_regimes
-    h = spec.horizon_T / n_steps
-
-    theta = np.empty((n_steps + 1, levels.size, k))
-    theta[n_steps] = -spec.terminal_cost(levels)[:, None]
-    for s in range(n_steps, 0, -1):
-        y = theta[s]
-        k1 = _rhs(spec, levels, y)
-        k2 = _rhs(spec, levels, y + 0.5 * h * k1)
-        k3 = _rhs(spec, levels, y + 0.5 * h * k2)
-        k4 = _rhs(spec, levels, y + h * k3)
-        theta[s - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    terminal = np.repeat(-spec.terminal_cost(levels)[:, None], spec.n_regimes, axis=1)
+    # _rhs is looked up at every call, so a wrapper patched onto it sees them
+    theta = _march(lambda t, y: _rhs(spec, levels, y), terminal, spec.horizon_T, n_steps)
 
     time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
     bid = np.empty_like(theta)
@@ -162,38 +170,12 @@ def policy(surface: FullInfoSurface, t, n, i):
 
 def comparison_bounds(spec: ModelSpec) -> tuple[float, float]:
     """Constants (K_upper, K_lower) of the super/sub-solution sandwich:
-    -K_upper T - K_lower <= theta <= K_upper T at every grid node."""
+    -K_upper T - K_lower <= theta <= K_upper T at every grid node.  K_upper
+    is the largest |right-hand side| at the zero panel."""
     levels = spec.inventory_levels().astype(float)
-    gamma = spec.risk_aversion_gamma
-    bounds = spec.spread_bounds
-    best = 0.0
-    for r, n in enumerate(levels):
-        for i, regime in enumerate(spec.regimes):
-            val = spec.drift_mu * n - 0.5 * spec.vol_sigma**2 * n**2 * (
-                spec.running_penalty_zeta + gamma
-            )
-            if spec.bid_active(n):
-                val += hamiltonian_value(regime.bid_intensity, gamma, 0.0, bounds)
-            if spec.ask_active(n):
-                val += hamiltonian_value(regime.ask_intensity, gamma, 0.0, bounds)
-            best = max(best, abs(val))
-    k_lower = float(spec.terminal_cost(spec.inventory_cap_Nstar))
-    return best, k_lower
-
-
-def residual_report(surface: FullInfoSurface) -> float:
-    """Max ODE residual at time-grid midpoints (finite-difference check)."""
-    spec = surface.spec
-    levels = spec.inventory_levels().astype(float)
-    worst = 0.0
-    tg = surface.time_grid
-    for s in range(len(tg) - 1):
-        dt = tg[s + 1] - tg[s]
-        mid = 0.5 * (surface.theta[s] + surface.theta[s + 1])
-        # theta_t + RHS = 0 along t; backward marching stored d theta/d tau = +RHS
-        resid = (surface.theta[s + 1] - surface.theta[s]) / dt + _rhs(spec, levels, mid)
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    zeros = np.zeros((levels.size, spec.n_regimes))
+    k_upper = float(np.max(np.abs(_rhs(spec, levels, zeros))))
+    return k_upper, float(spec.terminal_cost(spec.inventory_cap_Nstar))
 
 
 # -- unconstrained inventory ---------------------------------------------------
@@ -232,11 +214,9 @@ def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> U
     ):
         raise UnsupportedConfigError("unconstrained inventory requires gamma = zeta = c = 0")
     n_steps = check_count("n_steps", n_steps)
-    k = spec.n_regimes
     bounds = spec.spread_bounds
     q = spec.generator_Q
     T = spec.horizon_T
-    h = T / n_steps
 
     def b_vec(t: float) -> np.ndarray:
         horizon = spec.drift_mu * (T - t)
@@ -252,16 +232,7 @@ def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> U
         # d phi / d tau with tau = T - t reverses the sign of phi'(t)
         return q @ phi - b_vec(t)
 
-    phi = np.empty((n_steps + 1, k))
-    phi[n_steps] = 0.0
-    for s in range(n_steps, 0, -1):
-        t_s = s * h
-        y = phi[s]
-        k1 = deriv(t_s, y)
-        k2 = deriv(t_s - 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t_s - 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t_s - h, y + h * k3)
-        phi[s - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    phi = _march(deriv, np.zeros(spec.n_regimes), T, n_steps)
     return UnconstrainedSolution(spec, np.linspace(0.0, T, n_steps + 1), phi)
 
 

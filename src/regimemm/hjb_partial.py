@@ -36,6 +36,7 @@ from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
 CFL_SAFETY = 0.9
+_PROBE_TIMES = 41  # convergence_report's uniform probe times over [0, T]
 
 
 @dataclass(frozen=True)
@@ -297,33 +298,23 @@ class ConvergenceReport:
     sup_differences: tuple[float, ...]  # between successive ladder solutions
     ratios: tuple[float, ...]
 
-    def rows(self):
-        out = []
-        for idx, diff in enumerate(self.sup_differences):
-            out.append((self.pi_cells[idx], self.pi_cells[idx + 1], diff))
-        return out
-
 
 def convergence_report(
-    spec: ModelSpec,
-    ladder: tuple[int, ...] = (50, 100, 200),
-    *,
-    n_probe_times: int = 41,
-    **solve_kwargs,
+    spec: ModelSpec, ladder: tuple[int, ...] = (50, 100, 200)
 ) -> ConvergenceReport:
     """Sup-norm differences between successive ladder solutions.
 
     Each rung doubles the belief resolution (time resolution follows the
     CFL bound); solutions are compared on the common belief nodes across
-    all inventories at a fixed set of probe times.
+    all inventories at ``_PROBE_TIMES`` uniform probe times.
     """
     if len(ladder) < 2:
         raise ValueError("need at least two grids to compare")
     for c, f in zip(ladder, ladder[1:]):
         if f != 2 * c:
             raise ValueError("each ladder step must refine the belief grid by 2")
-    surfaces = [solve(spec, m_pi=m, **solve_kwargs) for m in ladder]
-    probe_times = np.linspace(0.0, spec.horizon_T, n_probe_times)
+    surfaces = [solve(spec, m_pi=m) for m in ladder]
+    probe_times = np.linspace(0.0, spec.horizon_T, _PROBE_TIMES)
     levels = spec.inventory_levels()[:, None, None]
     diffs = []
     for coarse, fine in zip(surfaces, surfaces[1:]):

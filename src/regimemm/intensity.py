@@ -2,13 +2,16 @@
 
 An intensity family is a positive, decreasing curve ``lam(delta)`` giving the
 client order-arrival rate as a function of the quoted spread.  The module
-provides the curve calculus (values, derivatives, validity checks), the CARA
-utility pair ``U_gamma`` / ``U_gamma^{-1}``, and the machinery that maximizes
+provides the curve calculus (values, first derivatives, validity checks), the
+CARA utility pair ``U_gamma`` / ``U_gamma^{-1}``, and the two quantities the
+solvers need from
 
-    h(delta, d) = lam(delta) * U_gamma(delta + d)
+    h(delta, d) = lam(delta) * U_gamma(delta + d):
 
-over admissible spreads:  flooring/capping thresholds, the optimal-spread
-fixed point, and the resulting Hamiltonian ``H(d) = sup_delta h(delta, d)``.
+its maximizer over admissible spreads, ``optimal_spread`` (closed form for
+exponential curves, threshold-plus-bisection fixed point for the other smooth
+families, grid search for tabulated ones), and the Hamiltonian
+``H(d) = sup_delta h(delta, d)``, ``hamiltonian_value``.
 
 All operations broadcast over numpy arrays of ``delta`` or ``d``; families are
 immutable and safe to share across workers.
@@ -30,10 +33,11 @@ KINDS = ("exponential", "logistic", "arctan", "power_law", "tabulated")
 # zero fill intensity.
 STUB_SPREAD = math.inf
 
-# Probe window used when spread bounds are infinite: validity and
-# strong-assumption checks sample the curve on the effective range
+# Probe window used when spread bounds are infinite: validity checks sample
+# the curve at _N_PROBE points of the effective range
 # [max(lo, -PROBE_HALF_WIDTH), min(hi, PROBE_HALF_WIDTH)].
 PROBE_HALF_WIDTH = 10.0
+_N_PROBE = 1000
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
@@ -164,33 +168,6 @@ def eval_derivative(fam: IntensityFamily, delta):
     return out if isinstance(delta, np.ndarray) else float(out)
 
 
-def eval_second_derivative(fam: IntensityFamily, delta):
-    d = np.asarray(delta, dtype=float)
-    if fam.kind == "exponential":
-        a, b = fam.params
-        out = a * b * b * np.exp(-b * d)
-    elif fam.kind == "logistic":
-        a, b, c = fam.params
-        e = c * np.exp(b * d)
-        out = -a * b * b * e * (1.0 - e) / (1.0 + e) ** 3
-    elif fam.kind == "arctan":
-        a, b, c = fam.params
-        u = -b * d + c
-        out = -2.0 * a * b * b * u / (1.0 + u * u) ** 2
-    elif fam.kind == "power_law":
-        a, b, c, p = fam.params
-        base = b * d + c
-        out = a * b * b * p * (p + 1.0) * base ** (-p - 2.0)
-    else:  # tabulated
-        knots, values = fam.params
-        h = (knots[-1] - knots[0]) / 1e6
-        lo, hi = knots[0] + h, knots[-1] - h
-        dc = np.clip(d, lo, hi)
-        f = lambda x: np.interp(x, knots, values)
-        out = (f(dc + h) - 2.0 * f(dc) + f(dc - h)) / (h * h)
-    return out if isinstance(delta, np.ndarray) else float(out)
-
-
 # -- CARA utility -----------------------------------------------------------
 
 
@@ -218,10 +195,10 @@ def utility_inverse(gamma: float, y):
     return out if isinstance(y, np.ndarray) else float(out)
 
 
-# -- validity and strong-assumption checks -----------------------------------
+# -- validity checks --------------------------------------------------------
 
 
-def _probe_grid(fam: IntensityFamily, lo: float, hi: float, n: int) -> np.ndarray:
+def _probe_grid(fam: IntensityFamily, lo: float, hi: float) -> np.ndarray:
     eff_lo = max(lo, -PROBE_HALF_WIDTH, fam.domain_lo())
     eff_hi = min(hi, PROBE_HALF_WIDTH, fam.domain_hi())
     if fam.kind == "power_law" and lo <= fam.domain_lo():
@@ -229,12 +206,10 @@ def _probe_grid(fam: IntensityFamily, lo: float, hi: float, n: int) -> np.ndarra
         eff_lo = fam.domain_lo() + 1e-9 * max(1.0, abs(fam.domain_lo()))
     if eff_lo >= eff_hi:
         raise ValueError("empty effective spread range for intensity checks")
-    return np.linspace(eff_lo, eff_hi, n)
+    return np.linspace(eff_lo, eff_hi, _N_PROBE)
 
 
-def family_violations(
-    fam: IntensityFamily, lo: float, hi: float, gamma: float, n_probe: int = 1000
-) -> list[str]:
+def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) -> list[str]:
     """Check positivity, monotone decay and (if hi is infinite, gamma = 0) the
     fast-decay tail condition. Returns human-readable violations, empty if ok."""
     out: list[str] = []
@@ -246,7 +221,7 @@ def family_violations(
     if fam.kind == "tabulated" and (lo < fam.domain_lo() or hi > fam.domain_hi()):
         out.append("tabulated intensity does not cover the spread bounds")
         return out
-    grid = _probe_grid(fam, lo, hi, n_probe)
+    grid = _probe_grid(fam, lo, hi)
     vals = eval_intensity(fam, grid)
     if np.any(vals <= 0.0):
         out.append("intensity must be strictly positive on the spread range")
@@ -266,42 +241,7 @@ def family_violations(
     return out
 
 
-def meets_strong_assumptions(
-    fam: IntensityFamily, lo: float, hi: float, n_probe: int = 1000
-) -> bool:
-    """Sampled check of lam' < 0 and lam * lam'' < c (lam')^2 with c < 2.
-
-    This is the regularity the fixed-point spread mode needs.  It is a
-    diagnostic: ``optimal_spread`` never consults it.  Only tabulated curves
-    use grid search; for the other non-exponential families bisection runs
-    regardless and raises ``NumericsError`` when it cannot bracket or
-    converge.
-    """
-    grid = _probe_grid(fam, lo, hi, n_probe)
-    d1 = np.asarray(eval_derivative(fam, grid))
-    if np.any(d1 >= 0.0):
-        return False
-    d0 = np.asarray(eval_intensity(fam, grid))
-    d2 = np.asarray(eval_second_derivative(fam, grid))
-    ratio = d0 * d2 / (d1 * d1)
-    return bool(np.all(ratio < 2.0 - 1e-12))
-
-
 # -- thresholds, optimal spread, Hamiltonian ---------------------------------
-
-
-@dataclass(frozen=True)
-class HamiltonianResult:
-    """Optimized arrival term for one side and regime at difference argument d.
-
-    value_H equals h(argmax_spread, d); regime_bound_flag records whether the
-    maximizer was interior or clamped ('interior' | 'floored' | 'capped').
-    Fields hold scalars or numpy arrays depending on the call.
-    """
-
-    value_H: object
-    argmax_spread: object
-    regime_bound_flag: object
 
 
 def _neg_uinv_ratio(fam: IntensityFamily, gamma: float, delta):
@@ -378,8 +318,9 @@ def _bisect_fixed_point(fam, gamma, d, lo, hi):
 
 
 def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
-    """Fallback maximizer of h(delta, d) on a uniform grid (smallest argmax on ties)."""
-    g_lo = max(lo, fam.domain_lo() if fam.kind != "power_law" else fam.domain_lo() + 1e-9)
+    """Maximizer of h(delta, d) for a tabulated curve on a uniform grid
+    (smallest argmax on ties)."""
+    g_lo = max(lo, fam.domain_lo())
     g_lo = max(g_lo, -PROBE_HALF_WIDTH) if not math.isfinite(lo) else g_lo
     g_hi = min(hi, fam.domain_hi())
     g_hi = min(g_hi, PROBE_HALF_WIDTH) if not math.isfinite(hi) else g_hi
@@ -391,14 +332,19 @@ def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
     return grid[idx]
 
 
-def optimal_spread(
-    fam: IntensityFamily,
-    gamma: float,
-    d,
-    bounds: tuple[float, float],
-    *,
-    force_bisection: bool = False,
-):
+def _fixed_point_spread(fam: IntensityFamily, gamma: float, d: np.ndarray, bounds):
+    """Maximizer at the 1-d array ``d`` for a smooth curve: the bounds outside
+    the threshold window, the bisected fixed point inside it."""
+    lo, hi = bounds
+    cap, floor = spread_thresholds(fam, gamma, bounds)
+    interior = (d > cap) & (d < floor)
+    out = np.where(d <= cap, hi, lo).astype(float)
+    if np.any(interior):
+        out[interior] = _bisect_fixed_point(fam, gamma, d[interior], lo, hi)
+    return np.clip(out, lo, hi)
+
+
+def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, float]):
     """Spread maximizing lam(delta) * U_gamma(delta + d) over [bounds].
 
     Interior solutions solve the fixed point
@@ -412,16 +358,11 @@ def optimal_spread(
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     if fam.kind == "tabulated":
         out = np.clip(_grid_search_spread(fam, gamma, d_arr, lo, hi), lo, hi)
-    elif fam.kind == "exponential" and not force_bisection:
+    elif fam.kind == "exponential":
         margin = -utility_inverse(gamma, -1.0 / fam.params[1])
         out = np.clip(margin - d_arr, lo, hi)
     else:
-        cap, floor = spread_thresholds(fam, gamma, bounds)
-        interior = (d_arr > cap) & (d_arr < floor)
-        out = np.where(d_arr <= cap, hi, lo).astype(float)
-        if np.any(interior):
-            out[interior] = _bisect_fixed_point(fam, gamma, d_arr[interior], lo, hi)
-        out = np.clip(out, lo, hi)
+        out = _fixed_point_spread(fam, gamma, d_arr, bounds)
     return float(out[0]) if scalar else out.reshape(np.shape(d))
 
 
@@ -430,35 +371,9 @@ def side_value(fam: IntensityFamily, gamma: float, delta, d):
     return np.asarray(eval_intensity(fam, delta)) * np.asarray(utility(gamma, np.asarray(delta) + np.asarray(d)))
 
 
-def hamiltonian(
-    fam: IntensityFamily,
-    gamma: float,
-    d,
-    bounds: tuple[float, float],
-    *,
-    force_bisection: bool = False,
-) -> HamiltonianResult:
-    """H(d) = sup_delta h(delta, d) with the maximizing spread and clamp flag."""
-    lo, hi = bounds
-    scalar = np.ndim(d) == 0
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    delta = np.atleast_1d(
-        optimal_spread(fam, gamma, d_arr, bounds, force_bisection=force_bisection)
-    )
-    value = side_value(fam, gamma, delta, d_arr)
-    flag = np.full(d_arr.shape, "interior", dtype="<U8")
-    if math.isfinite(lo):
-        flag[delta <= lo] = "floored"
-    if math.isfinite(hi):
-        flag[delta >= hi] = "capped"
-    if scalar:
-        return HamiltonianResult(float(value[0]), float(delta[0]), str(flag[0]))
-    shape = np.shape(d)
-    return HamiltonianResult(value.reshape(shape), delta.reshape(shape), flag.reshape(shape))
-
-
 def hamiltonian_value(fam, gamma, d, bounds):
-    """Fast path returning only H(d); used inside the ODE/PIDE right-hand sides."""
+    """H(d) = sup_delta h(delta, d) over [bounds]; the ODE/PIDE right-hand
+    sides' Hamiltonian term."""
     delta = optimal_spread(fam, gamma, d, bounds)
     return side_value(fam, gamma, delta, d)
 

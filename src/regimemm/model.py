@@ -19,8 +19,6 @@ import numpy as np
 from .errors import ConfigError, UnsupportedConfigError
 from .intensity import IntensityFamily, family_violations
 
-UNBOUNDED_INVENTORY = math.inf
-
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -158,13 +156,6 @@ def validate(spec: ModelSpec) -> list[str]:
                 for reason in reasons:
                     out.append(f"regime {idx} ({regime.label}) {side} intensity: {reason}")
     return out
-
-
-def require_valid(spec: ModelSpec) -> ModelSpec:
-    violations = validate(spec)
-    if violations:
-        raise UnsupportedConfigError("invalid model: " + "; ".join(violations))
-    return spec
 
 
 # -- two-regime reduction ------------------------------------------------------

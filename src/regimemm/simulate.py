@@ -55,6 +55,7 @@ DEFAULT_REPORT_POINTS = 500
 DEFAULT_FILTER_STEP = 5e-3
 _BOUND_SLACK = 1.0 + 1e-9
 _CHUNK = 4096  # paths per lockstep block
+_HIST_BINS = 30  # bins of MonteCarloSummary's P&L histogram
 
 
 # -- feedback policies ---------------------------------------------------------
@@ -610,7 +611,6 @@ def monte_carlo(
     *,
     report_points: int = DEFAULT_REPORT_POINTS,
     h_target: float = DEFAULT_FILTER_STEP,
-    hist_bins: int = 30,
     regime_true: bool = False,
     export_paths: int = 0,
 ) -> MonteCarloSummary:
@@ -632,7 +632,7 @@ def monte_carlo(
     )
     mean = float(np.mean(pnls))
     stderr = float(np.std(pnls, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    counts, edges = np.histogram(pnls, bins=hist_bins)
+    counts, edges = np.histogram(pnls, bins=_HIST_BINS)
     return MonteCarloSummary(
         paths=n_paths,
         mean_pnl=mean,

@@ -1,9 +1,11 @@
-"""Independent reference implementations used by the test suites.
+"""Independent reference implementations and diagnostics used by the test suites.
 
 Everything here is deliberately written from scratch (plain loops, scipy
 building blocks) and shares no code with the package internals it checks.
 ``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
-is the solver's storage, not the step.
+is the solver's storage, not the step.  ``residual_report`` reuses the
+full-information right-hand side to measure how well the RK4 march solves
+it, and the curve diagnostics reuse the package's probe grid.
 """
 
 import io
@@ -12,8 +14,15 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from regimemm.hjb_full import _rhs
 from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
-from regimemm.intensity import eval_derivative, eval_intensity, optimal_spread
+from regimemm.intensity import (
+    _probe_grid,
+    eval_derivative,
+    eval_intensity,
+    hamiltonian_value,
+    optimal_spread,
+)
 from regimemm.model import format_config
 
 
@@ -101,6 +110,86 @@ def hamiltonian_closed_form(fam, gamma, d, bounds):
     dlam = np.asarray(eval_derivative(fam, delta))
     out = -lam * lam / (dlam - gamma * lam)
     return float(out) if np.ndim(d) == 0 else out
+
+
+def eval_second_derivative(fam, delta):
+    """d^2 lam / d delta^2; analytic per family, centered differences for tabulated."""
+    d = np.asarray(delta, dtype=float)
+    if fam.kind == "exponential":
+        a, b = fam.params
+        out = a * b * b * np.exp(-b * d)
+    elif fam.kind == "logistic":
+        a, b, c = fam.params
+        e = c * np.exp(b * d)
+        out = -a * b * b * e * (1.0 - e) / (1.0 + e) ** 3
+    elif fam.kind == "arctan":
+        a, b, c = fam.params
+        u = -b * d + c
+        out = -2.0 * a * b * b * u / (1.0 + u * u) ** 2
+    elif fam.kind == "power_law":
+        a, b, c, p = fam.params
+        base = b * d + c
+        out = a * b * b * p * (p + 1.0) * base ** (-p - 2.0)
+    else:  # tabulated
+        knots, values = fam.params
+        h = (knots[-1] - knots[0]) / 1e6
+        lo, hi = knots[0] + h, knots[-1] - h
+        dc = np.clip(d, lo, hi)
+        f = lambda x: np.interp(x, knots, values)
+        out = (f(dc + h) - 2.0 * f(dc) + f(dc - h)) / (h * h)
+    return out if isinstance(delta, np.ndarray) else float(out)
+
+
+def meets_strong_assumptions(fam, lo, hi):
+    """Sampled check of lam' < 0 and lam * lam'' < c (lam')^2 with c < 2, the
+    regularity the fixed-point spread needs, on the validity checks' probe
+    grid."""
+    grid = _probe_grid(fam, lo, hi)
+    d1 = np.asarray(eval_derivative(fam, grid))
+    if np.any(d1 >= 0.0):
+        return False
+    d0 = np.asarray(eval_intensity(fam, grid))
+    d2 = np.asarray(eval_second_derivative(fam, grid))
+    ratio = d0 * d2 / (d1 * d1)
+    return bool(np.all(ratio < 2.0 - 1e-12))
+
+
+def comparison_bounds_loop(spec):
+    """(K_upper, K_lower) of the comparison sandwich, one inventory and regime
+    at a time with scalar Hamiltonians: the reference for
+    ``hjb_full.comparison_bounds``."""
+    levels = spec.inventory_levels().astype(float)
+    gamma = spec.risk_aversion_gamma
+    bounds = spec.spread_bounds
+    best = 0.0
+    for n in levels:
+        for regime in spec.regimes:
+            val = spec.drift_mu * n - 0.5 * spec.vol_sigma**2 * n**2 * (
+                spec.running_penalty_zeta + gamma
+            )
+            if spec.bid_active(n):
+                val += hamiltonian_value(regime.bid_intensity, gamma, 0.0, bounds)
+            if spec.ask_active(n):
+                val += hamiltonian_value(regime.ask_intensity, gamma, 0.0, bounds)
+            best = max(best, abs(val))
+    k_lower = float(spec.terminal_cost(spec.inventory_cap_Nstar))
+    return best, k_lower
+
+
+def residual_report(surface):
+    """Max ODE residual of a full-information surface at its time-grid
+    midpoints (finite-difference check)."""
+    spec = surface.spec
+    levels = spec.inventory_levels().astype(float)
+    worst = 0.0
+    tg = surface.time_grid
+    for s in range(len(tg) - 1):
+        dt = tg[s + 1] - tg[s]
+        mid = 0.5 * (surface.theta[s] + surface.theta[s + 1])
+        # theta_t + RHS = 0 along t; backward marching stored d theta/d tau = +RHS
+        resid = (surface.theta[s + 1] - surface.theta[s]) / dt + _rhs(spec, levels, mid)
+        worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
 
 
 def _grid_csv_loop(surface, headers, axis, third, extra_headers):

@@ -1,22 +1,24 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import one_regime_backward_ode
+from oracles import comparison_bounds_loop, one_regime_backward_ode, residual_report
 from scipy.integrate import quad
 
 from regimemm.errors import UnsupportedConfigError
 from regimemm.hjb_full import (
     comparison_bounds,
     policy,
-    residual_report,
     solve_constrained,
     solve_unconstrained,
     surface_from_csv,
     surface_to_csv,
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value
-from regimemm.model import ModelSpec, RegimeSpec, table1_spec, validate, with_params
+from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, validate, with_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 E = math.e
 
@@ -75,6 +77,20 @@ class TestSolveConstrained:
                 vals.append(abs(v))
         assert k_up == pytest.approx(max(vals), rel=1e-12)
         assert k_low == 0.0
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            table1_spec,
+            lambda: with_params(table1_spec(), risk_aversion_gamma=0.5),
+            lambda: load_config(ROOT / "perfbench" / "logistic.cfg"),
+            lambda: load_config(ROOT / "configs" / "table1_terminal_cost.cfg"),
+        ],
+        ids=["table1", "table1_gamma", "logistic", "terminal_cost"],
+    )
+    def test_sandwich_constants_equal_the_per_node_loop(self, make_spec):
+        spec = make_spec()
+        assert comparison_bounds(spec) == comparison_bounds_loop(spec)
 
     def test_spread_symmetry_about_risk_neutral_value(self):
         surf = solve_constrained(table1_spec(), n_steps=400)

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import hamiltonian_closed_form
+from oracles import eval_second_derivative, hamiltonian_closed_form, meets_strong_assumptions
 
 from regimemm.intensity import (
     IntensityFamily,
+    _fixed_point_spread,
     eval_derivative,
     eval_intensity,
-    eval_second_derivative,
     family_violations,
-    hamiltonian,
     hamiltonian_value,
-    meets_strong_assumptions,
     optimal_spread,
     side_value,
     spread_thresholds,
@@ -38,6 +36,23 @@ def grid_search_oracle(fam, gamma, d, lo=-1.0, hi=1.0, step=1e-5):
     vals = eval_intensity(fam, deltas) * np.asarray(utility(gamma, deltas + d))
     i = int(np.argmax(vals))
     return float(deltas[i]), float(vals[i])
+
+
+def bound_flag(delta, bounds):
+    """Where the maximizer sits: 'floored' at or below the lower bound,
+    'capped' at or above the upper one, 'interior' strictly between."""
+    lo, hi = bounds
+    if delta >= hi:
+        return "capped"
+    if delta <= lo:
+        return "floored"
+    return "interior"
+
+
+def bisected_spread(fam, gamma, d, bounds):
+    """The threshold-plus-bisection maximizer at one scalar d, for any smooth
+    family including the exponential one."""
+    return float(_fixed_point_spread(fam, gamma, np.array([d]), bounds)[0])
 
 
 class TestEval:
@@ -149,11 +164,11 @@ class TestOptimalSpread:
         lo = max(-0.2, fam.domain_lo() + 1e-3)
         bounds = (lo, 2.0)
         for d in np.linspace(-0.4, 0.4, 9):
-            res = hamiltonian(fam, gamma, float(d), bounds, force_bisection=True)
-            if res.regime_bound_flag == "interior":
-                lam = eval_intensity(fam, res.argmax_spread)
-                dlam = eval_derivative(fam, res.argmax_spread)
-                resid = res.argmax_spread + utility_inverse(gamma, lam / dlam) + d
+            delta = bisected_spread(fam, gamma, float(d), bounds)
+            if bound_flag(delta, bounds) == "interior":
+                lam = eval_intensity(fam, delta)
+                dlam = eval_derivative(fam, delta)
+                resid = delta + utility_inverse(gamma, lam / dlam) + d
                 assert abs(resid) < 1e-10
 
     @pytest.mark.parametrize("fam", FAMILIES)
@@ -166,7 +181,7 @@ class TestOptimalSpread:
     def test_exponential_closed_form_equals_bisection(self):
         ds = np.linspace(-0.4, 0.4, 17)
         fast = optimal_spread(EXP, 0.3, ds, TABLE1_BOUNDS)
-        slow = optimal_spread(EXP, 0.3, ds, TABLE1_BOUNDS, force_bisection=True)
+        slow = _fixed_point_spread(EXP, 0.3, ds, TABLE1_BOUNDS)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_grid_fallback_close_to_fixed_point(self):
@@ -185,19 +200,20 @@ class TestOptimalSpread:
 class TestHamiltonian:
     def test_exponential_interior_value(self):
         # -lam^2/lam' at the maximizer 1/b equals (a/b) e^{-1}
-        res = hamiltonian(EXP, 0.0, 0.0, UNBOUNDED)
-        assert res.value_H == pytest.approx((2.0 / 25.0) * math.exp(-1.0), rel=1e-12)
-        assert res.argmax_spread == pytest.approx(0.04, abs=1e-12)
-        assert res.regime_bound_flag == "interior"
+        value = hamiltonian_value(EXP, 0.0, 0.0, UNBOUNDED)
+        delta = optimal_spread(EXP, 0.0, 0.0, UNBOUNDED)
+        assert value == pytest.approx((2.0 / 25.0) * math.exp(-1.0), rel=1e-12)
+        assert delta == pytest.approx(0.04, abs=1e-12)
+        assert bound_flag(delta, UNBOUNDED) == "interior"
         # independent oracle: dense grid search
         d_star, h_star = grid_search_oracle(EXP, 0.0, 0.0)
-        assert res.argmax_spread == pytest.approx(d_star, abs=2e-5)
-        assert res.value_H == pytest.approx(h_star, abs=1e-8)
+        assert delta == pytest.approx(d_star, abs=2e-5)
+        assert value == pytest.approx(h_star, abs=1e-8)
 
     def test_floored_value_is_linear_branch(self):
-        res = hamiltonian(EXP, 0.0, 0.1, (0.0, math.inf))
-        assert res.regime_bound_flag == "floored"
-        assert res.value_H == pytest.approx(0.2, rel=1e-12)
+        bounds = (0.0, math.inf)
+        assert bound_flag(optimal_spread(EXP, 0.0, 0.1, bounds), bounds) == "floored"
+        assert hamiltonian_value(EXP, 0.0, 0.1, bounds) == pytest.approx(0.2, rel=1e-12)
 
     @pytest.mark.parametrize("fam", FAMILIES)
     def test_monotone_increasing_in_d(self, fam):
@@ -221,10 +237,10 @@ class TestHamiltonian:
     def test_closed_form_matches_interior(self):
         for fam in FAMILIES:
             lo = max(-0.2, fam.domain_lo() + 1e-3)
-            res = hamiltonian(fam, 0.4, 0.05, (lo, 2.0), force_bisection=True)
-            if res.regime_bound_flag == "interior":
+            delta = bisected_spread(fam, 0.4, 0.05, (lo, 2.0))
+            if bound_flag(delta, (lo, 2.0)) == "interior":
                 cf = hamiltonian_closed_form(fam, 0.4, 0.05, (lo, 2.0))
-                assert res.value_H == pytest.approx(cf, abs=1e-10)
+                assert side_value(fam, 0.4, delta, 0.05) == pytest.approx(cf, abs=1e-10)
 
     def test_locally_lipschitz_in_d(self):
         # envelope theorem at gamma = 0: dH/dd = lam(optimal spread), which is
@@ -238,12 +254,14 @@ class TestHamiltonian:
 
     def test_vectorized_matches_scalar(self):
         ds = np.linspace(-0.3, 0.3, 7)
-        batch = hamiltonian(EXP, 0.0, ds, TABLE1_BOUNDS)
+        values = hamiltonian_value(EXP, 0.0, ds, TABLE1_BOUNDS)
+        spreads = optimal_spread(EXP, 0.0, ds, TABLE1_BOUNDS)
         for i, d in enumerate(ds):
-            one = hamiltonian(EXP, 0.0, float(d), TABLE1_BOUNDS)
-            assert batch.value_H[i] == pytest.approx(one.value_H, rel=1e-14)
-            assert batch.argmax_spread[i] == pytest.approx(one.argmax_spread, rel=1e-14)
-            assert batch.regime_bound_flag[i] == one.regime_bound_flag
+            value = hamiltonian_value(EXP, 0.0, float(d), TABLE1_BOUNDS)
+            spread = optimal_spread(EXP, 0.0, float(d), TABLE1_BOUNDS)
+            assert values[i] == pytest.approx(value, rel=1e-14)
+            assert spreads[i] == pytest.approx(spread, rel=1e-14)
+            assert bound_flag(spreads[i], TABLE1_BOUNDS) == bound_flag(spread, TABLE1_BOUNDS)
 
 
 class TestChecks:
