@@ -8,11 +8,14 @@ Subcommands::
     regimemm attractor CONFIG --beta {1,2}
     regimemm compare CONFIG --out DIR [--mpi M] [--belief-gradient-scale S]
 
-Every run writes its files under ``<out>/<command>/<manifest-hash>/`` next to
-a flat-text manifest; each output file carries the manifest hash that
-produced it.  Exit codes: 0 success, 2 configuration/validation problem,
-3 numerical or surface failure.  Outputs are byte-for-byte reproducible for
-fixed inputs except the manifest's wall-clock line.
+One runner (``_run``) loads and validates the config, lets the command do its
+work and render its files from the manifest hash, and only then writes them
+under ``<out>/<command>/<manifest-hash>/`` next to a flat-text manifest; each
+output file carries the manifest hash that produced it.  Exit codes, decided
+in ``main`` alone: 0 success, 2 configuration, validation or argument
+problem, 3 numerical failure.  A failed run writes no directory.  Outputs are
+byte-for-byte reproducible for fixed inputs except the manifest's wall-clock
+line.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import math
 import sys
 import time
 from pathlib import Path
@@ -69,197 +73,124 @@ class RunManifest:
         )
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _load_spec(path: str):
-    """Returns (spec, None) or (None, exit code) after printing the issue."""
+def _load_spec(path: str) -> ModelSpec:
+    """The validated spec at ``path``; raises ``ConfigError`` otherwise."""
     try:
         spec = load_config(path)
     except OSError as exc:
-        return None, _fail(f"cannot read config: {exc}", EXIT_CONFIG)
-    except ConfigError as exc:
-        return None, _fail(f"config parse failure: {exc}", EXIT_CONFIG)
+        raise ConfigError(f"cannot read config: {exc}") from exc
     violations = validate(spec)
     if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return None, EXIT_CONFIG
-    return spec, None
+        raise ConfigError("invalid config: " + "; ".join(violations))
+    return spec
 
 
-def _run_dir(out_root: str, command: str, manifest: RunManifest) -> Path:
-    path = Path(out_root) / command / manifest.hash
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _stamped(text: str):
+    """An output renderer that heads ``text`` with the manifest hash."""
+    return lambda manifest_hash: f"# manifest = {manifest_hash}\n" + text
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
-def _finish(run_dir: Path, manifest: RunManifest, started: float) -> int:
-    _write(run_dir / "manifest.txt", manifest.render(time.time() - started))
+def _run(args) -> int:
+    """Every command's run: the command returns None (stdout only) or its
+    manifest parameters and ``{file name: render(manifest hash) -> text}``;
+    the run directory is made only once every text exists."""
+    started = time.time()
+    spec = _load_spec(args.config)
+    result = args.func(args, spec)
+    if result is None:
+        return EXIT_OK
+    params, renderers = result
+    manifest = RunManifest(args.command, spec, params, list(renderers))
+    texts = {name: render(manifest.hash) for name, render in renderers.items()}
+    run_dir = Path(args.out) / args.command / manifest.hash
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (run_dir / name).write_text(text, encoding="utf-8")
+    (run_dir / "manifest.txt").write_text(
+        manifest.render(time.time() - started), encoding="utf-8"
+    )
     print(run_dir)
     return EXIT_OK
 
 
-def cmd_solve_full(args) -> int:
-    started = time.time()
-    spec, code = _load_spec(args.config)
-    if spec is None:
-        return code
-    manifest = RunManifest(
-        "solve-full", spec, {"steps": args.steps}, ["surface_full.csv"]
-    )
-    try:
-        surface = hjb_full.solve_constrained(spec, n_steps=args.steps)
-    except UnsupportedConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except NumericsError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_NUMERICS)
-    run_dir = _run_dir(args.out, "solve-full", manifest)
-    _write(
-        run_dir / "surface_full.csv",
-        hjb_full.surface_to_csv(surface, {"manifest": manifest.hash}),
-    )
-    return _finish(run_dir, manifest, started)
+def cmd_solve_full(args, spec: ModelSpec):
+    surface = hjb_full.solve_constrained(spec, n_steps=args.steps)
+    return {"steps": args.steps}, {
+        "surface_full.csv": lambda h: hjb_full.surface_to_csv(surface, {"manifest": h})
+    }
 
 
-def cmd_solve_partial(args) -> int:
-    started = time.time()
-    spec, code = _load_spec(args.config)
-    if spec is None:
-        return code
-    manifest = RunManifest(
-        "solve-partial",
-        spec,
-        {"mpi": args.mpi, "mt": args.mt or "auto", "belief_gradient_scale": args.belief_gradient_scale},
-        ["surface_partial.csv"],
-    )
-    try:
-        surface = hjb_partial.solve(
-            spec, m_pi=args.mpi, m_t=args.mt, belief_gradient_scale=args.belief_gradient_scale
-        )
-    except UnsupportedConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except NumericsError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_NUMERICS)
-    run_dir = _run_dir(args.out, "solve-partial", manifest)
-    _write(
-        run_dir / "surface_partial.csv",
-        hjb_partial.surface_to_csv(surface, {"manifest": manifest.hash}),
+def cmd_solve_partial(args, spec: ModelSpec):
+    surface = hjb_partial.solve(
+        spec, m_pi=args.mpi, m_t=args.mt, belief_gradient_scale=args.belief_gradient_scale
     )
     rep = surface.cfl_report
     print(
         f"cfl_max_coeff = {rep.max_coefficient:.6g}, steps = {rep.n_steps}, "
         f"dt in [{rep.min_dt:.3e}, {rep.max_dt:.3e}]"
     )
-    return _finish(run_dir, manifest, started)
+    params = {
+        "mpi": args.mpi,
+        "mt": args.mt or "auto",
+        "belief_gradient_scale": args.belief_gradient_scale,
+    }
+    return params, {
+        "surface_partial.csv": lambda h: hjb_partial.surface_to_csv(surface, {"manifest": h})
+    }
 
 
-def _build_policy(spec: ModelSpec, name: str, mpi: int, scale: float) -> simulate.Policy:
-    if name == "partial":
-        surface = hjb_partial.solve(spec, m_pi=mpi, belief_gradient_scale=scale)
-        return simulate.PartialInfoPolicy(surface)
-    if name == "full":
-        return simulate.FullInfoPolicy(hjb_full.solve_constrained(spec))
-    if name.startswith("fixed:"):
-        delta = float(name.split(":", 1)[1])
-        return simulate.FixedSpreadPolicy(delta, delta)
-    raise ValueError(f"unknown policy {name!r} (expected partial, full or fixed:D)")
-
-
-def cmd_simulate(args) -> int:
-    started = time.time()
-    spec, code = _load_spec(args.config)
-    if spec is None:
-        return code
-    export = min(args.export_paths, args.paths)
-    outputs = [f"path_{p:03d}.csv" for p in range(export)] + ["summary.txt"]
-    manifest = RunManifest(
-        "simulate",
-        spec,
-        {
-            "policy": args.policy,
-            "paths": args.paths,
-            "seed": args.seed,
-            "mpi": args.mpi,
-            "belief_gradient_scale": args.belief_gradient_scale,
-            "export_paths": export,
-        },
-        outputs,
-    )
-    try:
-        policy = _build_policy(spec, args.policy, args.mpi, args.belief_gradient_scale)
-    except (UnsupportedConfigError, NumericsError) as exc:
-        return _fail(f"policy surface unavailable: {exc}", EXIT_NUMERICS)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    try:
-        # the full-information policy quotes on the hidden regime, so its
-        # orders are thinned against that regime's intensity
-        summary = simulate.monte_carlo(
-            spec, policy, args.paths, args.seed,
-            regime_true=args.policy == "full", export_paths=export,
+def _build_policy(spec: ModelSpec, args) -> simulate.Policy:
+    if args.policy == "partial":
+        surface = hjb_partial.solve(
+            spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale
         )
-    except NumericsError as exc:
-        return _fail(f"simulation failure: {exc}", EXIT_NUMERICS)
-    run_dir = _run_dir(args.out, "simulate", manifest)
-    stamp = f"# manifest = {manifest.hash}\n"
-    for p, rec in enumerate(summary.records):
-        _write(run_dir / f"path_{p:03d}.csv", stamp + rec.to_csv())
-    _write(run_dir / "summary.txt", stamp + summary.to_text())
+        return simulate.PartialInfoPolicy(surface)
+    if args.policy == "full":
+        return simulate.FullInfoPolicy(hjb_full.solve_constrained(spec))
+    delta = float(args.policy.removeprefix("fixed:"))  # finite, checked by argparse
+    return simulate.FixedSpreadPolicy(delta, delta)
+
+
+def cmd_simulate(args, spec: ModelSpec):
+    export = min(args.export_paths, args.paths)
+    # the full-information policy quotes on the hidden regime, so its
+    # orders are thinned against that regime's intensity
+    summary = simulate.monte_carlo(
+        spec, _build_policy(spec, args), args.paths, args.seed,
+        regime_true=args.policy == "full", export_paths=export,
+    )
     print(
         f"mean_pnl = {summary.mean_pnl:.6g} +- {summary.stderr:.2g} "
         f"({summary.paths} paths, fills {summary.mean_fills_bid:.2f}/{summary.mean_fills_ask:.2f})"
     )
-    return _finish(run_dir, manifest, started)
+    params = {
+        "policy": args.policy,
+        "paths": args.paths,
+        "seed": args.seed,
+        "mpi": args.mpi,
+        "belief_gradient_scale": args.belief_gradient_scale,
+        "export_paths": export,
+    }
+    renderers = {
+        f"path_{p:03d}.csv": _stamped(rec.to_csv()) for p, rec in enumerate(summary.records)
+    }
+    renderers["summary.txt"] = _stamped(summary.to_text())
+    return params, renderers
 
 
-def cmd_attractor(args) -> int:
-    spec, code = _load_spec(args.config)
-    if spec is None:
-        return code
-    try:
-        root = filtering.attractor(spec, beta=args.beta)
-    except (UnsupportedConfigError, ValueError) as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except NumericsError as exc:
-        return _fail(str(exc), EXIT_NUMERICS)
-    print(f"pi_star = {root:.10f}")
-    return EXIT_OK
+def cmd_attractor(args, spec: ModelSpec):
+    print(f"pi_star = {filtering.attractor(spec, beta=args.beta):.10f}")
 
 
-def cmd_compare(args) -> int:
-    started = time.time()
-    spec, code = _load_spec(args.config)
-    if spec is None:
-        return code
-    manifest = RunManifest(
-        "compare",
-        spec,
-        {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale},
-        ["compare_ask.csv", "summary.txt"],
+def cmd_compare(args, spec: ModelSpec):
+    partial = hjb_partial.solve(
+        spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale
     )
-    try:
-        partial = hjb_partial.solve(
-            spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale
-        )
-        full = hjb_full.solve_constrained(spec)
-    except UnsupportedConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except NumericsError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_NUMERICS)
+    full = hjb_full.solve_constrained(spec)
 
-    run_dir = _run_dir(args.out, "compare", manifest)
-    stamp = f"# manifest = {manifest.hash}\n"
     beliefs = (0.0, 0.6, 1.0)
     times = np.linspace(0.0, spec.horizon_T, 201)
     buf = io.StringIO()
-    buf.write(stamp)
     buf.write(
         "t,n,"
         + ",".join(f"partial_ask_pi{pi:g}" for pi in beliefs)
@@ -276,10 +207,8 @@ def cmd_compare(args) -> int:
     for s, t in enumerate(times.tolist()):
         for n, table in zip(spec.inventory_levels().tolist(), asks):
             buf.write("%.17g,%d" % (t, n) + "".join(",%.17g" % v for v in table[s]) + "\n")
-    _write(run_dir / "compare_ask.csv", buf.getvalue())
 
-    lines = [stamp.strip()]
-    lines.append("ask-spread excess of partial information at pi = 0.6, t = 0:")
+    lines = ["ask-spread excess of partial information at pi = 0.6, t = 0:"]
     for n, table in zip(spec.inventory_levels().tolist(), asks):
         if not spec.ask_active(n):
             lines.append(f"n = {n}: stub (side blocked)")
@@ -291,9 +220,13 @@ def cmd_compare(args) -> int:
             for i, a in enumerate(ask_f)
         )
         lines.append(f"n = {n}: partial {ask_part:.6f} ({ratios})")
-    _write(run_dir / "summary.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines[1:]))
-    return _finish(run_dir, manifest, started)
+    summary = "\n".join(lines)
+    print(summary)
+    params = {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
+    return params, {
+        "compare_ask.csv": _stamped(buf.getvalue()),
+        "summary.txt": _stamped(summary + "\n"),
+    }
 
 
 def _number_in(kind, lo, hi=None):
@@ -315,6 +248,21 @@ def _steps_or_auto(text: str) -> int | None:
     return None if text == "auto" else _number_in(int, 1)(text)
 
 
+def _policy_name(text: str) -> str:
+    """argparse type for ``--policy``: partial, full or fixed:D with a finite
+    D, returned as given (the manifest records the text)."""
+    if text in ("partial", "full"):
+        return text
+    kind, _, value = text.partition(":")
+    try:
+        finite = math.isfinite(float(value))
+    except ValueError:
+        finite = False
+    if kind != "fixed" or not finite:
+        raise argparse.ArgumentTypeError(f"{text!r} is not partial, full or fixed:D with a finite D")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regimemm",
@@ -322,51 +270,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
+    def add_command(name, func, about, out=True):
+        p = sub.add_parser(name, help=about)
         p.add_argument("config", help="model configuration file")
         if out:
             p.add_argument("--out", default="out", help="output root directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve-full", help="solve the full-information system")
-    add_common(p)
+    def add_partial_grid(p):
+        p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+        p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
+
+    p = add_command("solve-full", cmd_solve_full, "solve the full-information system")
     p.add_argument("--steps", type=_number_in(int, 1), default=hjb_full.DEFAULT_TIME_STEPS)
-    p.set_defaults(func=cmd_solve_full)
 
-    p = sub.add_parser("solve-partial", help="solve the partial-information scheme")
-    add_common(p)
-    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+    p = add_command("solve-partial", cmd_solve_partial, "solve the partial-information scheme")
+    add_partial_grid(p)
     p.add_argument(
         "--mt", type=_steps_or_auto, default=None, help="time steps, or 'auto' for CFL-driven"
     )
-    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
-    p.set_defaults(func=cmd_solve_partial)
 
-    p = sub.add_parser("simulate", help="Monte Carlo under a feedback policy")
-    add_common(p)
-    p.add_argument("--policy", required=True, help="partial | full | fixed:D")
+    p = add_command("simulate", cmd_simulate, "Monte Carlo under a feedback policy")
+    p.add_argument("--policy", type=_policy_name, required=True, help="partial | full | fixed:D")
     p.add_argument("--paths", type=_number_in(int, 1), default=1000)
     p.add_argument("--seed", type=_number_in(int, 0, 2**64 - 1), default=0)
-    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
-    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
     p.add_argument("--export-paths", type=_number_in(int, 0), default=4)
-    p.set_defaults(func=cmd_simulate)
+    add_partial_grid(p)
 
-    p = sub.add_parser("attractor", help="quiet-period equilibrium belief")
-    add_common(p, out=False)
+    p = add_command("attractor", cmd_attractor, "quiet-period equilibrium belief", out=False)
     p.add_argument("--beta", type=int, choices=(1, 2), required=True)
-    p.set_defaults(func=cmd_attractor)
 
-    p = sub.add_parser("compare", help="partial vs full information spread series")
-    add_common(p)
-    p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
-    p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
-    p.set_defaults(func=cmd_compare)
+    p = add_command("compare", cmd_compare, "partial vs full information spread series")
+    add_partial_grid(p)
     return parser
+
+
+def _fail(error: Exception, code: int) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return _run(args)
+    except (ConfigError, UnsupportedConfigError) as exc:
+        return _fail(exc, EXIT_CONFIG)
+    except NumericsError as exc:
+        return _fail(exc, EXIT_NUMERICS)
 
 
 if __name__ == "__main__":

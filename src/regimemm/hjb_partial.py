@@ -35,7 +35,7 @@ from .intensity import STUB_SPREAD
 from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
-CFL_SAFETY = 0.9
+CFL_SAFETY = 0.9  # fraction of the stable step the march takes
 _PROBE_TIMES = 41  # convergence_report's uniform probe times over [0, T]
 
 
@@ -175,12 +175,6 @@ class Stepper:
         )
         return bid, ask, rhs, float(np.max(cfl_coeff))
 
-    def step(self, theta: np.ndarray, dt: float) -> np.ndarray:
-        _, _, rhs, coeff = self.evaluate(theta)
-        if dt * coeff > 1.0:
-            raise NumericsError("explicit step exceeds the CFL bound")
-        return theta + dt * rhs
-
 
 def output_levels(m_pi: int) -> int:
     """Stored time levels of a surface with ``m_pi`` belief cells.
@@ -199,25 +193,20 @@ def solve(
     m_pi: int = DEFAULT_PI_CELLS,
     m_t: int | None = None,
     *,
-    auto_refine: bool = True,
     belief_gradient_scale: float = 1.0,
-    cfl_safety: float = CFL_SAFETY,
 ) -> PartialInfoSurface:
     """March theta backward from theta(T, n, pi) = -c n^2.
 
     ``m_pi`` is the number of belief cells (m_pi + 1 nodes).  With ``m_t``
     unset the time step is chosen each level from the CFL bound; an explicit
-    ``m_t`` sets a uniform target step T/m_t which is still shortened when
-    the CFL bound demands it (auto_refine) or triggers an error otherwise.
-    ``cfl_safety`` in (0, 1] is the fraction of the stable step taken.
+    ``m_t`` sets a uniform target step T/m_t, which is still shortened to
+    ``CFL_SAFETY`` times the stable step wherever that is smaller.
 
     Only the two marching levels around the current time are held.  The
     surface stores ``output_levels(m_pi)`` uniform levels over [0, T], each
     the linear time interpolation of the marching levels around it, which
     is the value a lookup on every marching level would return there.
     """
-    if not 0.0 < cfl_safety <= 1.0:
-        raise ValueError(f"cfl_safety {cfl_safety!r} must lie in (0, 1]")
     stepper = Stepper(spec, m_pi, belief_gradient_scale)
     T = spec.horizon_T
     if not T > 0.0:  # the output grid needs a march to fill it
@@ -240,12 +229,7 @@ def solve(
     bid, ask, rhs, coeff = stepper.evaluate(theta)
     while t > 0.0:
         max_coeff = max(max_coeff, coeff)
-        dt_cfl = cfl_safety / coeff if coeff > 0.0 else math.inf
-        dt = min(dt_cfl, target_dt, t)
-        if m_t is not None and not auto_refine and target_dt > dt_cfl + 1e-15:
-            raise NumericsError(
-                f"CFL violation: requested dt {target_dt:.3e} exceeds stable dt {dt_cfl:.3e}"
-            )
+        dt = min(CFL_SAFETY / coeff if coeff > 0.0 else math.inf, target_dt, t)
         if not dt > 0.0 or not math.isfinite(dt):
             raise NumericsError("partial-information scheme: time step underflow")
         min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1

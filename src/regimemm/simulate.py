@@ -366,10 +366,9 @@ def _regime_clock(spec: ModelSpec, streams: list[PathStreams]):
 # -- the engine ---------------------------------------------------------------------
 
 
-def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows):
+def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true, record):
     """Lockstep thinning over one block of ``path_ids``; the first ``record``
-    of them are recorded (every row, or with ``keep_rows`` off only the
-    terminal one).
+    of them are recorded.
 
     Each iteration moves every active path to its next stop: its next node
     ``k * h_target``, its next thinning candidate, or T.  Recorded rows at
@@ -407,7 +406,6 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     log = [[(0.0, prices[p].node(0), n[p], x[p], pi[p].copy(), "")] for p in range(record)]
     fills: list[list[Fill]] = [[] for _ in range(record)]
     next_report = np.ones(record, dtype=int)
-    dense = record if keep_rows else 0  # the paths whose report rows are kept
 
     while np.any(active):
         idx = np.flatnonzero(active)
@@ -431,7 +429,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         next_node[idx[t_stop >= t_node]] += 1
 
         # report rows inside this step, from its cubic Hermite dense output
-        rec = np.flatnonzero(idx < dense)
+        rec = np.flatnonzero(idx < record)
         many = np.searchsorted(report_t, t_stop[rec], side="right") + 1 - next_report[idx[rec]]
         rec, many = rec[many > 0], many[many > 0]
         if len(rec):
@@ -505,8 +503,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     for p in range(record):
         if log[p][-1][0] < T:  # the terminal reporting node can miss T by one ulp
             log[p].append((T, s_final[p], n[p], x[p], pi[p].copy(), ""))
-        kept = log[p] if keep_rows else log[p][-1:]
-        times, price, inventory, cash, probs, sides = (np.array(c) for c in zip(*kept))
+        times, price, inventory, cash, probs, sides = (np.array(c) for c in zip(*log[p]))
         bid, ask = policy.quotes_batch(
             times, inventory, probs[:, 0], regime_at(np.full(len(times), p), times)
         )
@@ -533,7 +530,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     return pnls, fills_b, fills_a, records, counts
 
 
-def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record, keep_rows=True):
+def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record):
     """The lockstep engine over ``path_ids`` in blocks of ``_CHUNK`` paths,
     merged in path order, so memory grows with the block, not the run.
 
@@ -546,7 +543,7 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     parts = [
         _lockstep(
             spec, policy, seed, path_ids[lo : lo + _CHUNK], report_points, h_target,
-            regime_true, min(max(record - lo, 0), _CHUNK), keep_rows,
+            regime_true, min(max(record - lo, 0), _CHUNK),
         )
         for lo in range(0, len(path_ids), _CHUNK)
     ]
@@ -571,13 +568,10 @@ def simulate_path(
     path_index: int = 0,
     report_points: int = DEFAULT_REPORT_POINTS,
     h_target: float = DEFAULT_FILTER_STEP,
-    collect: bool = True,
 ) -> PathRecord:
     """Simulate path ``path_index`` alone under the observable-intensity
-    dynamics.  With ``collect`` off the record keeps only its terminal row."""
-    *_, records, _ = _run(
-        spec, policy, seed, [path_index], report_points, h_target, False, 1, collect
-    )
+    dynamics."""
+    *_, records, _ = _run(spec, policy, seed, [path_index], report_points, h_target, False, 1)
     return records[0]
 
 
@@ -589,7 +583,6 @@ def simulate_with_regime(
     path_index: int = 0,
     report_points: int = DEFAULT_REPORT_POINTS,
     h_target: float = DEFAULT_FILTER_STEP,
-    collect: bool = True,
 ) -> tuple[PathRecord, list[tuple[float, int]]]:
     """Simulate the hidden regime explicitly; orders arrive at the
     regime-true intensity while the filter runs on observables only.
@@ -597,9 +590,7 @@ def simulate_with_regime(
     Returns the path record plus the sampled (switch time, 0-based state)
     regime path.
     """
-    *_, records, _ = _run(
-        spec, policy, seed, [path_index], report_points, h_target, True, 1, collect
-    )
+    *_, records, _ = _run(spec, policy, seed, [path_index], report_points, h_target, True, 1)
     return records[0], draw_regime_path(spec, stream(seed, path_index, REGIME))
 
 

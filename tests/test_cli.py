@@ -179,20 +179,25 @@ class TestSimulate:
         )
         assert code == 0
 
-    def test_unknown_policy(self, config_path, tmp_path):
-        assert (
-            main(["simulate", config_path, "--out", str(tmp_path), "--policy", "zigzag"]) == 2
-        )
+    def test_unknown_policy(self, config_path, tmp_path, capsys):
+        # argparse rejects each before any work: fixed:inf would quote nothing
+        for policy in ("zigzag", "fixed:", "fixed:abc", "fixed:nan", "fixed:-inf", "fixed:inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", config_path, "--out", str(tmp_path / "o"), "--policy", policy])
+            assert exc.value.code == 2, policy
+            assert "error:" in capsys.readouterr().err, policy
+            assert not (tmp_path / "o").exists(), policy
 
-    def test_unavailable_surface_exit_3(self, tmp_path, capsys):
+    def test_unsupported_surface_exit_2(self, tmp_path, capsys):
         # partial surface cannot exist for a risk-averse model
         spec = with_params(table1_spec(), risk_aversion_gamma=0.4)
         cfg = write_config(tmp_path, spec)
         code = main(
             ["simulate", cfg, "--out", str(tmp_path / "o"), "--policy", "partial", "--paths", "2"]
         )
-        assert code == 3
-        assert "surface unavailable" in capsys.readouterr().err
+        assert code == 2
+        assert "gamma = 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -293,3 +298,32 @@ class TestGridArguments:
             assert main(["solve-partial", config_path, "--out", str(out), "--mpi", "8", "--mt", mt]) == 0
             manifest = (run_files(out, "solve-partial") / "manifest.txt").read_text()
             assert f"mt = {mt}\n" in manifest
+
+
+class TestExitCodes:
+    # a valid market with no inventory cap: neither solver supports it
+    UNBOUNDED = dict(inventory_cap_Nstar=math.inf, running_penalty_zeta=0.0)
+
+    @pytest.mark.parametrize(
+        "spec_params, argv, code",
+        [
+            (UNBOUNDED, ["solve-full"], 2),
+            (UNBOUNDED, ["solve-partial"], 2),
+            (UNBOUNDED, ["compare"], 2),
+            (UNBOUNDED, ["simulate", "--policy", "partial", "--paths", "2"], 2),
+            (UNBOUNDED, ["simulate", "--policy", "full", "--paths", "2"], 2),
+            (dict(terminal_cost_c=0.01), ["attractor", "--beta", "1"], 3),
+        ],
+        ids=[
+            "solve-full", "solve-partial", "compare", "simulate-partial", "simulate-full",
+            "attractor-terminal-cost",
+        ],
+    )
+    def test_failure_exit_code(self, tmp_path, capsys, spec_params, argv, code):
+        cfg = write_config(tmp_path, with_params(table1_spec(), **spec_params))
+        out = ["--out", str(tmp_path / "o")] if argv[0] != "attractor" else []
+        assert main([argv[0], cfg] + argv[1:] + out) == code
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()

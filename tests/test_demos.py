@@ -16,6 +16,11 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
             "demo_filter_attractor.py",
             ["out/demo_filter_attractor/belief_quiet.csv", "out/demo_filter_attractor/belief_with_fills.csv"],
         ),
+        (
+            "demo_monte_carlo.py",
+            ["out/demo_monte_carlo/path_000.csv", "out/demo_monte_carlo/path_003.csv"],
+        ),
+        ("demo_filter_vs_truth.py", ["out/demo_filter_vs_truth/belief_vs_truth.csv"]),
     ],
 )
 def test_demo_runs_and_writes_csv(demo, outputs, tmp_path, monkeypatch):

@@ -128,12 +128,6 @@ class TestSinglePath:
         for row in rec.probs[:: max(1, len(rec.probs) // 50)]:
             FilterState(row).check(atol=1e-9)
 
-    def test_collect_false_same_pnl(self):
-        a = simulate_path(table1_spec(), FIXED, seed=33, collect=True)
-        b = simulate_path(table1_spec(), FIXED, seed=33, collect=False)
-        assert a.pnl_penalized == b.pnl_penalized
-        assert len(b.times) == 1
-
     def test_report_grid_rows(self):
         rec = simulate_path(table1_spec(), FIXED, seed=2, report_points=50)
         grid_rows = [t for t, side in zip(rec.times, rec.event_side) if side == ""]
@@ -195,13 +189,9 @@ class TestMonteCarlo:
         )
         for p in (0, 7, 24):
             if regime_true:
-                rec, _ = simulate_with_regime(
-                    spec, policy, seed=41, path_index=p, collect=False, report_points=100
-                )
+                rec, _ = simulate_with_regime(spec, policy, seed=41, path_index=p, report_points=100)
             else:
-                rec = simulate_path(
-                    spec, policy, seed=41, path_index=p, collect=False, report_points=100
-                )
+                rec = simulate_path(spec, policy, seed=41, path_index=p, report_points=100)
             assert abs(rec.pnl_penalized - summary.pnls[p]) < 1e-12
             assert rec.fills_bid == summary.fills_bid_paths[p]
             assert rec.fills_ask == summary.fills_ask_paths[p]
