@@ -163,14 +163,9 @@ def cmd_simulate(args, spec: ModelSpec):
         f"mean_pnl = {summary.mean_pnl:.6g} +- {summary.stderr:.2g} "
         f"({summary.paths} paths, fills {summary.mean_fills_bid:.2f}/{summary.mean_fills_ask:.2f})"
     )
-    params = {
-        "policy": args.policy,
-        "paths": args.paths,
-        "seed": args.seed,
-        "mpi": args.mpi,
-        "belief_gradient_scale": args.belief_gradient_scale,
-        "export_paths": export,
-    }
+    params = {"policy": args.policy, "paths": args.paths, "seed": args.seed, "export_paths": export}
+    if args.policy == "partial":  # only the partial surface reads the belief grid
+        params |= {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
     renderers = {
         f"path_{p:03d}.csv": _stamped(rec.to_csv()) for p, rec in enumerate(summary.records)
     }

@@ -65,36 +65,50 @@ def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarra
     return np.einsum("ij,nij->ni", q, np.asarray(utility(gamma, diffs)))
 
 
+def _per_side(spec: ModelSpec, fn, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fn(family, gamma, d, bounds)`` at every inventory difference of
+    ``theta`` (..., 2 N* + 1, k), with one call per distinct intensity family.
+
+    Returns (bid, ask), each (..., 2 N*, k), whose row r pairs the levels
+    n = r - N* and n + 1: bid holds the value at d = theta(n + 1) - theta(n),
+    the bid quoted at n, and ask the value at d = theta(n) - theta(n + 1),
+    the ask quoted at n + 1.
+    """
+    k = spec.n_regimes
+    up, down = theta[..., 1:, :], theta[..., :-1, :]
+    values = np.empty(up.shape[:-1] + (2 * k,))  # bid columns, then ask columns
+    np.subtract(up, down, out=values[..., :k])
+    np.subtract(down, up, out=values[..., k:])
+    families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
+    for fam in dict.fromkeys(families):
+        # a family's columns are copied out before fn's values replace them
+        cols = [j for j, other in enumerate(families) if other == fam]
+        values[..., cols] = fn(fam, spec.risk_aversion_gamma, values[..., cols], spec.spread_bounds)
+    return values[..., :k], values[..., k:]
+
+
 def _rhs(spec: ModelSpec, levels: np.ndarray, theta_panel: np.ndarray) -> np.ndarray:
     """Right-hand side of d theta / d tau (backward time) at one panel."""
     gamma = spec.risk_aversion_gamma
-    bounds = spec.spread_bounds
     out = np.empty_like(theta_panel)
     base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
         spec.running_penalty_zeta + gamma
     )
     out[:] = base[:, None]
     out += _coupling(theta_panel, spec.generator_Q, gamma)
-    d_bid = theta_panel[1:] - theta_panel[:-1]  # n -> n+1 differences, bid active n < N*
-    d_ask = theta_panel[:-1] - theta_panel[1:]  # n -> n-1 differences, ask active n > -N*
-    for i, regime in enumerate(spec.regimes):
-        out[:-1, i] += hamiltonian_value(regime.bid_intensity, gamma, d_bid[:, i], bounds)
-        out[1:, i] += hamiltonian_value(regime.ask_intensity, gamma, d_ask[:, i], bounds)
+    # the bid is active for n < N*, the ask for n > -N*
+    h_bid, h_ask = _per_side(spec, hamiltonian_value, theta_panel)
+    out[:-1] += h_bid
+    out[1:] += h_ask
     return out
 
 
-def _spread_tables(spec: ModelSpec, theta_panel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gamma = spec.risk_aversion_gamma
-    bounds = spec.spread_bounds
-    bid = np.full_like(theta_panel, STUB_SPREAD)
-    ask = np.full_like(theta_panel, STUB_SPREAD)
-    for i, regime in enumerate(spec.regimes):
-        bid[:-1, i] = optimal_spread(
-            regime.bid_intensity, gamma, theta_panel[1:, i] - theta_panel[:-1, i], bounds
-        )
-        ask[1:, i] = optimal_spread(
-            regime.ask_intensity, gamma, theta_panel[:-1, i] - theta_panel[1:, i], bounds
-        )
+def _spread_tables(spec: ModelSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback spreads at every node of ``theta`` (..., 2 N* + 1, k), with
+    the stub sentinel on blocked sides."""
+    bid = np.full_like(theta, STUB_SPREAD)
+    ask = np.full_like(theta, STUB_SPREAD)
+    bid[..., :-1, :], ask[..., 1:, :] = _per_side(spec, optimal_spread, theta)
     return bid, ask
 
 
@@ -131,11 +145,7 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
     theta = _march(lambda t, y: _rhs(spec, levels, y), terminal, spec.horizon_T, n_steps)
 
     time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
-    bid = np.empty_like(theta)
-    ask = np.empty_like(theta)
-    for s in range(n_steps + 1):
-        bid[s], ask[s] = _spread_tables(spec, theta[s])
-    return FullInfoSurface(spec, time_grid, theta, bid, ask)
+    return FullInfoSurface(spec, time_grid, theta, *_spread_tables(spec, theta))
 
 
 def policy(surface: FullInfoSurface, t, n, i):

@@ -9,8 +9,9 @@ solvers need from
     h(delta, d) = lam(delta) * U_gamma(delta + d):
 
 its maximizer over admissible spreads, ``optimal_spread`` (closed form for
-exponential curves, threshold-plus-bisection fixed point for the other smooth
-families, grid search for tabulated ones), and the Hamiltonian
+exponential curves, a threshold window plus a bracketed Chandrupatla root
+search of the fixed point for the other smooth families, grid search for
+tabulated ones), and the Hamiltonian
 ``H(d) = sup_delta h(delta, d)``, ``hamiltonian_value``.
 
 All operations broadcast over numpy arrays of ``delta`` or ``d``; families are
@@ -20,6 +21,7 @@ immutable and safe to share across workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -40,7 +42,9 @@ PROBE_HALF_WIDTH = 10.0
 _N_PROBE = 1000
 
 _FIXED_POINT_TOL = 1e-12
+_RELATIVE_TOL = 4.0 * sys.float_info.epsilon
 _FIXED_POINT_MAX_ITER = 200
+_GRID_BLOCK = 64
 
 
 def is_stub(delta):
@@ -232,7 +236,8 @@ def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) 
         # probed by requiring clear decay between two far-out points
         power = 1.0 if gamma == 0.0 else 0.0
         tail = np.array([1e3, 1e6])
-        tail_vals = np.asarray(eval_intensity(fam, tail)) * tail**power
+        with np.errstate(over="ignore"):  # a curve that underflows to 0 there decays
+            tail_vals = np.asarray(eval_intensity(fam, tail)) * tail**power
         if not (tail_vals[0] == 0.0 or tail_vals[1] < 0.9 * tail_vals[0]):
             out.append(
                 "intensity tail decays too slowly for unbounded spreads"
@@ -270,11 +275,17 @@ def _fixed_point_residual(fam, gamma, delta, d):
     return np.asarray(delta) - _neg_uinv_ratio(fam, gamma, delta) + np.asarray(d)
 
 
-def _bisect_fixed_point(fam, gamma, d, lo, hi):
-    """Vectorized bisection of f(delta, d) = 0 over [lo, hi] per element.
+def _solve_fixed_point(fam, gamma, d, lo, hi):
+    """Root of f(delta, d) = 0 over [lo, hi] per element of ``d``:
+    Chandrupatla's hybrid of bisection and inverse quadratic interpolation
+    (T. R. Chandrupatla, Adv. Eng. Software 28, 1997).
 
     Assumes a sign change is already bracketed.  Bounds may be +-inf, in
-    which case the bracket is grown geometrically from [-1, 1] first.
+    which case the bracket is grown geometrically from [-1, 1] first.  An
+    element is finished once its bracket is narrower than
+    max(_FIXED_POINT_TOL, 4 eps |delta|), which lets far-out roots converge,
+    and is frozen from then on, so a batch gives exactly the per-element
+    results.  Returns the bracket end with the smaller residual.
     """
     d = np.asarray(d, dtype=float)
     lo_v = np.full(d.shape, lo if math.isfinite(lo) else -1.0)
@@ -301,20 +312,47 @@ def _bisect_fixed_point(fam, gamma, d, lo, hi):
             hi_v = np.where(bad, hi_v + 1.0 + 2.0 * np.abs(hi_v), hi_v)
         else:
             raise NumericsError("could not bracket the optimal-spread fixed point from above")
+    # x1 is the newest point, x2 the other end of the bracket, x3 the end
+    # dropped last; t places the next point at x1 + t (x2 - x1)
+    x1, x2 = lo_v, hi_v
+    f1, f2 = _fixed_point_residual(fam, gamma, np.stack([x1, x2]), d)
+    # an end on the wrong side by rounding is itself the root
+    f1, f2 = np.minimum(f1, 0.0), np.maximum(f2, 0.0)
+    x3, f3 = x2, f2
+    done = (f1 == 0.0) | (f2 == 0.0)
+    t = np.where(done, 0.0, 0.5)
     for _ in range(_FIXED_POINT_MAX_ITER):
-        mid = 0.5 * (lo_v + hi_v)
-        pos = _fixed_point_residual(fam, gamma, mid, d) > 0.0
-        hi_v = np.where(pos, mid, hi_v)
-        lo_v = np.where(pos, lo_v, mid)
-        if np.max(hi_v - lo_v) < _FIXED_POINT_TOL:
-            break
-    else:
-        if np.max(hi_v - lo_v) > 1e-6:
-            raise NumericsError(
-                "optimal-spread bisection did not converge; "
-                "intensity family likely violates the strong assumptions"
-            )
-    return 0.5 * (lo_v + hi_v)
+        xt = x1 + t * (x2 - x1)  # t = 0 keeps a finished element at x1 ...
+        ft = np.where(done, f1, _fixed_point_residual(fam, gamma, xt, d))  # ... and f1
+        flip = (ft > 0.0) != (f1 > 0.0)  # the root lies between x1 and xt
+        x3, f3 = np.where(flip, x2, x1), np.where(flip, f2, f1)
+        x2, f2 = np.where(flip, x1, x2), np.where(flip, f1, f2)
+        x1, f1 = xt, ft
+        best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        width = np.abs(x2 - x1)
+        tol = np.maximum(_FIXED_POINT_TOL, _RELATIVE_TOL * np.abs(best))
+        done |= (width < tol) | (f1 == 0.0)
+        if done.all():
+            return best
+        # inverse quadratic interpolation through the three points where
+        # Chandrupatla's criterion finds it safe, bisection elsewhere
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        f31 = np.where(iqi, f3 - f1, 1.0)  # f3 = f1 makes phi = 1, never iqi
+        t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (
+            (x3 - x1) / (x2 - x1) * f1 / f31 * f2 / (f3 - f2)
+        )
+        # keep the next point at least tol / 2 inside the bracket; a finished
+        # element stays where it is
+        tl = 0.5 * tol / width
+        t = np.where(done, 0.0, np.minimum(np.maximum(np.where(iqi, t_iqi, 0.5), tl), 1.0 - tl))
+    if np.max(width) > 1e-6:
+        raise NumericsError(
+            "optimal-spread root search did not converge; "
+            "intensity family likely violates the strong assumptions"
+        )
+    return best
 
 
 def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
@@ -326,21 +364,26 @@ def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
     g_hi = min(g_hi, PROBE_HALF_WIDTH) if not math.isfinite(hi) else g_hi
     grid = np.linspace(g_lo, g_hi, n_grid)
     lam = np.asarray(eval_intensity(fam, grid))
-    d_arr = np.asarray(d, dtype=float)
-    h = lam * np.asarray(utility(gamma, grid + d_arr[..., None]))
-    idx = np.argmax(h, axis=-1)  # argmax returns the first (smallest) maximizer
-    return grid[idx]
+    d_flat = np.asarray(d, dtype=float).ravel()
+    idx = np.empty(d_flat.shape, dtype=np.intp)
+    # a block of d values at a time keeps the (block, n_grid) table small
+    for start in range(0, d_flat.size, _GRID_BLOCK):
+        block = d_flat[start : start + _GRID_BLOCK, None]
+        h = lam * np.asarray(utility(gamma, grid + block))
+        idx[start : start + _GRID_BLOCK] = np.argmax(h, axis=-1)  # first maximizer
+    return grid[idx].reshape(np.shape(d))
 
 
 def _fixed_point_spread(fam: IntensityFamily, gamma: float, d: np.ndarray, bounds):
-    """Maximizer at the 1-d array ``d`` for a smooth curve: the bounds outside
-    the threshold window, the bisected fixed point inside it."""
+    """Maximizer at the array ``d`` for a smooth curve: the bounds outside
+    the threshold window, the fixed point found by ``_solve_fixed_point``
+    inside it."""
     lo, hi = bounds
     cap, floor = spread_thresholds(fam, gamma, bounds)
     interior = (d > cap) & (d < floor)
     out = np.where(d <= cap, hi, lo).astype(float)
     if np.any(interior):
-        out[interior] = _bisect_fixed_point(fam, gamma, d[interior], lo, hi)
+        out[interior] = _solve_fixed_point(fam, gamma, d[interior], lo, hi)
     return np.clip(out, lo, hi)
 
 
@@ -351,7 +394,9 @@ def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, f
         delta = -U_gamma^{-1}(lam(delta)/lam'(delta)) - d,
     clamped at the bounds outside the threshold window.  Exponential curves
     admit a closed form (the percentage sensitivity lam'/lam is constant);
-    other smooth families use bisection, tabulated curves use grid search.
+    other smooth families use a bracketed Chandrupatla root search, tabulated
+    curves use grid search.  Every element is solved on its own, so an array
+    call equals the calls at each of its elements, bit for bit.
     """
     lo, hi = bounds
     scalar = np.ndim(d) == 0

@@ -5,7 +5,9 @@ building blocks) and shares no code with the package internals it checks.
 ``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
 is the solver's storage, not the step.  ``residual_report`` reuses the
 full-information right-hand side to measure how well the RK4 march solves
-it, and the curve diagnostics reuse the package's probe grid.
+it, and the curve diagnostics reuse the package's probe grid.  ``rhs_loop``
+reuses the coupling term and the Hamiltonian: what it checks is how the
+right-hand side groups its Hamiltonian calls.
 """
 
 import io
@@ -14,7 +16,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from regimemm.hjb_full import _rhs
+from regimemm.hjb_full import _coupling, _rhs
 from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
 from regimemm.intensity import (
     _probe_grid,
@@ -112,6 +114,67 @@ def hamiltonian_closed_form(fam, gamma, d, bounds):
     return float(out) if np.ndim(d) == 0 else out
 
 
+def _log_slope(fam, x):
+    """lam'(x) / lam(x) at one spread, from the family's formula, arranged
+    to stay accurate in the tails."""
+    if fam.kind == "exponential":
+        return -fam.params[1]
+    if fam.kind == "logistic":
+        a, b, c = fam.params
+        if b * x > 0.0:
+            return -b / (1.0 + math.exp(-b * x) / c)
+        e = c * math.exp(b * x)
+        return -b * e / (1.0 + e)
+    if fam.kind == "arctan":
+        a, b, c = fam.params
+        u = c - b * x
+        level = math.atan(-1.0 / u) if u < 0.0 else math.pi / 2.0 + math.atan(u)
+        return -b / ((1.0 + u * u) * level)
+    if fam.kind == "power_law":
+        a, b, c, p = fam.params
+        return -b * p / (b * x + c)
+    raise ValueError(f"no log-slope formula for {fam.kind}")
+
+
+def optimal_spread_bisection(fam, gamma, d, lo, hi):
+    """Maximizer of lam(delta) U_gamma(delta + d) over [lo, hi] at one d.
+
+    Plain scalar bisection on the sign of the first-order condition divided
+    by lam U_gamma' > 0,
+        1 + (lam'/lam)(delta) (e^{gamma (delta + d)} - 1) / gamma
+    (1 + (lam'/lam)(delta) (delta + d) at gamma = 0), down to adjacent
+    floats.  An infinite bound is replaced by a bracket end doubled outward
+    from -1 or 1.  A different equation from the package's fixed point, so
+    the two share no formula.
+    """
+
+    def rising(x):
+        y = x + d
+        q = y if gamma == 0.0 else math.expm1(gamma * y) / gamma
+        return 1.0 + _log_slope(fam, x) * q > 0.0
+
+    a = lo if math.isfinite(lo) else -1.0
+    b = hi if math.isfinite(hi) else 1.0
+    if not math.isfinite(lo):
+        while not rising(a):
+            a *= 2.0
+    elif not rising(a):
+        return lo
+    if not math.isfinite(hi):
+        while rising(b):
+            b *= 2.0
+    elif rising(b):
+        return hi
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            return m
+        if rising(m):
+            a = m
+        else:
+            b = m
+
+
 def eval_second_derivative(fam, delta):
     """d^2 lam / d delta^2; analytic per family, centered differences for tabulated."""
     d = np.asarray(delta, dtype=float)
@@ -152,6 +215,26 @@ def meets_strong_assumptions(fam, lo, hi):
     d2 = np.asarray(eval_second_derivative(fam, grid))
     ratio = d0 * d2 / (d1 * d1)
     return bool(np.all(ratio < 2.0 - 1e-12))
+
+
+def rhs_loop(spec, levels, panel):
+    """The full-information right-hand side with one Hamiltonian call per
+    regime and side: the reference for ``hjb_full._rhs``, which makes one
+    call per distinct intensity family."""
+    gamma = spec.risk_aversion_gamma
+    bounds = spec.spread_bounds
+    base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
+        spec.running_penalty_zeta + gamma
+    )
+    out = np.empty_like(panel)
+    out[:] = base[:, None]
+    out += _coupling(panel, spec.generator_Q, gamma)
+    for i, regime in enumerate(spec.regimes):
+        d_bid = panel[1:, i] - panel[:-1, i]
+        d_ask = panel[:-1, i] - panel[1:, i]
+        out[:-1, i] += hamiltonian_value(regime.bid_intensity, gamma, d_bid, bounds)
+        out[1:, i] += hamiltonian_value(regime.ask_intensity, gamma, d_ask, bounds)
+    return out
 
 
 def comparison_bounds_loop(spec):

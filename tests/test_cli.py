@@ -240,6 +240,23 @@ class TestSimulate:
             "manifest.txt", "path_000.csv", "path_001.csv", "summary.txt",
         ]
 
+    @pytest.mark.parametrize(
+        "policy, mpis, runs",
+        [("fixed:0.04", ("50", "200"), 1), ("partial", ("12", "24"), 2)],
+        ids=["fixed", "partial"],
+    )
+    def test_belief_grid_names_only_partial_runs(self, config_path, tmp_path, policy, mpis, runs):
+        # only the partial surface reads --mpi, so only it gets a run per value
+        out = tmp_path / "out"
+        for mpi in mpis:
+            argv = ["simulate", config_path, "--out", str(out), "--policy", policy]
+            assert main(argv + ["--paths", "2", "--mpi", mpi]) == 0
+        run_dirs = list((out / "simulate").iterdir())
+        assert len(run_dirs) == runs
+        manifest = (run_dirs[0] / "manifest.txt").read_text()
+        assert ("mpi = " in manifest) == (policy == "partial")
+        assert ("belief_gradient_scale = " in manifest) == (policy == "partial")
+
     def test_deterministic_rerun(self, config_path, tmp_path):
         out1 = str(tmp_path / "a")
         out2 = str(tmp_path / "b")

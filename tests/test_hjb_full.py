@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import comparison_bounds_loop, one_regime_backward_ode, residual_report
+from oracles import comparison_bounds_loop, one_regime_backward_ode, residual_report, rhs_loop
 from scipy.integrate import quad
 
 from regimemm.errors import UnsupportedConfigError
 from regimemm.hjb_full import (
+    _rhs,
     comparison_bounds,
     policy,
     solve_constrained,
@@ -15,7 +16,7 @@ from regimemm.hjb_full import (
     surface_from_csv,
     surface_to_csv,
 )
-from regimemm.intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value
+from regimemm.intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread
 from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, validate, with_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +42,15 @@ def one_regime_spec(*, c=0.0, mu=0.0, zeta=0.1, a=2.0, b=25.0, n_star=3, T=1.0):
     )
 
 
+def mixed_family_spec():
+    """table1 with a different curve on each side: regime 1's ask curve is
+    regime 2's bid curve, and both logistic curves appear once."""
+    shared = IntensityFamily.exponential(6.0, 25.0)
+    regimes = (
+        RegimeSpec("one", IntensityFamily.logistic(2.0, 25.0, 1.0), shared),
+        RegimeSpec("two", shared, IntensityFamily.logistic(10.0, 25.0, 1.0)),
+    )
+    return with_params(table1_spec(), regimes=regimes, risk_aversion_gamma=0.5)
 
 
 class TestSolveConstrained:
@@ -91,6 +101,41 @@ class TestSolveConstrained:
     def test_sandwich_constants_equal_the_per_node_loop(self, make_spec):
         spec = make_spec()
         assert comparison_bounds(spec) == comparison_bounds_loop(spec)
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [table1_spec, lambda: load_config(ROOT / "perfbench" / "logistic.cfg")],
+        ids=["table1", "logistic"],
+    )
+    def test_spread_tables_equal_per_level_optimal_spread(self, make_spec):
+        spec = make_spec()
+        surf = solve_constrained(spec, n_steps=50)
+        gamma, bounds = spec.risk_aversion_gamma, spec.spread_bounds
+        for s, theta in enumerate(surf.theta):
+            for i, regime in enumerate(spec.regimes):
+                d_bid = theta[1:, i] - theta[:-1, i]
+                d_ask = theta[:-1, i] - theta[1:, i]
+                bid = optimal_spread(regime.bid_intensity, gamma, d_bid, bounds)
+                ask = optimal_spread(regime.ask_intensity, gamma, d_ask, bounds)
+                assert np.array_equal(surf.spread_bid[s, :-1, i], bid)
+                assert np.array_equal(surf.spread_ask[s, 1:, i], ask)
+        assert np.all(surf.spread_bid[:, -1] == STUB_SPREAD)
+        assert np.all(surf.spread_ask[:, 0] == STUB_SPREAD)
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [table1_spec, lambda: load_config(ROOT / "perfbench" / "logistic.cfg"), mixed_family_spec],
+        ids=["table1", "logistic", "mixed"],
+    )
+    def test_rhs_equals_the_per_regime_loop(self, make_spec):
+        # one Hamiltonian call per distinct family gives the same bits as one
+        # per regime and side
+        spec = make_spec()
+        levels = spec.inventory_levels().astype(float)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            panel = rng.normal(0.0, 0.05, size=(levels.size, spec.n_regimes))
+            assert np.array_equal(_rhs(spec, levels, panel), rhs_loop(spec, levels, panel))
 
     def test_spread_symmetry_about_risk_neutral_value(self):
         surf = solve_constrained(table1_spec(), n_steps=400)

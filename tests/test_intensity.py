@@ -1,12 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from oracles import eval_second_derivative, hamiltonian_closed_form, meets_strong_assumptions
+from oracles import (
+    eval_second_derivative,
+    hamiltonian_closed_form,
+    meets_strong_assumptions,
+    optimal_spread_bisection,
+)
 
+from regimemm import intensity
 from regimemm.intensity import (
     IntensityFamily,
     _fixed_point_spread,
+    _solve_fixed_point,
     eval_derivative,
     eval_intensity,
     family_violations,
@@ -49,9 +57,9 @@ def bound_flag(delta, bounds):
     return "interior"
 
 
-def bisected_spread(fam, gamma, d, bounds):
-    """The threshold-plus-bisection maximizer at one scalar d, for any smooth
-    family including the exponential one."""
+def searched_spread(fam, gamma, d, bounds):
+    """The threshold-window fixed-point maximizer at one scalar d, for any
+    smooth family including the exponential one."""
     return float(_fixed_point_spread(fam, gamma, np.array([d]), bounds)[0])
 
 
@@ -164,7 +172,7 @@ class TestOptimalSpread:
         lo = max(-0.2, fam.domain_lo() + 1e-3)
         bounds = (lo, 2.0)
         for d in np.linspace(-0.4, 0.4, 9):
-            delta = bisected_spread(fam, gamma, float(d), bounds)
+            delta = searched_spread(fam, gamma, float(d), bounds)
             if bound_flag(delta, bounds) == "interior":
                 lam = eval_intensity(fam, delta)
                 dlam = eval_derivative(fam, delta)
@@ -195,6 +203,114 @@ class TestOptimalSpread:
             h_tab = hamiltonian_value(tab, 0.0, d, (-0.5, 1.0))
             h_exp = hamiltonian_value(EXP, 0.0, d, (-0.5, 1.0))
             assert abs(h_tab - h_exp) <= 1e-6
+
+
+SMOOTH = FAMILIES[1:]
+# d values from capped to floored on the finite bounds, and far-out roots
+# on the infinite ones
+SEARCH_DS = (-3.0, -0.5, -0.2, -0.05, 0.0, 0.03, 0.1, 0.25, 0.4, 3.0)
+
+
+def search_bounds(fam, kind):
+    """Finite bounds (lo, 2), or hi = inf with lo = -inf where the curve is
+    defined there (the power law keeps lo inside its domain)."""
+    lo = max(-0.2, fam.domain_lo() + 1e-3)
+    if kind == "finite":
+        return (lo, 2.0)
+    return (lo if math.isfinite(fam.domain_lo()) else -math.inf, math.inf)
+
+
+SEARCH_CASES = [
+    (fam, gamma, kind)
+    for fam in SMOOTH
+    for gamma in (0.0, 0.5)
+    for kind in ("finite", "infinite")
+]
+# family_violations rejects one case: arctan at gamma = 0 with hi = inf,
+# whose tail decays too slowly.  Far out its fixed-point residual is flat
+# and noisy, so two correct root searches stop far apart: at d = -0.05 a
+# plain bisection ends at 24154.5 and the package's search at 24418.6.  It
+# is not compared.
+ACCEPTED_CASES = [
+    case for case in SEARCH_CASES
+    if not family_violations(case[0], *search_bounds(case[0], case[2]), case[1])
+]
+
+
+def case_id(case):
+    fam, gamma, kind = case
+    return f"{fam.kind}-g{gamma}-{kind}"
+
+
+class TestFixedPointSearch:
+    def test_only_the_slow_arctan_tail_is_rejected(self):
+        rejected = [case_id(c) for c in SEARCH_CASES if c not in ACCEPTED_CASES]
+        assert rejected == ["arctan-g0.0-infinite"]
+
+    @pytest.mark.parametrize("case", ACCEPTED_CASES, ids=case_id)
+    def test_matches_independent_bisection(self, case):
+        fam, gamma, kind = case
+        bounds = search_bounds(fam, kind)
+        for d in SEARCH_DS:
+            delta = optimal_spread(fam, gamma, d, bounds)
+            ref = optimal_spread_bisection(fam, gamma, d, *bounds)
+            assert abs(delta - ref) <= 1e-12 * max(1.0, abs(ref)), (d, delta, ref)
+
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=case_id)
+    def test_batch_equals_scalar_calls(self, case):
+        # each element stops and freezes on its own, so a batch is exact
+        fam, gamma, kind = case
+        bounds = search_bounds(fam, kind)
+        ds = np.concatenate([np.linspace(-0.5, 0.5, 41), SEARCH_DS])
+        batch = optimal_spread(fam, gamma, ds, bounds)
+        assert np.array_equal(batch, [optimal_spread(fam, gamma, d, bounds) for d in ds])
+
+    def test_end_on_the_wrong_side_is_the_root(self):
+        # at d = 100 the residual is positive on all of [-1, 1]: that element
+        # finishes at lo at once and stays there while its neighbour runs on
+        fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            both = _solve_fixed_point(fam, 0.5, np.array([0.0, 100.0]), -1.0, 1.0)
+        alone = _solve_fixed_point(fam, 0.5, np.array([0.0]), -1.0, 1.0)
+        assert both[1] == -1.0
+        assert both[0] == alone[0]
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        """A list that grows by one at every fixed-point residual evaluation."""
+        residual = intensity._fixed_point_residual
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(intensity, "_fixed_point_residual", counted)
+        return calls
+
+    def test_residual_evaluations_per_interior_call(self, residual_calls):
+        # logistic 2 25 1 at gamma = 0.5 and bounds +-1, as in perfbench/logistic.cfg;
+        # plain bisection of the width-2 bracket to 1e-12 would take ~43
+        fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
+        bounds = (-1.0, 1.0)
+        for d in (-0.3, -0.05, 0.0, 0.02, 0.3):
+            residual_calls.clear()
+            delta = optimal_spread(fam, 0.5, d, bounds)
+            assert bound_flag(delta, bounds) == "interior"
+            assert 1 <= len(residual_calls) <= 20, (d, len(residual_calls))
+
+    def test_far_out_root_converges(self, residual_calls):
+        # the root is 2 (0.1 - d) = 2e5 + 0.2, where a float step is ~3e-11,
+        # wider than the 1e-12 absolute width: only the relative stopping
+        # width ends the search before its 200-iteration cap (213 residual
+        # evaluations without it)
+        fam = SMOOTH[2]
+        bounds = search_bounds(fam, "infinite")
+        delta = optimal_spread(fam, 0.0, -1e5, bounds)
+        ref = optimal_spread_bisection(fam, 0.0, -1e5, *bounds)
+        assert abs(delta - ref) <= 1e-12 * abs(ref)
+        assert len(residual_calls) <= 40
 
 
 class TestHamiltonian:
@@ -237,7 +353,7 @@ class TestHamiltonian:
     def test_closed_form_matches_interior(self):
         for fam in FAMILIES:
             lo = max(-0.2, fam.domain_lo() + 1e-3)
-            delta = bisected_spread(fam, 0.4, 0.05, (lo, 2.0))
+            delta = searched_spread(fam, 0.4, 0.05, (lo, 2.0))
             if bound_flag(delta, (lo, 2.0)) == "interior":
                 cf = hamiltonian_closed_form(fam, 0.4, 0.05, (lo, 2.0))
                 assert side_value(fam, 0.4, delta, 0.05) == pytest.approx(cf, abs=1e-10)
