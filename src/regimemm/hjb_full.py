@@ -3,23 +3,93 @@
 The value decomposition leaves a terminal-value ODE system for theta(t, n, i)
 over inventory levels and regimes, with right-hand side built from the
 per-regime Hamiltonians applied to inventory-difference arguments.  A finite
-inventory cap gives a nonlinear system integrated backward with classical
-RK4; the unconstrained risk-neutral case collapses to a linear system for a
-per-regime profile phi_i(t) plus the explicit drift term mu n (T - t).
+inventory cap makes it a nonlinear system, integrated backward with
+classical RK4.
+
+Everything of the right-hand side that depends only on the spec is a
+``_Plan``, built once per solve and once per surface: the drift and
+inventory-penalty term, and the intensity groups.  Every exponential curve,
+of any regime and side, falls into one group that passes per-column (a, b)
+arrays through ``intensity``'s closed form, so a market of exponential
+curves makes one maximizer call per RK4 stage; any other curve makes one
+call per distinct family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedConfigError
 from .grid import check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
-from .intensity import STUB_SPREAD, hamiltonian_value, optimal_spread, utility
+from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
 DEFAULT_TIME_STEPS = 2000
+_NEIGHBOURS = np.array([0, 1, -1])  # inventory rows n, n + 1 and n - 1 of a lookup
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The spec-dependent parts of the right-hand side and the policy.
+
+    The side axis has 2k columns: every regime's bid curve, then every
+    regime's ask curve.  ``groups`` pairs a family with the columns it
+    covers (an index of that axis), one maximizer call each.  All
+    exponential columns form one group whose family carries per-column
+    (a, b) arrays; every other distinct family is a group of its own.
+    ``owner`` and ``slot`` give each column its group and its place among
+    that group's columns, which is how a lookup gathers the parameters.
+    """
+
+    spec: ModelSpec
+    base: np.ndarray  # (2 N* + 1, 1): mu n - sigma^2 (zeta + gamma) n^2 / 2
+    groups: tuple  # ((family, column index), ...)
+    owner: np.ndarray  # (2k,) group of each column
+    slot: np.ndarray  # (2k,) place of each column in its group
+
+    @staticmethod
+    def build(spec: ModelSpec) -> "_Plan":
+        levels = spec.inventory_levels().astype(float)
+        base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
+            spec.running_penalty_zeta + spec.risk_aversion_gamma
+        )
+        families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
+        keys = ["exponential" if f.kind == "exponential" else f for f in families]
+        groups, owner, slot = [], np.empty(len(keys), int), np.empty(len(keys), int)
+        for g, key in enumerate(dict.fromkeys(keys)):
+            cols = [j for j, other in enumerate(keys) if other == key]
+            owner[cols], slot[cols] = g, range(len(cols))
+            fam = families[cols[0]]
+            if key == "exponential":
+                params = zip(*(families[j].params for j in cols))
+                fam = IntensityFamily(fam.kind, tuple(np.array(p) for p in params))
+            groups.append((fam, slice(None) if len(cols) == len(keys) else np.array(cols)))
+        return _Plan(spec, base[:, None], tuple(groups), owner, slot)
+
+    def spreads(self, d, cols):
+        """``optimal_spread`` at points ``d`` whose side columns are ``cols``
+        (broadcast against ``d``): one call per group, with the exponential
+        group's parameters gathered per point."""
+        gamma, bounds = self.spec.risk_aversion_gamma, self.spec.spread_bounds
+        if len(self.groups) == 1:
+            return optimal_spread(_family_at(self.groups[0][0], self.slot[cols]), gamma, d, bounds)
+        out, cols = np.empty(d.shape), np.broadcast_to(cols, d.shape)
+        for g, (fam, _) in enumerate(self.groups):
+            on = self.owner[cols] == g
+            out[on] = optimal_spread(_family_at(fam, self.slot[cols[on]]), gamma, d[on], bounds)
+        return out
+
+
+def _family_at(fam: IntensityFamily, slots) -> IntensityFamily:
+    """A group's family at the given places among its columns: the
+    exponential group's parameter arrays gathered there, any other family
+    as it is."""
+    if fam.kind != "exponential":
+        return fam
+    return IntensityFamily(fam.kind, tuple(p[slots] for p in fam.params))
 
 
 def _regime_column(spec: ModelSpec, i):
@@ -57,6 +127,10 @@ class FullInfoSurface:
         value = gather(self.theta, *self._brackets(t, n, i))
         return float(value) if value.ndim == 0 else value
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan.build(self.spec)
+
 
 def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
     """Regime-coupling term sum_j q_ij U_gamma(theta_j - theta_i), vectorized
@@ -65,50 +139,44 @@ def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarra
     return np.einsum("ij,nij->ni", q, np.asarray(utility(gamma, diffs)))
 
 
-def _per_side(spec: ModelSpec, fn, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _per_side(plan: _Plan, fn, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``fn(family, gamma, d, bounds)`` at every inventory difference of
-    ``theta`` (..., 2 N* + 1, k), with one call per distinct intensity family.
+    ``theta`` (..., 2 N* + 1, k), with one call per group of ``plan``.
 
     Returns (bid, ask), each (..., 2 N*, k), whose row r pairs the levels
     n = r - N* and n + 1: bid holds the value at d = theta(n + 1) - theta(n),
     the bid quoted at n, and ask the value at d = theta(n) - theta(n + 1),
     the ask quoted at n + 1.
     """
+    spec = plan.spec
     k = spec.n_regimes
     up, down = theta[..., 1:, :], theta[..., :-1, :]
     values = np.empty(up.shape[:-1] + (2 * k,))  # bid columns, then ask columns
     np.subtract(up, down, out=values[..., :k])
     np.subtract(down, up, out=values[..., k:])
-    families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
-    for fam in dict.fromkeys(families):
-        # a family's columns are copied out before fn's values replace them
-        cols = [j for j, other in enumerate(families) if other == fam]
+    for fam, cols in plan.groups:
+        # a group's columns are read before fn's values replace them
         values[..., cols] = fn(fam, spec.risk_aversion_gamma, values[..., cols], spec.spread_bounds)
     return values[..., :k], values[..., k:]
 
 
-def _rhs(spec: ModelSpec, levels: np.ndarray, theta_panel: np.ndarray) -> np.ndarray:
+def _rhs(plan: _Plan, theta_panel: np.ndarray) -> np.ndarray:
     """Right-hand side of d theta / d tau (backward time) at one panel."""
-    gamma = spec.risk_aversion_gamma
-    out = np.empty_like(theta_panel)
-    base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
-        spec.running_penalty_zeta + gamma
-    )
-    out[:] = base[:, None]
-    out += _coupling(theta_panel, spec.generator_Q, gamma)
+    spec = plan.spec
+    out = plan.base + _coupling(theta_panel, spec.generator_Q, spec.risk_aversion_gamma)
     # the bid is active for n < N*, the ask for n > -N*
-    h_bid, h_ask = _per_side(spec, hamiltonian_value, theta_panel)
+    h_bid, h_ask = _per_side(plan, hamiltonian_value, theta_panel)
     out[:-1] += h_bid
     out[1:] += h_ask
     return out
 
 
-def _spread_tables(spec: ModelSpec, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spread_tables(plan: _Plan, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feedback spreads at every node of ``theta`` (..., 2 N* + 1, k), with
     the stub sentinel on blocked sides."""
     bid = np.full_like(theta, STUB_SPREAD)
     ask = np.full_like(theta, STUB_SPREAD)
-    bid[..., :-1, :], ask[..., 1:, :] = _per_side(spec, optimal_spread, theta)
+    bid[..., :-1, :], ask[..., 1:, :] = _per_side(plan, optimal_spread, theta)
     return bid, ask
 
 
@@ -137,15 +205,16 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
     spreads at every level.
     """
     if spec.unbounded_inventory:
-        raise UnsupportedConfigError("finite inventory cap required; use solve_unconstrained")
+        raise UnsupportedConfigError("full-information solver requires a finite inventory cap")
     n_steps = check_count("n_steps", n_steps)
+    plan = _Plan.build(spec)
     levels = spec.inventory_levels().astype(float)
     terminal = np.repeat(-spec.terminal_cost(levels)[:, None], spec.n_regimes, axis=1)
     # _rhs is looked up at every call, so a wrapper patched onto it sees them
-    theta = _march(lambda t, y: _rhs(spec, levels, y), terminal, spec.horizon_T, n_steps)
+    theta = _march(lambda t, y: _rhs(plan, y), terminal, spec.horizon_T, n_steps)
 
     time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
-    return FullInfoSurface(spec, time_grid, theta, *_spread_tables(spec, theta))
+    return FullInfoSurface(spec, time_grid, theta, *_spread_tables(plan, theta))
 
 
 def policy(surface: FullInfoSurface, t, n, i):
@@ -155,24 +224,18 @@ def policy(surface: FullInfoSurface, t, n, i):
     interpolated inventory differences, so the policy is continuous in t.
     The arguments broadcast against each other: scalars give a pair of
     floats, arrays (a batch of paths) a pair of arrays, with one spread
-    evaluation per regime.
+    evaluation per side and group of the surface's plan.
     """
     spec = surface.spec
-    top = 2 * int(spec.inventory_cap_Nstar)
     s, w, r, col = surface._brackets(t, n, i)
-    here = gather(surface.theta, s, w, r, col)
-    d_bid = gather(surface.theta, s, w, np.minimum(r + 1, top), col) - here
-    d_ask = gather(surface.theta, s, w, np.maximum(r - 1, 0), col) - here
-    n, col = np.broadcast_to(n, here.shape), np.broadcast_to(col, here.shape)
-    bid = np.full(here.shape, STUB_SPREAD)
-    ask = np.full(here.shape, STUB_SPREAD)
-    gamma = spec.risk_aversion_gamma
-    bounds = spec.spread_bounds
-    for k, regime in enumerate(spec.regimes):
-        on = (col == k) & spec.bid_active(n)
-        bid[on] = optimal_spread(regime.bid_intensity, gamma, d_bid[on], bounds)
-        on = (col == k) & spec.ask_active(n)
-        ask[on] = optimal_spread(regime.ask_intensity, gamma, d_ask[on], bounds)
+    # rows n, n + 1 and n - 1 in one gather, clamped to the table: a blocked
+    # side's neighbour is n itself, so its difference is 0
+    shift = _NEIGHBOURS.reshape((3,) + (1,) * max(np.ndim(s), np.ndim(r), np.ndim(col)))
+    rows = np.minimum(np.maximum(r + shift, 0), 2 * int(spec.inventory_cap_Nstar))
+    here, up, down = gather(surface.theta, s, w, rows, col)
+    plan = surface._plan
+    bid = np.where(spec.bid_active(n), plan.spreads(up - here, col), STUB_SPREAD)
+    ask = np.where(spec.ask_active(n), plan.spreads(down - here, col + spec.n_regimes), STUB_SPREAD)
     if bid.ndim == 0:
         return float(bid), float(ask)
     return bid, ask
@@ -182,68 +245,10 @@ def comparison_bounds(spec: ModelSpec) -> tuple[float, float]:
     """Constants (K_upper, K_lower) of the super/sub-solution sandwich:
     -K_upper T - K_lower <= theta <= K_upper T at every grid node.  K_upper
     is the largest |right-hand side| at the zero panel."""
-    levels = spec.inventory_levels().astype(float)
-    zeros = np.zeros((levels.size, spec.n_regimes))
-    k_upper = float(np.max(np.abs(_rhs(spec, levels, zeros))))
+    plan = _Plan.build(spec)
+    zeros = np.zeros((plan.base.shape[0], spec.n_regimes))
+    k_upper = float(np.max(np.abs(_rhs(plan, zeros))))
     return k_upper, float(spec.terminal_cost(spec.inventory_cap_Nstar))
-
-
-# -- unconstrained inventory ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnconstrainedSolution:
-    """Per-regime profile phi_i(t) with theta(t, n, i) = mu n (T - t) + phi_i(t)."""
-
-    spec: ModelSpec
-    time_grid: np.ndarray
-    phi: np.ndarray  # shape (len(time_grid), k)
-
-    def phi_at(self, t: float) -> np.ndarray:
-        """(phi_1, ..., phi_k) at one time t, linear in t."""
-        return gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, slice(None))
-
-    def theta_at(self, t, n, i):
-        """theta at broadcast (t, n, i); i is a 1-based regime index and
-        scalars give a float."""
-        col = _regime_column(self.spec, i)
-        phi = gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, col)
-        value = self.spec.drift_mu * n * (self.spec.horizon_T - t) + phi
-        return float(value) if np.ndim(value) == 0 else value
-
-
-def solve_unconstrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> UnconstrainedSolution:
-    """Backward RK4 for the linear system phi' = -Q phi + b, phi(T) = 0, with
-    b_i(t) = -H_bid_i(mu (T - t)) - H_ask_i(-mu (T - t))."""
-    if not spec.unbounded_inventory:
-        raise UnsupportedConfigError("unconstrained solver requires an unbounded inventory cap")
-    if (
-        spec.risk_aversion_gamma != 0.0
-        or spec.running_penalty_zeta != 0.0
-        or spec.terminal_cost_c != 0.0
-    ):
-        raise UnsupportedConfigError("unconstrained inventory requires gamma = zeta = c = 0")
-    n_steps = check_count("n_steps", n_steps)
-    bounds = spec.spread_bounds
-    q = spec.generator_Q
-    T = spec.horizon_T
-
-    def b_vec(t: float) -> np.ndarray:
-        horizon = spec.drift_mu * (T - t)
-        return np.array(
-            [
-                -hamiltonian_value(r.bid_intensity, 0.0, horizon, bounds)
-                - hamiltonian_value(r.ask_intensity, 0.0, -horizon, bounds)
-                for r in spec.regimes
-            ]
-        )
-
-    def deriv(t: float, phi: np.ndarray) -> np.ndarray:
-        # d phi / d tau with tau = T - t reverses the sign of phi'(t)
-        return q @ phi - b_vec(t)
-
-    phi = _march(deriv, np.zeros(spec.n_regimes), T, n_steps)
-    return UnconstrainedSolution(spec, np.linspace(0.0, T, n_steps + 1), phi)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -57,7 +57,9 @@ class IntensityFamily:
     """One regime's decreasing intensity curve with analytic derivatives.
 
     kind/params:
-      exponential: (a, b)        lam = a * exp(-b d)
+      exponential: (a, b)        lam = a * exp(-b d); a and b may also be
+                                 equal-shape arrays, one curve per element,
+                                 which broadcast against the spreads
       logistic:    (a, b, c)     lam = a / (1 + c e^{b d})
       arctan:      (a, b, c)     lam = a * (pi/2 + atan(-b d + c))
       power_law:   (a, b, c, d)  lam = a * (b d + c)^{-d}, needs b d + c > 0
@@ -393,19 +395,22 @@ def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, f
     Interior solutions solve the fixed point
         delta = -U_gamma^{-1}(lam(delta)/lam'(delta)) - d,
     clamped at the bounds outside the threshold window.  Exponential curves
-    admit a closed form (the percentage sensitivity lam'/lam is constant);
-    other smooth families use a bracketed Chandrupatla root search, tabulated
-    curves use grid search.  Every element is solved on its own, so an array
-    call equals the calls at each of its elements, bit for bit.
+    admit a closed form (the percentage sensitivity lam'/lam is constant),
+    and their (a, b) may be arrays that broadcast against ``d``, one curve
+    per element; other smooth families use a bracketed Chandrupatla root
+    search, tabulated curves use grid search.  Every element is solved on its
+    own, so an array call equals the calls at each of its elements, bit for
+    bit.
     """
     lo, hi = bounds
+    if fam.kind == "exponential":
+        margin = -utility_inverse(gamma, -1.0 / fam.params[1])
+        out = np.clip(margin - np.asarray(d, dtype=float), lo, hi)
+        return float(out) if out.ndim == 0 else out
     scalar = np.ndim(d) == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     if fam.kind == "tabulated":
         out = np.clip(_grid_search_spread(fam, gamma, d_arr, lo, hi), lo, hi)
-    elif fam.kind == "exponential":
-        margin = -utility_inverse(gamma, -1.0 / fam.params[1])
-        out = np.clip(margin - d_arr, lo, hi)
     else:
         out = _fixed_point_spread(fam, gamma, d_arr, bounds)
     return float(out[0]) if scalar else out.reshape(np.shape(d))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hjb_full, hjb_partial
-from .errors import NumericsError
+from .errors import NumericsError, UnsupportedConfigError
 from .filtering import _FLOOR, FilterState, _hermite, _rk4_step, drift, observable_rates
 from .filtering import jump_update as _filter_jump
 from .grid import check_belief, check_count
@@ -55,6 +55,8 @@ DEFAULT_REPORT_POINTS = 500
 DEFAULT_FILTER_STEP = 5e-3
 _BOUND_SLACK = 1.0 + 1e-9
 _CHUNK = 4096  # paths per lockstep block
+# RK4 is stable for h z on [-2.785, 0] of the real axis
+_RK4_REAL_LIMIT = 2.785
 _HIST_BINS = 30  # bins of MonteCarloSummary's P&L histogram
 
 
@@ -540,6 +542,16 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     check_count("report_points", report_points)
     if not 0.0 < h_target < math.inf:
         raise ValueError(f"h_target must be finite and > 0, got {h_target!r}")
+    if spec.n_regimes > 1:  # a single regime's belief is constant and takes no step
+        # the belief ODE's rates are bounded by the switching rates plus the
+        # dominating order rates; a step past RK4's stability limit on them
+        # would drive the belief into the simplex-floor clamp
+        rate = 2.0 * np.max(np.abs(np.diag(spec.generator_Q))) + sum(_dominating_rates(spec, policy))
+        if h_target * rate > _RK4_REAL_LIMIT:
+            raise UnsupportedConfigError(
+                f"h_target = {h_target:g} times the belief's rate bound {rate:.6g} exceeds "
+                f"RK4's stability limit {_RK4_REAL_LIMIT}"
+            )
     parts = [
         _lockstep(
             spec, policy, seed, path_ids[lo : lo + _CHUNK], report_points, h_target,

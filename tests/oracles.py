@@ -5,20 +5,27 @@ building blocks) and shares no code with the package internals it checks.
 ``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
 is the solver's storage, not the step.  ``residual_report`` reuses the
 full-information right-hand side to measure how well the RK4 march solves
-it, and the curve diagnostics reuse the package's probe grid.  ``rhs_loop``
-reuses the coupling term and the Hamiltonian: what it checks is how the
-right-hand side groups its Hamiltonian calls.
+it, and the curve diagnostics reuse the package's probe grid.  ``rhs_loop``,
+``solve_loop`` and ``policy_loop`` reuse the coupling term, the RK4 march,
+the surface lookup and the maximizer: what they check is how the solver
+groups its maximizer calls.  ``solve_unconstrained`` is the linear system
+of an unbounded inventory cap, the limit ``solve_constrained`` approaches as
+the cap grows.
 """
 
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from regimemm.hjb_full import _coupling, _rhs
+from regimemm.errors import UnsupportedConfigError
+from regimemm.grid import check_count, gather, time_bracket
+from regimemm.hjb_full import FullInfoSurface, _coupling, _march, _Plan, _regime_column, _rhs
 from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
 from regimemm.intensity import (
+    STUB_SPREAD,
     _probe_grid,
     eval_derivative,
     eval_intensity,
@@ -220,7 +227,7 @@ def meets_strong_assumptions(fam, lo, hi):
 def rhs_loop(spec, levels, panel):
     """The full-information right-hand side with one Hamiltonian call per
     regime and side: the reference for ``hjb_full._rhs``, which makes one
-    call per distinct intensity family."""
+    call per group of its plan (all exponential curves in one)."""
     gamma = spec.risk_aversion_gamma
     bounds = spec.spread_bounds
     base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
@@ -235,6 +242,104 @@ def rhs_loop(spec, levels, panel):
         out[:-1, i] += hamiltonian_value(regime.bid_intensity, gamma, d_bid, bounds)
         out[1:, i] += hamiltonian_value(regime.ask_intensity, gamma, d_ask, bounds)
     return out
+
+
+def solve_loop(spec, n_steps):
+    """``hjb_full.solve_constrained`` with ``rhs_loop`` as the right-hand
+    side and the spread tables filled one level, regime and side at a time."""
+    levels = spec.inventory_levels().astype(float)
+    terminal = np.repeat(-spec.terminal_cost(levels)[:, None], spec.n_regimes, axis=1)
+    theta = _march(lambda t, y: rhs_loop(spec, levels, y), terminal, spec.horizon_T, n_steps)
+    gamma, bounds = spec.risk_aversion_gamma, spec.spread_bounds
+    bid = np.full_like(theta, STUB_SPREAD)
+    ask = np.full_like(theta, STUB_SPREAD)
+    for s, level in enumerate(theta):
+        for i, regime in enumerate(spec.regimes):
+            d_bid = level[1:, i] - level[:-1, i]
+            d_ask = level[:-1, i] - level[1:, i]
+            bid[s, :-1, i] = optimal_spread(regime.bid_intensity, gamma, d_bid, bounds)
+            ask[s, 1:, i] = optimal_spread(regime.ask_intensity, gamma, d_ask, bounds)
+    time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
+    return FullInfoSurface(spec, time_grid, theta, bid, ask)
+
+
+def policy_loop(surface, t, n, i):
+    """The full-information policy with one masked ``optimal_spread`` call
+    per regime and side, blocked sides never evaluated: the reference for
+    ``hjb_full.policy``, which makes one call per side and plan group."""
+    spec = surface.spec
+    top = 2 * int(spec.inventory_cap_Nstar)
+    s, w, r, col = surface._brackets(t, n, i)
+    here = gather(surface.theta, s, w, r, col)
+    d_bid = gather(surface.theta, s, w, np.minimum(r + 1, top), col) - here
+    d_ask = gather(surface.theta, s, w, np.maximum(r - 1, 0), col) - here
+    n, col = np.broadcast_to(n, here.shape), np.broadcast_to(col, here.shape)
+    bid = np.full(here.shape, STUB_SPREAD)
+    ask = np.full(here.shape, STUB_SPREAD)
+    gamma = spec.risk_aversion_gamma
+    bounds = spec.spread_bounds
+    for k, regime in enumerate(spec.regimes):
+        on = (col == k) & spec.bid_active(n)
+        bid[on] = optimal_spread(regime.bid_intensity, gamma, d_bid[on], bounds)
+        on = (col == k) & spec.ask_active(n)
+        ask[on] = optimal_spread(regime.ask_intensity, gamma, d_ask[on], bounds)
+    return bid, ask
+
+
+@dataclass(frozen=True)
+class UnconstrainedSolution:
+    """Per-regime profile phi_i(t) with theta(t, n, i) = mu n (T - t) + phi_i(t)."""
+
+    spec: object
+    time_grid: np.ndarray
+    phi: np.ndarray  # shape (len(time_grid), k)
+
+    def phi_at(self, t: float) -> np.ndarray:
+        """(phi_1, ..., phi_k) at one time t, linear in t."""
+        return gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, slice(None))
+
+    def theta_at(self, t, n, i):
+        """theta at broadcast (t, n, i); i is a 1-based regime index and
+        scalars give a float."""
+        col = _regime_column(self.spec, i)
+        phi = gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, col)
+        value = self.spec.drift_mu * n * (self.spec.horizon_T - t) + phi
+        return float(value) if np.ndim(value) == 0 else value
+
+
+def solve_unconstrained(spec, n_steps=2000):
+    """Backward RK4 for the linear system phi' = -Q phi + b, phi(T) = 0, with
+    b_i(t) = -H_bid_i(mu (T - t)) - H_ask_i(-mu (T - t)): the risk-neutral
+    value without an inventory cap, penalty or terminal cost."""
+    if not spec.unbounded_inventory:
+        raise UnsupportedConfigError("unconstrained solver requires an unbounded inventory cap")
+    if (
+        spec.risk_aversion_gamma != 0.0
+        or spec.running_penalty_zeta != 0.0
+        or spec.terminal_cost_c != 0.0
+    ):
+        raise UnsupportedConfigError("unconstrained inventory requires gamma = zeta = c = 0")
+    n_steps = check_count("n_steps", n_steps)
+    bounds = spec.spread_bounds
+    q = spec.generator_Q
+    T = spec.horizon_T
+
+    def b_vec(t):
+        horizon = spec.drift_mu * (T - t)
+        return np.array(
+            [
+                -hamiltonian_value(r.bid_intensity, 0.0, horizon, bounds)
+                - hamiltonian_value(r.ask_intensity, 0.0, -horizon, bounds)
+                for r in spec.regimes
+            ]
+        )
+
+    def deriv(t, phi):
+        # d phi / d tau with tau = T - t reverses the sign of phi'(t)
+        return q @ phi - b_vec(t)
+
+    phi = _march(deriv, np.zeros(spec.n_regimes), T, n_steps)
+    return UnconstrainedSolution(spec, np.linspace(0.0, T, n_steps + 1), phi)
 
 
 def comparison_bounds_loop(spec):
@@ -262,15 +367,14 @@ def comparison_bounds_loop(spec):
 def residual_report(surface):
     """Max ODE residual of a full-information surface at its time-grid
     midpoints (finite-difference check)."""
-    spec = surface.spec
-    levels = spec.inventory_levels().astype(float)
+    plan = _Plan.build(surface.spec)
     worst = 0.0
     tg = surface.time_grid
     for s in range(len(tg) - 1):
         dt = tg[s + 1] - tg[s]
         mid = 0.5 * (surface.theta[s] + surface.theta[s + 1])
         # theta_t + RHS = 0 along t; backward marching stored d theta/d tau = +RHS
-        resid = (surface.theta[s + 1] - surface.theta[s]) / dt + _rhs(spec, levels, mid)
+        resid = (surface.theta[s + 1] - surface.theta[s]) / dt + _rhs(plan, mid)
         worst = max(worst, float(np.max(np.abs(resid))))
     return worst
 

@@ -1,0 +1,84 @@
+"""Print one sha256 per output body of the canonical CLI commands.
+
+Runs ``solve-full`` (default and ``--steps 400``), ``solve-partial --mpi 200``,
+``compare --mpi 200``, ``simulate --policy partial|full|fixed:0.04 --seed 7``
+and ``attractor --beta 1|2`` on every config in ``configs/`` into a temporary
+directory.  Each written file is one body, and so is each command's exit
+code with its standard output and error.  The manifest's
+``wall_clock_seconds`` line and the temporary directory's name are dropped
+first, so two source trees that produce the same outputs print the same
+lines.  Compare a change against its parent with
+
+    PYTHONPATH=src python tests/output_digests.py > change.txt
+    PYTHONPATH=../parent/src python tests/output_digests.py > parent.txt
+    diff parent.txt change.txt
+
+The regimemm package is imported from ``sys.path``, so ``PYTHONPATH`` picks
+the tree under test.  Not a pytest module: it runs for
+tens of seconds.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from regimemm import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+COMMANDS = (
+    ["solve-full"],
+    ["solve-full", "--steps", "400"],
+    ["solve-partial", "--mpi", "200"],
+    ["compare", "--mpi", "200"],
+    ["simulate", "--policy", "partial", "--seed", "7"],
+    ["simulate", "--policy", "full", "--seed", "7"],
+    ["simulate", "--policy", "fixed:0.04", "--seed", "7"],
+    ["attractor", "--beta", "1"],
+    ["attractor", "--beta", "2"],
+)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(config: Path, out: Path):
+    """(label, sha256) of every output body of ``COMMANDS`` on ``config``."""
+    for command in COMMANDS:
+        argv = [command[0], str(config), *command[1:]]
+        if command[0] != "attractor":
+            argv += ["--out", str(out)]
+        label = f"{config.name} {' '.join(command)}"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        printed = stdout.getvalue()
+        console = f"exit {code}\n{printed}{stderr.getvalue()}".replace(str(out), "OUT")
+        yield f"{label} | console", _digest(console)
+        if code != 0 or command[0] == "attractor":
+            continue
+        run_dir = Path(printed.strip().splitlines()[-1])
+        for path in sorted(run_dir.iterdir()):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "manifest.txt":
+                text = "".join(
+                    line for line in text.splitlines(keepends=True)
+                    if not line.startswith("wall_clock_seconds")
+                )
+            yield f"{label} | {path.name}", _digest(text)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in sorted(CONFIGS.glob("*.cfg")):
+            for label, digest in digests(config, Path(tmp)):
+                print(f"{digest}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -329,11 +329,13 @@ class TestExitCodes:
             (UNBOUNDED, ["compare"], 2),
             (UNBOUNDED, ["simulate", "--policy", "partial", "--paths", "2"], 2),
             (UNBOUNDED, ["simulate", "--policy", "full", "--paths", "2"], 2),
+            # each side fills at 10 e^12.5 per unit time: the default belief step is unstable
+            (UNBOUNDED, ["simulate", "--policy", "fixed:-0.5", "--paths", "5"], 2),
             (dict(terminal_cost_c=0.01), ["attractor", "--beta", "1"], 3),
         ],
         ids=[
             "solve-full", "solve-partial", "compare", "simulate-partial", "simulate-full",
-            "attractor-terminal-cost",
+            "simulate-negative-fixed", "attractor-terminal-cost",
         ],
     )
     def test_failure_exit_code(self, tmp_path, capsys, spec_params, argv, code):

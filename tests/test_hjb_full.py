@@ -3,16 +3,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import comparison_bounds_loop, one_regime_backward_ode, residual_report, rhs_loop
+from oracles import (
+    comparison_bounds_loop,
+    one_regime_backward_ode,
+    policy_loop,
+    residual_report,
+    rhs_loop,
+    solve_loop,
+    solve_unconstrained,
+)
 from scipy.integrate import quad
 
 from regimemm.errors import UnsupportedConfigError
 from regimemm.hjb_full import (
+    _Plan,
     _rhs,
     comparison_bounds,
     policy,
     solve_constrained,
-    solve_unconstrained,
     surface_from_csv,
     surface_to_csv,
 )
@@ -51,6 +59,25 @@ def mixed_family_spec():
         RegimeSpec("two", shared, IntensityFamily.logistic(10.0, 25.0, 1.0)),
     )
     return with_params(table1_spec(), regimes=regimes, risk_aversion_gamma=0.5)
+
+
+def distinct_decay_spec():
+    """table1 at gamma = 0.5 with a different decay rate b on every regime
+    and side: four exponential curves that share one maximizer call."""
+    exp = IntensityFamily.exponential
+    regimes = (
+        RegimeSpec("slow", exp(2.0, 25.0), exp(2.0, 20.0)),
+        RegimeSpec("fast", exp(10.0, 30.0), exp(10.0, 15.0)),
+    )
+    return with_params(table1_spec(), regimes=regimes, risk_aversion_gamma=0.5)
+
+
+# the specs whose grouped maximizer calls are checked against per-regime loops
+GROUPING_SPECS = pytest.mark.parametrize(
+    "make_spec",
+    [table1_spec, distinct_decay_spec, mixed_family_spec],
+    ids=["table1", "distinct_decay", "mixed"],
+)
 
 
 class TestSolveConstrained:
@@ -124,18 +151,38 @@ class TestSolveConstrained:
 
     @pytest.mark.parametrize(
         "make_spec",
-        [table1_spec, lambda: load_config(ROOT / "perfbench" / "logistic.cfg"), mixed_family_spec],
-        ids=["table1", "logistic", "mixed"],
+        [
+            table1_spec,
+            lambda: load_config(ROOT / "perfbench" / "logistic.cfg"),
+            mixed_family_spec,
+            distinct_decay_spec,
+        ],
+        ids=["table1", "logistic", "mixed", "distinct_decay"],
     )
     def test_rhs_equals_the_per_regime_loop(self, make_spec):
-        # one Hamiltonian call per distinct family gives the same bits as one
-        # per regime and side
+        # one Hamiltonian call per plan group gives the same bits as one per
+        # regime and side
         spec = make_spec()
+        plan = _Plan.build(spec)
         levels = spec.inventory_levels().astype(float)
         rng = np.random.default_rng(5)
         for _ in range(3):
             panel = rng.normal(0.0, 0.05, size=(levels.size, spec.n_regimes))
-            assert np.array_equal(_rhs(spec, levels, panel), rhs_loop(spec, levels, panel))
+            assert np.array_equal(_rhs(plan, panel), rhs_loop(spec, levels, panel))
+
+    @GROUPING_SPECS
+    def test_solve_equals_the_per_regime_march(self, make_spec):
+        spec = make_spec()
+        surf, ref = solve_constrained(spec, n_steps=200), solve_loop(spec, 200)
+        assert np.array_equal(surf.theta, ref.theta)
+        assert np.array_equal(surf.spread_bid, ref.spread_bid)
+        assert np.array_equal(surf.spread_ask, ref.spread_ask)
+
+    def test_exponential_curves_form_one_group(self):
+        assert len(_Plan.build(table1_spec()).groups) == 1
+        assert len(_Plan.build(distinct_decay_spec()).groups) == 1
+        # the shared exponential curve, then each logistic curve
+        assert len(_Plan.build(mixed_family_spec()).groups) == 3
 
     def test_spread_symmetry_about_risk_neutral_value(self):
         surf = solve_constrained(table1_spec(), n_steps=400)
@@ -233,6 +280,22 @@ class TestPolicy:
             assert (bids[a, r, k], asks[a, r, k]) == policy(surf, t, n, i)
             assert theta == surf.theta_at(t, n, i)
 
+    @GROUPING_SPECS
+    def test_batch_equals_the_per_regime_loop(self, make_spec):
+        surf = solve_constrained(make_spec(), n_steps=50)
+        rng = np.random.default_rng(17)
+        t = np.append(rng.uniform(0.0, 1.0, 300), [0.0, 1.0])
+        n = rng.integers(-3, 4, t.size)  # both caps included: blocked sides
+        i = rng.integers(1, 3, t.size)
+        bids, asks = policy(surf, t, n, i)
+        ref_bids, ref_asks = policy_loop(surf, t, n, i)
+        assert np.array_equal(bids, ref_bids)
+        assert np.array_equal(asks, ref_asks)
+        assert np.any(bids == STUB_SPREAD) and np.any(asks == STUB_SPREAD)
+        for a in range(0, t.size, 37):
+            bid, ask = policy(surf, float(t[a]), int(n[a]), int(i[a]))
+            assert (bid, ask) == (bids[a], asks[a])
+
     @pytest.mark.parametrize("n, i", [(4, 1), (-4, 2), (0.5, 1), (0, 0), (0, 3)])
     def test_lookup_off_the_grid_rejected(self, n, i):
         surf = solve_constrained(table1_spec(), n_steps=50)
@@ -250,6 +313,9 @@ class TestGridArguments:
 
 
 class TestUnconstrained:
+    """The unconstrained oracle, and ``solve_constrained`` approaching it as
+    the inventory cap grows."""
+
     def unconstrained_spec(self, *, mu=0.0, k1=True):
         lam1 = IntensityFamily.exponential(2.0, 25.0)
         lam2 = IntensityFamily.exponential(10.0, 25.0)
@@ -328,6 +394,19 @@ class TestUnconstrained:
         assert isinstance(scalar[0], float)
         for a, c in zip(t, i):
             assert sol.theta_at(float(a), 0, int(c)) == sol.phi_at(float(a))[c - 1]
+
+    def test_capped_solution_approaches_it_as_the_cap_grows(self):
+        # at n = 0 the cap is reached only after N* fills, so the gap shrinks
+        # fast in N*: 6.4e-3 at N* = 3, below 1e-12 at N* = 20
+        spec = self.unconstrained_spec(mu=0.0, k1=False)
+        spec = with_params(spec, generator_Q=np.array([[-5.0, 5.0], [5.0, -5.0]]))
+        free = solve_unconstrained(spec, n_steps=200).phi
+        gaps = []
+        for n_star in (3, 6, 20):
+            capped = solve_constrained(with_params(spec, inventory_cap_Nstar=n_star), n_steps=200)
+            gaps.append(np.max(np.abs(capped.theta[:, n_star, :] - free)))
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-12
 
     def test_precondition_errors(self):
         with pytest.raises(UnsupportedConfigError):

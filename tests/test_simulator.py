@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from regimemm import simulate
-from regimemm.errors import NumericsError
+from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.filtering import FilterState
 from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_full import solve_constrained
@@ -45,6 +45,11 @@ def flooring_spec():
         base, regimes=(RegimeSpec("fast", fast, fast), base.regimes[1]),
         generator_Q=np.zeros((2, 2)),
     )
+
+
+# the fast regime's rate, 2 * 3000 e^-1 at 0.04, needs h <= 1.26e-3 for a
+# stable belief step; the belief still underflows the floor in quiet periods
+FLOORING_RUN = dict(n_paths=2, seed=1, report_points=20, h_target=1e-3)
 
 
 def one_regime_spec(a=2.0, b=25.0, n_star=50, T=1.0):
@@ -224,7 +229,7 @@ class TestMonteCarlo:
 
     def test_clamp_warning_once_per_run(self, caplog):
         with caplog.at_level(logging.WARNING, logger="regimemm.simulate"):
-            monte_carlo(flooring_spec(), FIXED, n_paths=2, seed=1, report_points=20)
+            monte_carlo(flooring_spec(), FIXED, **FLOORING_RUN)
         clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
         assert len(clamps) == 1
         assert int(clamps[0].getMessage().split()[-2]) > 1
@@ -245,7 +250,7 @@ class TestMonteCarlo:
     def test_clamp_warning_once_over_chunks(self, caplog, monkeypatch):
         monkeypatch.setattr(simulate, "_CHUNK", 1)
         with caplog.at_level(logging.WARNING, logger="regimemm.simulate"):
-            s = monte_carlo(flooring_spec(), FIXED, n_paths=2, seed=1, report_points=20)
+            s = monte_carlo(flooring_spec(), FIXED, **FLOORING_RUN)
         clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
         assert len(clamps) == 1
         assert int(clamps[0].getMessage().split()[-2]) == s.clamps > 1
@@ -267,7 +272,7 @@ class TestMonteCarlo:
             f"rk4_steps = {s.rk4_steps}\ncandidates = {s.candidates}\nclamps = {s.clamps}\n"
         )
 
-    @pytest.mark.parametrize("h", [None, 2e-3, 0.3])
+    @pytest.mark.parametrize("h", [None, 2e-3, 0.1])
     def test_step_count_is_nodes_plus_candidates(self, h):
         # a path steps once per stop: its nodes k * h, its candidates and T
         spec = table1_spec()
@@ -283,6 +288,15 @@ class TestMonteCarlo:
         s = monte_carlo(one_regime_spec(), FIXED, n_paths=30, seed=4, report_points=10)
         assert s.rk4_steps == 0
         assert s.candidates >= int(s.fills_bid_paths.sum() + s.fills_ask_paths.sum())
+
+    def test_step_past_rk4_stability_rejected(self):
+        # on table1 under fixed 0.04 quotes h * (2 max|Q_ii| + both dominating
+        # rates) is 1.7 at h = 0.1 and 5.2 at h = 0.3, past RK4's 2.785
+        with pytest.raises(UnsupportedConfigError, match="h_target"):
+            monte_carlo(table1_spec(), FIXED, n_paths=2, seed=8, h_target=0.3)
+        # a single regime's belief takes no step, so any step is stable
+        s = monte_carlo(one_regime_spec(), FIXED, n_paths=2, seed=8, h_target=0.3)
+        assert s.rk4_steps == 0
 
     @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan])
     def test_non_positive_step_rejected(self, h):
