@@ -4,24 +4,23 @@ Shows the three ingredients of the exact filter: the deterministic drift
 toward the quiet-period equilibrium while no orders arrive, the downward
 Bayes jump whenever one does, and the equilibrium roots themselves.
 
-Writes a no-order belief trajectory and one with a few forced fills to
-out/demo_filter_attractor/.
+Writes one simulated path under fixed quotes, with its belief at every
+reporting time and fill, to out/demo_filter_attractor/.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from regimemm.filtering import FilterState, attractor, constant_spread_policy, evolve, jump_update
+from regimemm.filtering import FilterState, attractor, jump_update
 from regimemm.model import table1_spec, with_params
+from regimemm.simulate import FixedSpreadPolicy, monte_carlo
 
 OUT = Path("out/demo_filter_attractor")
 
 
 def main():
     spec = with_params(table1_spec(), horizon_T=3.0)
-    half = FilterState(np.array([0.5, 0.5]))
-    policy = constant_spread_policy(0.04, 0.04)
 
     print("Quiet-period equilibria of the belief (probability of the slow regime):")
     for beta in (1, 2):
@@ -37,15 +36,14 @@ def main():
         print(f"  fill at pi = {pi:.3f} -> {jumped.probs[0]:.3f}")
     print()
 
-    quiet = evolve(half, policy, [], spec, record_every=20)
-    busy = evolve(
-        half, policy, [(0.4, "ask"), (0.8, "bid"), (2.0, "ask")], spec, record_every=20
-    )
+    summary = monte_carlo(spec, FixedSpreadPolicy(0.04, 0.04), 1, 9, export_paths=1)
+    path = summary.records[0]
     OUT.mkdir(parents=True, exist_ok=True)
-    (OUT / "belief_quiet.csv").write_text(quiet.to_csv())
-    (OUT / "belief_with_fills.csv").write_text(busy.to_csv())
-    print(f"Belief trajectories written to {OUT}/")
-    print(f"Quiet path settles at pi1 = {quiet.final.probs[0]:.4f} "
+    (OUT / "belief_path.csv").write_text(path.to_csv())
+    first = path.fills[0].time if path.fills else spec.horizon_T
+    quiet = path.probs[path.times < first, 0]
+    print(f"Simulated path with {len(path.fills)} fills written to {OUT}/belief_path.csv.")
+    print(f"Before its first fill (t = {first:.2f}) the belief climbs to pi1 = {quiet.max():.4f} "
           f"(equilibrium {attractor(spec, beta=2):.4f}).")
 
 

@@ -34,7 +34,6 @@ from .filtering import (
     ObservableRates,
     attractor,
     drift,
-    evolve,
     jump_update,
     observable_rates,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "ObservableRates",
     "attractor",
     "drift",
-    "evolve",
     "jump_update",
     "observable_rates",
     "FixedSpreadPolicy",

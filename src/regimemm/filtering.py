@@ -3,17 +3,16 @@
 The belief about the hidden regime lives on the open probability simplex and
 evolves as a piecewise-deterministic process: a smooth drift between orders
 (transition-rate transport plus the no-order information), and a
-multiplicative Bayes update at each order.  ``evolve`` integrates the drift
-with classical RK4 and applies the jump update at supplied event times;
-``attractor`` locates the quiet-period equilibrium belief of the two-regime
-reduction.
+multiplicative Bayes update at each order.  The Monte Carlo engine
+integrates the drift with ``_rk4_step`` and applies ``jump_update`` at its
+fills; ``attractor`` locates the quiet-period equilibrium belief of the
+two-regime reduction.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +20,10 @@ from .errors import NumericsError
 from .intensity import eval_intensity, is_stub
 from .model import ModelSpec, two_regime_reduction
 
-logger = logging.getLogger(__name__)
-
 # Every belief coordinate is kept at or above this floor, so no regime ever
 # becomes impossible even when its evidence underflows.  The complement of a
 # coordinate below about 1e-17 rounds to exactly 1.0, so a coordinate may be 1.
 _FLOOR = 1e-300
-
-DEFAULT_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -157,106 +152,6 @@ def _hermite(y0, f0, y1, f1, h, theta):
     out = (2.0 * t3 - 3.0 * t2 + 1.0) * y0 + (3.0 * t2 - 2.0 * t3) * y1
     out = out + h * ((t3 - 2.0 * t2 + theta) * f0 + (t3 - t2) * f1)
     return np.maximum(out, _FLOOR)
-
-
-@dataclass
-class FilterTrajectory:
-    """Recorded belief path: sample times, beliefs, and event markers."""
-
-    times: list[float] = field(default_factory=list)
-    probs: list[np.ndarray] = field(default_factory=list)
-    event_flags: list[int] = field(default_factory=list)
-    sides: list[str] = field(default_factory=list)
-
-    def append(self, t: float, pi: np.ndarray, event: int = 0, side: str = "") -> None:
-        self.times.append(t)
-        self.probs.append(np.array(pi))
-        self.event_flags.append(event)
-        self.sides.append(side)
-
-    @property
-    def final(self) -> FilterState:
-        return FilterState(self.probs[-1])
-
-    def to_csv(self) -> str:
-        k = len(self.probs[0])
-        header = "t," + ",".join(f"pi{i + 1}" for i in range(k)) + ",event_flag,side"
-        rows = [header]
-        for t, pi, ev, side in zip(self.times, self.probs, self.event_flags, self.sides):
-            cols = [format(t, ".17g")] + [format(p, ".17g") for p in pi]
-            rows.append(",".join(cols + [str(ev), side]))
-        return "\n".join(rows) + "\n"
-
-
-def evolve(
-    state: FilterState,
-    policy,
-    events: list[tuple[float, str]],
-    spec: ModelSpec,
-    *,
-    t_end: float | None = None,
-    step: float = DEFAULT_STEP,
-    record_every: int = 1,
-) -> FilterTrajectory:
-    """Integrate the belief from 0 to t_end applying order events on the way.
-
-    ``policy(t, n, probs) -> (bid_spread, ask_spread)`` supplies the quotes
-    that shape both the drift and the jump updates.  Events are (time, side)
-    pairs, sorted, with side in {'bid', 'ask'}; inventory is tracked from the
-    spec's initial value so the side gates stay consistent.  Between events
-    the drift is integrated with RK4 steps of ``min(step, gap/10)``.
-    """
-    t_end = spec.horizon_T if t_end is None else t_end
-    if any(e[0] < 0.0 or e[0] > t_end for e in events):
-        raise ValueError("event times must lie within [0, t_end]")
-    if any(events[i][0] > events[i + 1][0] for i in range(len(events) - 1)):
-        raise ValueError("event times must be sorted")
-
-    pi = np.array(state.probs, dtype=float)
-    n = spec.initial_inventory_n0
-    traj = FilterTrajectory()
-    t = 0.0
-    traj.append(t, pi)
-    clamps = 0
-
-    def deriv(tau, p):
-        spreads = policy(tau, n, p)
-        return drift(FilterState(p), spreads, n, spec)
-
-    segments = [(e[0], e[1]) for e in events] + [(t_end, "")]
-    for t_next, side in segments:
-        gap = t_next - t
-        if gap > 0.0:
-            n_steps = max(1, int(math.ceil(gap / min(step, gap / 10.0) - 1e-12)))
-            h = gap / n_steps
-            if h <= 0.0 or not math.isfinite(h):
-                raise NumericsError("filter step size underflow")
-            for s in range(n_steps):
-                pi, clamped = _rk4_step(pi, t + s * h, h, deriv)
-                clamps += clamped
-                t_here = t_next if s == n_steps - 1 else t + (s + 1) * h
-                if (s + 1) % record_every == 0 or s == n_steps - 1:
-                    traj.append(t_here, pi)
-            t = t_next
-        if side:
-            spreads = policy(t, n, pi)
-            delta = spreads[0] if side == "bid" else spreads[1]
-            active = spec.bid_active(n) if side == "bid" else spec.ask_active(n)
-            if not active:
-                raise ValueError(f"{side} event at t={t} on a blocked side")
-            pi = jump_update(FilterState(pi), side, delta, spec).probs
-            n = n + 1 if side == "bid" else n - 1
-            traj.append(t, pi, event=1, side=side)
-    if clamps:
-        logger.warning("belief clamped at the simplex floor %d times", clamps)
-    return traj
-
-
-def constant_spread_policy(delta_bid: float, delta_ask: float):
-    def policy(t, n, probs):
-        return (delta_bid, delta_ask)
-
-    return policy
 
 
 def attractor(spec: ModelSpec, beta: int) -> float:

@@ -4,7 +4,7 @@ Philox is a counter-based generator: a (seed, stream id) key selects a
 statistically independent stream without any jump-ahead state, so path i
 always sees the same numbers no matter how many workers run or in which
 order paths execute.  Each path gets separate substreams for event
-randomness (candidate gaps, acceptance, side) , price increments, and the
+randomness (candidate gaps, acceptance, side), price increments, and the
 hidden regime path, so optional features never shift another substream's
 draw sequence.
 """

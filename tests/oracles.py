@@ -35,39 +35,33 @@ from regimemm.intensity import (
 from regimemm.model import format_config
 
 
-def bayes_filter(spec, delta_bid, delta_ask, horizon, dt, event_times):
-    """Discrete-time Bayes recursion on a uniform dt grid.
+def exact_filter(spec, delta_bid, delta_ask, record):
+    """Closed-form belief at every row of a path recorded under constant quotes.
 
-    Prediction: transpose action of exp(Q dt).  Correction: per-regime
-    likelihoods exp(-lam_i dt) without an event, lam_i dt with one.  Events
-    are snapped to the nearest grid step.  Returns (times, beliefs).
+    With constant quotes the unnormalized filter is linear: between fills
+    rho(t) = rho(s) expm((Q - diag lam(n)) (t - s)), where lam(n) sums each
+    side's regime intensities while that side's inventory gate is open, and
+    a fill multiplies rho by the fill side's intensities.  The inventory
+    between two rows is the earlier row's (a fill row holds the inventory
+    after the fill), and a fill row's belief is the one after the update.
+    Returns the normalized beliefs, shaped like ``record.probs``.
     """
-    k = spec.n_regimes
-    trans = expm(spec.generator_Q * dt).T
-    lam = np.zeros((k, 2))
-    for i, regime in enumerate(spec.regimes):
-        lam[i, 0] = eval_intensity(regime.bid_intensity, delta_bid)
-        lam[i, 1] = eval_intensity(regime.ask_intensity, delta_ask)
-    steps = int(round(horizon / dt))
-    event_steps = {int(round(t / dt)): side for t, side in event_times}
-    pi = spec.initial_filter_mu0.copy()
-    times = [0.0]
-    path = [pi.copy()]
-    n = spec.initial_inventory_n0
-    for s in range(1, steps + 1):
-        rate = lam[:, 0] * spec.bid_active(n) + lam[:, 1] * spec.ask_active(n)
-        pi = trans @ pi
-        if s in event_steps:
-            side = event_steps[s]
-            col = 0 if side == "bid" else 1
-            pi = pi * (lam[:, col] * dt)
-            n += 1 if side == "bid" else -1
-        else:
-            pi = pi * np.exp(-rate * dt)
-        pi = pi / pi.sum()
-        times.append(s * dt)
-        path.append(pi.copy())
-    return np.array(times), np.array(path)
+    lam_bid = np.array([eval_intensity(r.bid_intensity, delta_bid) for r in spec.regimes])
+    lam_ask = np.array([eval_intensity(r.ask_intensity, delta_ask) for r in spec.regimes])
+    rho = spec.initial_filter_mu0.copy()
+    out = np.empty((len(record.times), spec.n_regimes))
+    out[0] = rho
+    for row in range(1, len(record.times)):
+        n = int(record.inventory[row - 1])
+        rate = lam_bid * (n < spec.inventory_cap_Nstar) + lam_ask * (-n < spec.inventory_cap_Nstar)
+        dt = record.times[row] - record.times[row - 1]
+        rho = rho @ expm((spec.generator_Q - np.diag(rate)) * dt)
+        side = record.event_side[row]
+        if side:
+            rho = rho * (lam_bid if side == "bid" else lam_ask)
+        rho = rho / rho.sum()
+        out[row] = rho
+    return out
 
 
 def one_regime_backward_ode(spec, n_steps):

@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 import pytest
-from oracles import bayes_filter
+from oracles import exact_filter
 from scipy import stats
 
 from regimemm import hjb_full, hjb_partial
 from regimemm.cli import main as cli_main
-from regimemm.filtering import FilterState, constant_spread_policy, evolve, jump_update
+from regimemm.filtering import FilterState, jump_update
 from regimemm.hjb_full import comparison_bounds, solve_constrained
 from regimemm.intensity import IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, format_config, table1_spec
@@ -149,35 +149,28 @@ def test_criterion_4_policy_optimality(table1, partial_surface, report):
 
 
 def test_criterion_5_filter_oracle(table1, report):
-    """Bayes-recursion equivalence (sup < 5e-3) and the exact jump update."""
+    """The engine's recorded beliefs against the exact filter (sup < 1e-7)
+    and the exact jump update."""
     t0 = time.perf_counter()
     db, da = 0.05, 0.08
-    events = [(0.25, "bid"), (0.6, "ask"), (0.8, "bid")]
-    times, oracle_path = bayes_filter(table1, db, da, 1.0, 1e-4, events)
-    traj = evolve(
-        FilterState(np.array([0.5, 0.5])),
-        constant_spread_policy(db, da),
-        events,
-        table1,
-        t_end=1.0,
+    summary = monte_carlo(table1, FixedSpreadPolicy(db, da), 20, 5, export_paths=20)
+    sup_err = max(
+        float(np.max(np.abs(rec.probs - exact_filter(table1, db, da, rec))))
+        for rec in summary.records
     )
-    tt = np.array(traj.times)
-    pp = np.array([p[0] for p in traj.probs])
-    dup = np.flatnonzero(np.diff(tt) == 0.0)
-    tt[dup] -= 1e-12
-    sup_err = float(np.max(np.abs(np.interp(times, tt, pp) - oracle_path[:, 0])))
+    n_fills = sum(len(rec.fills) for rec in summary.records)
 
     jumped = jump_update(FilterState(np.array([0.5, 0.5])), "bid", 0.04, table1)
     jump_err = abs(jumped.probs[0] - 1.0 / 6.0)
     elapsed = time.perf_counter() - t0
-    assert sup_err < 5e-3
+    assert sup_err < 1e-7
     assert jump_err <= 1e-12
     assert elapsed < 5.0
     report(
         5,
         True,
-        f"sup|evolve - Bayes|={sup_err:.2e} < 5e-3, |jump(0.5) - 1/6|={jump_err:.1e} "
-        f"<= 1e-12, {elapsed:.1f}s < 5s",
+        f"sup|engine - exact filter|={sup_err:.2e} < 1e-7 over {n_fills} fills, "
+        f"|jump(0.5) - 1/6|={jump_err:.1e} <= 1e-12, {elapsed:.1f}s < 5s",
     )
 
 

@@ -12,10 +12,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     "demo, outputs",
     [
         ("demo_spread_policies.py", ["out/demo_spread_policies/ask_spreads.csv"]),
-        (
-            "demo_filter_attractor.py",
-            ["out/demo_filter_attractor/belief_quiet.csv", "out/demo_filter_attractor/belief_with_fills.csv"],
-        ),
+        ("demo_filter_attractor.py", ["out/demo_filter_attractor/belief_path.csv"]),
         (
             "demo_monte_carlo.py",
             ["out/demo_monte_carlo/path_000.csv", "out/demo_monte_carlo/path_003.csv"],

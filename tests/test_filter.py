@@ -1,23 +1,29 @@
-import logging
 import math
 
 import numpy as np
 import pytest
-from oracles import bayes_filter
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import exact_filter
 
 from regimemm.errors import NumericsError
 from regimemm.filtering import (
+    _FLOOR,
     FilterState,
     _rk4_step,
     attractor,
-    constant_spread_policy,
     drift,
-    evolve,
     jump_update,
     observable_rates,
 )
-from regimemm.intensity import IntensityFamily
-from regimemm.model import RegimeSpec, table1_spec, with_params
+from regimemm.intensity import eval_intensity
+from regimemm.model import table1_spec, with_params
+from regimemm.simulate import (
+    _RK4_REAL_LIMIT,
+    DEFAULT_FILTER_STEP,
+    FixedSpreadPolicy,
+    monte_carlo,
+)
 
 E = math.e
 HALF = FilterState(np.array([0.5, 0.5]))
@@ -205,81 +211,56 @@ class TestBroadcast:
             jump_update(self.batch(), "bid", self.BID, table1_spec())
 
 
-class TestEvolve:
-    def test_no_events_long_run_hits_attractor(self):
-        spec = with_params(table1_spec(), horizon_T=5.0)
-        policy = constant_spread_policy(0.04, 0.04)
-        traj = evolve(HALF, policy, [], spec)
-        target = attractor(spec, beta=2)
-        assert abs(traj.final.probs[0] - target) < 1e-3
+QUOTES = (0.05, 0.08)
+NO_INFORMATION = with_params(m_one_spec(), generator_Q=np.zeros((2, 2)))
 
-    def test_zero_generator_and_equal_intensities_constant(self):
-        spec = with_params(m_one_spec(), generator_Q=np.zeros((2, 2)))
-        traj = evolve(FilterState(np.array([0.3, 0.7])), constant_spread_policy(0.1, 0.1), [], spec)
-        np.testing.assert_allclose(traj.final.probs, [0.3, 0.7], atol=1e-12)
 
-    def test_single_event_uses_left_limit(self):
+def engine_error(spec, h_target=DEFAULT_FILTER_STEP, regime_true=False):
+    """20 engine paths under fixed quotes: the records and the largest gap
+    between their recorded beliefs and the exact filter."""
+    summary = monte_carlo(
+        spec, FixedSpreadPolicy(*QUOTES), 20, 5, export_paths=20,
+        h_target=h_target, regime_true=regime_true,
+    )
+    records = summary.records
+    err = max(float(np.max(np.abs(r.probs - exact_filter(spec, *QUOTES, r)))) for r in records)
+    return records, err
+
+
+class TestEngineFilter:
+    """The Monte Carlo engine's recorded beliefs against the closed-form
+    filter: report rows carry the dense output, fill rows the belief after
+    the Bayes update at the left-limit belief."""
+
+    @pytest.mark.parametrize(
+        "spec, regime_true",
+        [
+            (table1_spec(), False),
+            (with_params(table1_spec(), inventory_cap_Nstar=1), False),
+            (table1_spec(), True),
+            (NO_INFORMATION, False),
+        ],
+        ids=["table1", "cap-1", "regime-true", "no-information"],
+    )
+    def test_matches_exact_filter(self, spec, regime_true):
+        records, err = engine_error(spec, regime_true=regime_true)
+        assert err < 1e-7
+        assert sum(len(r.fills) for r in records) > 0
+        if spec.inventory_cap_Nstar == 1:  # the side gates switch at fills
+            assert any(np.any(np.abs(r.inventory) == 1) for r in records)
+        if spec is NO_INFORMATION:  # no switching, uninformative orders
+            for r in records:
+                np.testing.assert_allclose(r.probs, 0.5, rtol=0.0, atol=1e-15)
+
+    def test_rk4_order_four(self):
         spec = table1_spec()
-        policy = constant_spread_policy(0.04, 0.04)
-        t_ev = 0.3
-        traj = evolve(HALF, policy, [(t_ev, "bid")], spec, t_end=t_ev)
-        no_jump = evolve(HALF, policy, [], spec, t_end=t_ev)
-        expected = jump_update(no_jump.final, "bid", 0.04, spec)
-        np.testing.assert_allclose(traj.final.probs, expected.probs, atol=1e-12)
-
-    def test_simplex_preserved_along_path(self):
-        spec = table1_spec()
-        policy = constant_spread_policy(0.02, 0.08)
-        events = [(0.2, "bid"), (0.5, "bid"), (0.7, "ask")]
-        traj = evolve(HALF, policy, events, spec)
-        probs = np.array(traj.probs)
-        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-9
-        assert probs.min() > 0.0
-
-    def test_rk4_order_four_on_smooth_segment(self):
-        spec = table1_spec()
-        policy = constant_spread_policy(0.04, 0.04)
-        ref = evolve(HALF, policy, [], spec, t_end=0.5, step=1e-5).final.probs[0]
-        err = []
-        for h in (4e-3, 2e-3):
-            got = evolve(HALF, policy, [], spec, t_end=0.5, step=h).final.probs[0]
-            err.append(abs(got - ref))
-        ratio = err[0] / err[1]
-        assert 10.0 < ratio < 24.0
-
-    def test_events_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            evolve(HALF, constant_spread_policy(0.1, 0.1), [(0.5, "bid"), (0.2, "ask")], table1_spec())
-
-    def test_csv_export_shape(self):
-        traj = evolve(HALF, constant_spread_policy(0.04, 0.04), [(0.2, "ask")], table1_spec(), t_end=0.4)
-        text = traj.to_csv()
-        head, first = text.splitlines()[:2]
-        assert head == "t,pi1,pi2,event_flag,side"
-        assert first.startswith("0,") or first.startswith("0.0,")
-
-    def test_oracle_equivalence_small_instance(self):
-        # brute-force discrete Bayes recursion vs the PDMP integrator
-        spec = table1_spec()
-        db, da = 0.05, 0.08
-        events = [(0.25, "bid"), (0.6, "ask"), (0.8, "bid")]
-        dt = 1e-4
-        times, oracle_path = bayes_filter(spec, db, da, 1.0, dt, events)
-        traj = evolve(
-            HALF, constant_spread_policy(db, da), events, spec, t_end=1.0, step=1e-3
-        )
-        # linear interpolation, but at a jump time take the post-jump value
-        # (the oracle is cadlag): nudge the pre-jump duplicate back slightly
-        tt = np.array(traj.times)
-        pp = np.array([p[0] for p in traj.probs])
-        dup = np.flatnonzero(np.diff(tt) == 0.0)
-        tt[dup] -= 1e-12
-        sup_err = np.max(np.abs(np.interp(times, tt, pp) - oracle_path[:, 0]))
-        assert sup_err < 5e-3
+        _, coarse = engine_error(spec, h_target=5e-3)
+        _, fine = engine_error(spec, h_target=1e-3)
+        assert 300.0 <= coarse / fine <= 1000.0  # 5^4 = 625
 
     def test_batch_rk4_step_matches_single_steps(self):
-        # one integrator for evolve and the engine: each row of a batch step
-        # with per-path t and h equals the single-belief step
+        # the engine steps a batch with per-path t and h: each row of a batch
+        # step equals the single-belief step
         spec = table1_spec()
         spreads = (0.03, 0.05)
 
@@ -295,21 +276,43 @@ class TestEvolve:
             single, _ = _rk4_step(pis[i], t[i], h[i], deriv)
             np.testing.assert_array_equal(batch[i], single)
 
-    def test_clamp_warning_once_per_call(self, caplog):
-        # a frozen chain with one very liquid regime: the quiet period drives
-        # that regime's belief below the floor on many steps
-        base = table1_spec()
-        fast = IntensityFamily.exponential(3000.0, 25.0)
-        spec = with_params(
-            base, regimes=(RegimeSpec("fast", fast, fast), base.regimes[1]),
-            generator_Q=np.zeros((2, 2)),
-        )
-        with caplog.at_level(logging.WARNING, logger="regimemm.filtering"):
-            traj = evolve(HALF, constant_spread_policy(0.04, 0.04), [], spec)
-        clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
-        assert len(clamps) == 1
-        assert int(clamps[0].getMessage().split()[-2]) > 1
-        assert traj.final.probs[0] > 0.0
+
+TABLE1 = table1_spec()
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# beliefs are two weights from the simplex floor up to 1, normalized
+weights = st.floats(min_value=_FLOOR, max_value=1.0)
+spreads = st.floats(min_value=TABLE1.spread_lo, max_value=1.0)
+
+
+def belief(w1, w2):
+    return np.array([w1, w2]) / (w1 + w2)
+
+
+class TestFilterProperties:
+    @PROPERTY
+    @given(
+        st.lists(st.tuples(weights, weights, spreads), min_size=1, max_size=8),
+        st.sampled_from(["bid", "ask"]),
+    )
+    def test_jump_update_stays_on_the_simplex(self, rows, side):
+        pis = np.array([belief(w1, w2) for w1, w2, _ in rows])
+        delta = np.array([d for *_, d in rows])
+        jump_update(FilterState(pis), side, delta, TABLE1).check(atol=1e-12)
+
+    @PROPERTY
+    @given(weights, weights, spreads, spreads, st.integers(-3, 3), st.floats(1e-6, 1.0))
+    def test_stable_rk4_step_stays_on_the_simplex(self, w1, w2, bid, ask, n, frac):
+        # h times the guard's rate bound stays within RK4's real-axis limit
+        rates = observable_rates(FilterState(belief(w1, w2)), (bid, ask), n, TABLE1)
+        bound = 2.0 * np.max(np.abs(np.diag(TABLE1.generator_Q)))
+        bound += rates.bid_components.max() + rates.ask_components.max()
+        h = frac * _RK4_REAL_LIMIT / bound
+
+        def deriv(t, p):
+            return drift(FilterState(p), (bid, ask), n, TABLE1)
+
+        out, _ = _rk4_step(belief(w1, w2), 0.0, h, deriv)
+        FilterState(out).check(atol=1e-12)
 
 
 class TestAttractor:
@@ -318,6 +321,16 @@ class TestAttractor:
 
     def test_two_active_sides(self):
         assert attractor(table1_spec(), beta=2) == pytest.approx(0.636, abs=1e-3)
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_perron_left_eigenvector(self, beta):
+        # the quiet-period belief is the normalized Perron left eigenvector of
+        # the unnormalized filter's generator Q - diag(beta lam_i(1/b)), b = 25
+        spec = table1_spec()
+        lam = np.array([eval_intensity(r.bid_intensity, 1.0 / 25.0) for r in spec.regimes])
+        values, vectors = np.linalg.eig((spec.generator_Q - np.diag(beta * lam)).T)
+        v = vectors[:, np.argmax(values.real)].real
+        assert abs(attractor(spec, beta) - v[0] / v.sum()) < 1e-9
 
     def test_symmetric_rates_no_information(self):
         spec = m_one_spec()
