@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -16,13 +18,14 @@ from regimemm.filtering import (
     jump_update,
     observable_rates,
 )
-from regimemm.intensity import eval_intensity
-from regimemm.model import table1_spec, with_params
+from regimemm.intensity import IntensityFamily, eval_intensity
+from regimemm.model import RegimeSpec, table1_spec, with_params
 from regimemm.simulate import (
     _RK4_REAL_LIMIT,
     DEFAULT_FILTER_STEP,
     FixedSpreadPolicy,
     monte_carlo,
+    simulate_path,
 )
 
 E = math.e
@@ -227,10 +230,10 @@ def engine_error(spec, h_target=DEFAULT_FILTER_STEP, regime_true=False):
     return records, err
 
 
-class TestEngineFilter:
-    """The Monte Carlo engine's recorded beliefs against the closed-form
-    filter: report rows carry the dense output, fill rows the belief after
-    the Bayes update at the left-limit belief."""
+class TestEvolve:
+    """The belief's evolution along the Monte Carlo engine's paths, against
+    the closed-form filter: report rows carry the dense output, fill rows
+    the belief after the Bayes update at the left-limit belief."""
 
     @pytest.mark.parametrize(
         "spec, regime_true",
@@ -252,11 +255,73 @@ class TestEngineFilter:
             for r in records:
                 np.testing.assert_allclose(r.probs, 0.5, rtol=0.0, atol=1e-15)
 
-    def test_rk4_order_four(self):
+    def test_oracle_equivalence_small_instance(self):
+        # a few paths at a fine belief step meet the exact filter to 1e-10
+        spec = table1_spec()
+        summary = monte_carlo(
+            spec, FixedSpreadPolicy(*QUOTES), 3, 7, export_paths=3, h_target=1e-3
+        )
+        assert sum(len(r.fills) for r in summary.records) > 0
+        for r in summary.records:
+            np.testing.assert_allclose(
+                r.probs, exact_filter(spec, *QUOTES, r), rtol=0.0, atol=1e-10
+            )
+
+    def test_rk4_order_four_on_smooth_segment(self):
         spec = table1_spec()
         _, coarse = engine_error(spec, h_target=5e-3)
         _, fine = engine_error(spec, h_target=1e-3)
         assert 300.0 <= coarse / fine <= 1000.0  # 5^4 = 625
+
+    def test_single_event_uses_left_limit(self):
+        # each fill row equals jump_update at the exact belief just before the
+        # fill; on a coarse report grid the belief of the row before differs
+        spec = table1_spec()
+        summary = monte_carlo(
+            spec, FixedSpreadPolicy(*QUOTES), 20, 5, export_paths=20, report_points=10
+        )
+        stale = 0.0
+        for r in summary.records:
+            for row in np.flatnonzero(np.array(r.event_side) != ""):
+                side = r.event_side[row]
+                quote = QUOTES[0] if side == "bid" else QUOTES[1]
+                no_jump = list(r.event_side)
+                no_jump[row] = ""
+                left = exact_filter(spec, *QUOTES, dataclasses.replace(r, event_side=no_jump))[row]
+                expected = jump_update(FilterState(left), side, quote, spec)
+                np.testing.assert_allclose(r.probs[row], expected.probs, rtol=0.0, atol=1e-7)
+                before = jump_update(FilterState(r.probs[row - 1]), side, quote, spec)
+                stale = max(stale, float(np.max(np.abs(before.probs - r.probs[row]))))
+        assert stale > 1e-2
+
+    def test_zero_generator_and_equal_intensities_constant(self):
+        spec = with_params(NO_INFORMATION, initial_filter_mu0=np.array([0.3, 0.7]))
+        summary = monte_carlo(spec, FixedSpreadPolicy(*QUOTES), 20, 5, export_paths=20)
+        assert sum(len(r.fills) for r in summary.records) > 0
+        for r in summary.records:
+            np.testing.assert_allclose(r.probs, np.tile([0.3, 0.7], (len(r.times), 1)), atol=1e-12)
+
+    def test_simplex_preserved_along_path(self):
+        summary = monte_carlo(
+            table1_spec(), FixedSpreadPolicy(0.02, 0.08), 20, 5, export_paths=20
+        )
+        for r in summary.records:
+            assert np.max(np.abs(r.probs.sum(axis=1) - 1.0)) < 1e-12
+            assert r.probs.min() >= _FLOOR
+
+    def test_no_events_long_run_hits_attractor(self):
+        # the engine's belief step, n = 0 and no fills up to T = 5: the belief
+        # settles at the two-sided attractor
+        spec = table1_spec()
+        h = 1e-3
+
+        def deriv(t, p):
+            return drift(FilterState(p), (0.04, 0.04), 0, spec)
+
+        pi = HALF.probs
+        for i in range(5000):
+            pi, _ = _rk4_step(pi, i * h, h, deriv)
+        assert abs(pi[0] - attractor(spec, beta=2)) < 1e-9
 
     def test_batch_rk4_step_matches_single_steps(self):
         # the engine steps a batch with per-path t and h: each row of a batch
@@ -275,6 +340,31 @@ class TestEngineFilter:
         for i in range(3):
             single, _ = _rk4_step(pis[i], t[i], h[i], deriv)
             np.testing.assert_array_equal(batch[i], single)
+
+    def test_clamp_warning_once_per_call(self, caplog):
+        # a frozen chain with one very liquid regime: the quiet periods drive
+        # that regime's belief below the floor on many steps of one path
+        base = table1_spec()
+        fast = IntensityFamily.exponential(3000.0, 25.0)
+        spec = with_params(
+            base, regimes=(RegimeSpec("fast", fast, fast), base.regimes[1]),
+            generator_Q=np.zeros((2, 2)),
+        )
+        with caplog.at_level(logging.WARNING, logger="regimemm.simulate"):
+            record = simulate_path(spec, FixedSpreadPolicy(0.04, 0.04), 1, h_target=1e-3)
+        clamps = [r for r in caplog.records if "simplex floor" in r.getMessage()]
+        assert len(clamps) == 1
+        assert int(clamps[0].getMessage().split()[-2]) > 1
+        assert record.probs.min() == _FLOOR
+
+    def test_csv_export_shape(self):
+        record = simulate_path(table1_spec(), FixedSpreadPolicy(*QUOTES), 3, report_points=20)
+        lines = record.to_csv().splitlines()
+        assert lines[0] == "t,S,N,X,pi1,spread_bid,spread_ask,event_side"
+        assert len(lines) == 1 + len(record.times)
+        assert lines[1] == "0,100,0,0,0.5,0.050000000000000003,0.080000000000000002,"
+        fill = lines[1 + int(np.flatnonzero(np.array(record.event_side) != "")[0])]
+        assert fill.endswith(("bid", "ask"))
 
 
 TABLE1 = table1_spec()
