@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .intensity import eval_intensity, is_stub
+from .intensity import eval_intensity, is_stub, optimal_spread
 from .model import ModelSpec, two_regime_reduction
 
 # Every belief coordinate is kept at or above this floor, so no regime ever
@@ -157,10 +157,13 @@ def _hermite(y0, f0, y1, f1, h, theta):
 def attractor(spec: ModelSpec, beta: int) -> float:
     """Quiet-period equilibrium belief of the two-regime reduction.
 
-    Root in (0, 1) of q_hat(pi) + w(pi) (a/e) beta, the belief drift when the
-    quoted spreads have settled at the risk-neutral terminal value 1/b with
-    ``beta`` active sides; requires gamma = 0 and no terminal cost.  The root
-    is located by bisection to 1e-10 and certified stable (negative slope).
+    Root in (0, 1) of the belief drift q_hat(pi) + c pi (1 - pi), with
+    c = beta lam(delta_T) (m - 1), once the quotes have settled at the
+    solver's terminal spread delta_T (1/b within the spread bounds) on
+    ``beta`` active sides; requires gamma = 0 and no terminal cost.  The
+    drift is q21 > 0 at pi = 0 and q11 < 0 at pi = 1, so the checks on q21
+    and q11 leave exactly one simple, stable root in (0, 1), returned in
+    closed form.
     """
     if beta not in (1, 2):
         raise ValueError("beta must be 1 (one active side) or 2 (both sides)")
@@ -175,25 +178,10 @@ def attractor(spec: ModelSpec, beta: int) -> float:
     if red.q11 >= 0.0:
         raise NumericsError("no attractor root: q11 must be negative")
 
-    rate = red.a * math.exp(-1.0) * beta
-
-    def g(pi):
-        return red.q_hat(pi) + red.w(pi) * rate
-
-    lo, hi = 0.0, 1.0
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0.0 and g_hi < 0.0):
-        raise NumericsError("no attractor root bracketed in (0, 1)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    root = 0.5 * (lo + hi)
-    slope = (g(root + 1e-7) - g(root - 1e-7)) / 2e-7
-    if slope >= 0.0:
-        raise NumericsError("equilibrium belief is not stable (non-negative drift slope)")
-    return root
+    settled = optimal_spread(red.lam, 0.0, 0.0, spec.spread_bounds)
+    c = beta * eval_intensity(red.lam, settled) * (red.m - 1.0)
+    # c pi^2 - p pi - q21 = 0 has roots of opposite signs; its positive root,
+    # without cancellation for either sign of p (c = 0 gives q21 / (q21 - q11))
+    p = red.q11 - red.q21 + c
+    s = math.sqrt(p * p + 4.0 * c * red.q21)
+    return 2.0 * red.q21 / (s - p) if p < 0.0 else (p + s) / (2.0 * c)

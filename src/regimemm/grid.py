@@ -77,10 +77,13 @@ def gather(table: np.ndarray, s, wt, rows, k, wp=None):
     return (1 - wt) * level(s) + wt * level(s + 1)
 
 
-def check_count(name: str, value) -> int:
-    """``value``, after checking that it is an integer >= 1 (a grid size)."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """``value``, after checking that it is an integer, not a bool, in
+    [lo, hi) (by default >= 1: a grid size or path count)."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and lo <= value and (hi is None or value < hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
     return value
 
 

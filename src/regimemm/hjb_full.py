@@ -45,17 +45,14 @@ class _Plan:
     """
 
     spec: ModelSpec
-    base: np.ndarray  # (2 N* + 1, 1): mu n - sigma^2 (zeta + gamma) n^2 / 2
+    base: np.ndarray  # (2 N* + 1, 1): spec.running_reward of each inventory row
     groups: tuple  # ((family, column index), ...)
     owner: np.ndarray  # (2k,) group of each column
     slot: np.ndarray  # (2k,) place of each column in its group
 
     @staticmethod
     def build(spec: ModelSpec) -> "_Plan":
-        levels = spec.inventory_levels().astype(float)
-        base = spec.drift_mu * levels - 0.5 * spec.vol_sigma**2 * levels**2 * (
-            spec.running_penalty_zeta + spec.risk_aversion_gamma
-        )
+        base = spec.running_reward(spec.inventory_levels().astype(float))
         families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
         keys = ["exponential" if f.kind == "exponential" else f for f in families]
         groups, owner, slot = [], np.empty(len(keys), int), np.empty(len(keys), int)

@@ -7,9 +7,12 @@ first-order PIDE in (t, n, pi) whose nonlocal term looks up theta at the
 post-order belief pi / m_hat(pi).  It is solved by reversing time and
 marching an explicit upwind Euler scheme on a uniform pi grid, with the
 nonlocal term evaluated by linear interpolation and the time step controlled
-by a CFL bound re-evaluated every step.  The march holds only two levels;
-the surface keeps a uniform output time grid, each output level being the
-linear time interpolation of the two marching levels around it.
+by a CFL bound re-evaluated every step.  Each side's Hamiltonian
+sup_delta lam(delta) (delta + d) on regime 1's curve comes from ``intensity``,
+as in the full-information solver, with the belief-gradient adjustment in d.
+The march holds only two levels; the surface keeps a uniform output time
+grid, each output level being the linear time interpolation of the two
+marching levels around it.
 
 Upwinding is applied per advection term: the generator-transport coefficient
 q_hat(pi) has a known sign per node, and the order-flow-volatility term
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
 from .grid import belief_bracket, check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
-from .intensity import STUB_SPREAD
+from .intensity import STUB_SPREAD, eval_intensity, optimal_spread
 from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
@@ -84,7 +87,8 @@ class Stepper:
 
     ``evaluate(theta)`` maps one time level to the feedback spreads, the
     marching right-hand side (d theta / d tau, backward time) and the CFL
-    coefficient bounding the stable step.  Exposed separately from ``solve``
+    coefficient bounding the stable step, with one ``optimal_spread`` and one
+    ``eval_intensity`` call for both sides.  Exposed separately from ``solve``
     so single-step properties (monotonicity under CFL) can be tested.
     """
 
@@ -117,10 +121,7 @@ class Stepper:
         self.i0, self.wt = belief_bracket(m_pi, self.pi_grid / self.m_hat)
         self.q_pos = np.maximum(self.q_hat, 0.0)
         self.q_neg = np.minimum(self.q_hat, 0.0)
-        self.base = (
-            spec.drift_mu * self.levels
-            - 0.5 * spec.vol_sigma**2 * spec.running_penalty_zeta * self.levels**2
-        )[:, None]
+        self.base = spec.running_reward(self.levels)[:, None]
 
     def terminal_panel(self) -> np.ndarray:
         return np.repeat(
@@ -140,39 +141,33 @@ class Stepper:
 
     def evaluate(self, theta: np.ndarray):
         """Feedback spreads, marching RHS and CFL coefficient at one level."""
-        lo, hi = self.spec.spread_bounds
-        a, b, scale = self.red.a, self.red.b, self.scale
-        m_hat, w = self.m_hat, self.w
+        scale, m_hat, w = self.scale, self.m_hat, self.w
         fwd, bwd = self.one_sided(theta)
         # the volatility-adjustment term carries a nonnegative coefficient:
         # a forward difference keeps the explicit step monotone
-        grad_w = fwd
+        adj = scale * (w / m_hat) * fwd
         theta_nl = (1.0 - self.wt) * theta[:, self.i0] + self.wt * theta[:, self.i0 + 1]
-        adj = scale * (w / m_hat) * grad_w
+        # each side's Hamiltonian argument, theta after the fill (post-order
+        # belief) less theta, plus adj: the bid quoted at rows :-1 (n -> n + 1),
+        # the ask at rows 1: (n -> n - 1)
+        d = np.stack([theta_nl[1:] - theta[:-1] + adj[:-1], theta_nl[:-1] - theta[1:] + adj[1:]])
+        spreads = optimal_spread(self.red.lam, self.spec.risk_aversion_gamma, d, self.spec.spread_bounds)
+        lam = eval_intensity(self.red.lam, spreads)
+        gain = m_hat * lam * (spreads + d)
 
         bid = np.full_like(theta, STUB_SPREAD)
         ask = np.full_like(theta, STUB_SPREAD)
-        d_bid = np.zeros_like(theta)
-        d_ask = np.zeros_like(theta)
-        d_bid[:-1] = theta_nl[1:] - theta[:-1]  # buy fill: n -> n+1, belief -> pi/m_hat
-        d_ask[1:] = theta_nl[:-1] - theta[1:]
-        bid[:-1] = np.clip(1.0 / b - adj[:-1] - d_bid[:-1], lo, hi)
-        ask[1:] = np.clip(1.0 / b - adj[1:] - d_ask[1:], lo, hi)
-
-        rate_bid = np.zeros_like(theta)
-        rate_ask = np.zeros_like(theta)
-        rate_bid[:-1] = a * np.exp(-b * bid[:-1])
-        rate_ask[1:] = a * np.exp(-b * ask[1:])
-
+        bid[:-1], ask[1:] = spreads
+        rate = np.zeros_like(theta)
+        rate[:-1] = lam[0]
+        rate[1:] += lam[1]
         term = np.zeros_like(theta)
-        term[:-1] += rate_bid[:-1] * (scale * w * grad_w[:-1] + m_hat * (bid[:-1] + d_bid[:-1]))
-        term[1:] += rate_ask[1:] * (scale * w * grad_w[1:] + m_hat * (ask[1:] + d_ask[1:]))
+        term[:-1] = gain[0]
+        term[1:] += gain[1]
 
         transport = scale * (self.q_pos * fwd + self.q_neg * bwd)
         rhs = self.base + transport + term
-        cfl_coeff = scale * np.abs(self.q_hat) / self.d_pi + (rate_bid + rate_ask) * (
-            scale * w / self.d_pi + m_hat
-        )
+        cfl_coeff = scale * np.abs(self.q_hat) / self.d_pi + rate * (scale * w / self.d_pi + m_hat)
         return bid, ask, rhs, float(np.max(cfl_coeff))
 
 

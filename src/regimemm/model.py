@@ -78,6 +78,13 @@ class ModelSpec:
     def terminal_cost(self, n):
         return self.terminal_cost_c * np.square(n)
 
+    def running_reward(self, n):
+        """Drift gain less the inventory penalty, mu n - sigma^2 (zeta + gamma) n^2 / 2:
+        the base term of both solvers' right-hand sides."""
+        return self.drift_mu * n - 0.5 * self.vol_sigma**2 * n**2 * (
+            self.running_penalty_zeta + self.risk_aversion_gamma
+        )
+
     def bid_active(self, n) -> bool:
         """Buy side quotes only while n < N* (fills increase inventory)."""
         return n < self.inventory_cap_Nstar
@@ -166,11 +173,11 @@ class TwoRegimeParams:
     """Coefficients of the scalar-belief reduction for two-regime markets with
     symmetric, proportional exponential intensities (regime 1 = low liquidity).
 
-    lam_1(d) = a e^{-b d} on both sides, lam_2 = m lam_1 with m >= 1.
+    ``lam`` is regime 1's curve lam_1(d) = a e^{-b d}, the same on both
+    sides; lam_2 = m lam_1 with m >= 1.
     """
 
-    a: float
-    b: float
+    lam: IntensityFamily
     m: float
     q11: float
     q21: float
@@ -189,7 +196,7 @@ class TwoRegimeParams:
 
 
 def two_regime_reduction(spec: ModelSpec) -> TwoRegimeParams:
-    """Extract (a, b, m, q11, q21), or raise naming the unmet requirement."""
+    """Extract (lam, m, q11, q21), or raise naming the unmet requirement."""
     if spec.n_regimes != 2:
         raise UnsupportedConfigError(
             f"two-regime reduction requires k = 2 regimes, got {spec.n_regimes}"
@@ -220,8 +227,7 @@ def two_regime_reduction(spec: ModelSpec) -> TwoRegimeParams:
                 "regime 2 must be the high-liquidity regime (amplitude ratio m >= 1)"
             )
     return TwoRegimeParams(
-        a=float(a1b),
-        b=float(b1b),
+        lam=spec.regimes[0].bid_intensity,
         m=float(m),
         q11=float(spec.generator_Q[0, 0]),
         q21=float(spec.generator_Q[1, 0]),

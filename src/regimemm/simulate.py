@@ -381,13 +381,15 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     n_paths = len(path_ids)
     T = spec.horizon_T
     lam_bid_max, lam_ask_max = _dominating_rates(spec, policy)
-    n_star = spec.inventory_cap_Nstar
     streams = [PathStreams(seed, p) for p in path_ids]
     prices = [_BridgedPrices(spec, s.prices, report_points) for s in streams]
     report_t = np.arange(1, report_points + 1) * (T / report_points)
     # a single regime's belief is constant, so it needs no nodes
     node_dt = h_target if spec.n_regimes > 1 else math.inf
     regime_at = _regime_clock(spec, streams) if regime_true else lambda rows, t: None
+
+    def thinning_bound(rows):  # summed dominating rates of the rows' open sides
+        return lam_bid_max * spec.bid_active(n[rows]) + lam_ask_max * spec.ask_active(n[rows])
 
     def velocity(sel, t_sel, n_sel, pi_sel):
         spreads = policy.quotes_batch(t_sel, n_sel, pi_sel[:, 0], regime_at(sel, t_sel))
@@ -412,8 +414,8 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     while np.any(active):
         idx = np.flatnonzero(active)
         # draw fresh candidate clocks where the previous one was consumed
-        for p in idx[np.isnan(next_candidate[idx])]:
-            bound = lam_bid_max * (n[p] < n_star) + lam_ask_max * (-n[p] < n_star)
+        fresh = idx[np.isnan(next_candidate[idx])]
+        for p, bound in zip(fresh, thinning_bound(fresh)):
             next_candidate[p] = (
                 t[p] + float(streams[p].events.standard_exponential()) / bound
                 if bound > 0.0
@@ -464,7 +466,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         weights = pi[cand] if y is None else np.eye(spec.n_regimes)[y]
         rates = observable_rates(FilterState(weights), (qb, qa), n[cand], spec)
         rate_b, total = rates.bid_rate, rates.total
-        bound_arr = lam_bid_max * (n[cand] < n_star) + lam_ask_max * (-n[cand] < n_star)
+        bound_arr = thinning_bound(cand)
         if np.any(total > bound_arr * _BOUND_SLACK):
             raise NumericsError("thinning bound violated: arrival rate above the dominator")
         filled = []  # (path, side, spread, fill price) of the accepted candidates
@@ -539,6 +541,7 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     Returns per-path penalized P&L, bid and ask fill counts, the records of
     the first ``record`` paths and the summed run counters.
     """
+    check_count("seed", seed, 0, 2**64)
     check_count("report_points", report_points)
     if not 0.0 < h_target < math.inf:
         raise ValueError(f"h_target must be finite and > 0, got {h_target!r}")
@@ -627,8 +630,7 @@ def monte_carlo(
     over path indices.
     """
     check_count("n_paths", n_paths)
-    if export_paths < 0:
-        raise ValueError("export_paths must be non-negative")
+    check_count("export_paths", export_paths, 0)
     pnls, fills_b, fills_a, records, counters = _run(
         spec, policy, seed, range(n_paths), report_points, h_target, regime_true,
         min(export_paths, n_paths),

@@ -470,3 +470,54 @@ def solve_all_levels(spec, m_pi, cfl_safety=0.9):
         spec, np.array(times[::-1]), stepper.pi_grid, np.array(thetas[::-1]),
         np.array(bids[::-1]), np.array(asks[::-1]), report,
     )
+
+
+def evaluate_loop(spec, m_pi, scale, theta):
+    """The partial scheme's one-level evaluation, node by node, with the
+    exponential curve's closed forms written out: each side quotes
+    clip(1/b - adj - d, lo, hi) and fills at a e^{-b delta}, where a and b
+    are regime 1's bid curve and m the regime amplitude ratio.  Returns
+    (bid, ask, rhs, CFL coefficient) like ``Stepper.evaluate``."""
+    a, b = spec.regimes[0].bid_intensity.params
+    a2 = spec.regimes[1].bid_intensity.params[0]
+    m = a2 / a if a > 0.0 else 1.0
+    q11, q21 = spec.generator_Q[0, 0], spec.generator_Q[1, 0]
+    lo, hi = spec.spread_bounds
+    n_star = int(spec.inventory_cap_Nstar)
+    d_pi = 1.0 / m_pi
+    bid = np.full(theta.shape, STUB_SPREAD)
+    ask = np.full(theta.shape, STUB_SPREAD)
+    rhs = np.empty(theta.shape)
+    coeff = 0.0
+
+    def after_fill(row, pi):
+        # theta at the post-order belief, linear between grid nodes
+        x = pi * m_pi
+        j = min(int(x), m_pi - 1)
+        return (1.0 - (x - j)) * theta[row, j] + (x - j) * theta[row, j + 1]
+
+    for r in range(theta.shape[0]):
+        n = r - n_star
+        for j in range(m_pi + 1):
+            pi = j / m_pi
+            m_hat = pi + (1.0 - pi) * m
+            w = (m - 1.0) * pi * (1.0 - pi)
+            q_hat = q11 * pi + q21 * (1.0 - pi)
+            fwd = (theta[r, min(j + 1, m_pi)] - theta[r, min(j + 1, m_pi) - 1]) / d_pi
+            bwd = (theta[r, max(j, 1)] - theta[r, max(j, 1) - 1]) / d_pi
+            adj = scale * (w / m_hat) * fwd
+            value = spec.drift_mu * n - 0.5 * spec.vol_sigma**2 * spec.running_penalty_zeta * n * n
+            value += scale * (max(q_hat, 0.0) * fwd + min(q_hat, 0.0) * bwd)
+            rates = 0.0
+            for table, other in ((bid, r + 1), (ask, r - 1)):
+                if not 0 <= other < theta.shape[0]:
+                    continue  # the side is blocked at the cap
+                d = after_fill(other, pi / m_hat) - theta[r, j]
+                delta = min(max(1.0 / b - adj - d, lo), hi)
+                table[r, j] = delta
+                rate = a * math.exp(-b * delta)
+                value += rate * (scale * w * fwd + m_hat * (delta + d))
+                rates += rate
+            rhs[r, j] = value
+            coeff = max(coeff, scale * abs(q_hat) / d_pi + rates * (scale * w / d_pi + m_hat))
+    return bid, ask, rhs, coeff

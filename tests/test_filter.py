@@ -420,7 +420,35 @@ class TestAttractor:
         lam = np.array([eval_intensity(r.bid_intensity, 1.0 / 25.0) for r in spec.regimes])
         values, vectors = np.linalg.eig((spec.generator_Q - np.diag(beta * lam)).T)
         v = vectors[:, np.argmax(values.real)].real
-        assert abs(attractor(spec, beta) - v[0] / v.sum()) < 1e-9
+        assert abs(attractor(spec, beta) - v[0] / v.sum()) < 1e-12
+
+    @PROPERTY
+    @given(
+        st.floats(-20.0, -0.1),
+        st.floats(0.1, 20.0),
+        st.floats(0.1, 10.0),
+        st.one_of(st.just(1.0), st.floats(1.0, 20.0)),
+        st.floats(1.0, 50.0),
+        st.sampled_from([1, 2]),
+    )
+    def test_root_on_random_markets(self, q11, q21, a, m, b, beta):
+        # the settled spread 1/b lies inside table1's bounds, so regime i
+        # fills at a_i e^{-1} per active side
+        lam1 = IntensityFamily.exponential(a, b)
+        lam2 = IntensityFamily.exponential(m * a, b)
+        spec = with_params(
+            table1_spec(),
+            regimes=(RegimeSpec("1", lam1, lam1), RegimeSpec("2", lam2, lam2)),
+            generator_Q=np.array([[q11, -q11], [q21, -q21]]),
+        )
+        pi = attractor(spec, beta)
+        assert 0.0 < pi < 1.0
+        c = beta * a * math.exp(-1.0) * (m - 1.0)
+        assert abs(q11 * pi + q21 * (1.0 - pi) + c * pi * (1.0 - pi)) <= 1e-12
+        rates = beta * a * math.exp(-1.0) * np.array([1.0, m])
+        values, vectors = np.linalg.eig((spec.generator_Q - np.diag(rates)).T)
+        v = vectors[:, np.argmax(values.real)].real
+        assert abs(pi - v[0] / v.sum()) < 1e-10
 
     def test_symmetric_rates_no_information(self):
         spec = m_one_spec()
@@ -431,9 +459,10 @@ class TestAttractor:
         from regimemm.model import two_regime_reduction
 
         red = two_regime_reduction(spec)
+        rate = eval_intensity(red.lam, 1.0 / 25.0)  # at the settled spread 1/b
         for beta in (1, 2):
             pi = attractor(spec, beta)
-            assert abs(red.q_hat(pi) + red.w(pi) * red.a * math.exp(-1) * beta) < 1e-8
+            assert abs(red.q_hat(pi) + red.w(pi) * rate * beta) < 1e-12
 
     def test_no_root_when_rate_in_nonpositive(self):
         spec = with_params(table1_spec(), generator_Q=np.array([[-5.0, 5.0], [0.0, 0.0]]))

@@ -306,7 +306,7 @@ class TestPolicy:
 
 
 class TestGridArguments:
-    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
     def test_bad_step_count_rejected(self, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             solve_constrained(table1_spec(), n_steps=n_steps)
@@ -339,7 +339,7 @@ class TestUnconstrained:
             initial_filter_mu0=np.asarray(mu0),
         )
 
-    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
     def test_bad_step_count_rejected(self, n_steps):
         with pytest.raises(ValueError, match="n_steps"):
             solve_unconstrained(self.unconstrained_spec(), n_steps=n_steps)

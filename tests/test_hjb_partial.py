@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import convergence_sup_loop, solve_all_levels
+from oracles import convergence_sup_loop, evaluate_loop, solve_all_levels
 
 from regimemm.errors import UnsupportedConfigError
 from regimemm.grid import inventory_row
@@ -201,6 +201,30 @@ class TestMirror:
             )
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [table1_spec(), table1_spec(terminal_cost_c=0.01), zero_order_spec()],
+        ids=["table1", "table1-c", "zero-order"],
+    )
+    def test_matches_closed_form_loop(self, spec, scale):
+        # a panel marched a few levels down from T, then random perturbations
+        # of it (at noise 1e-2 the table1 rhs reaches 5e2 to 7e5)
+        stepper = Stepper(spec, m_pi=24, belief_gradient_scale=scale)
+        theta = stepper.terminal_panel()
+        for _ in range(25):
+            _, _, rhs, coeff = stepper.evaluate(theta)
+            theta = theta + (0.9 / coeff) * rhs
+        rng = np.random.default_rng(11)
+        for noise in (0.0, 1e-3, 1e-2):
+            panel = theta + rng.normal(0.0, noise, theta.shape)
+            got = stepper.evaluate(panel)
+            want = evaluate_loop(spec, 24, scale, panel)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
 class TestMonotoneStep:
     def test_random_single_step_perturbations(self):
         spec = table1_spec(terminal_cost_c=0.01)
@@ -234,14 +258,14 @@ class TestMonotoneStep:
 
 
 class TestGridArguments:
-    @pytest.mark.parametrize("m_pi", [0, -2, 2.5])
+    @pytest.mark.parametrize("m_pi", [0, -2, 2.5, True])
     def test_bad_belief_cells_rejected(self, m_pi):
         with pytest.raises(ValueError, match="m_pi"):
             Stepper(table1_spec(), m_pi=m_pi)
         with pytest.raises(ValueError, match="m_pi"):
             solve(table1_spec(), m_pi=m_pi)
 
-    @pytest.mark.parametrize("m_t", [0, -5, 2.5])
+    @pytest.mark.parametrize("m_t", [0, -5, 2.5, True])
     def test_bad_time_steps_rejected(self, m_t):
         with pytest.raises(ValueError, match="m_t"):
             solve(table1_spec(), m_pi=10, m_t=m_t)

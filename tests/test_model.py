@@ -82,7 +82,7 @@ class TestValidate:
 class TestTwoRegimeReduction:
     def test_table1_values(self):
         red = two_regime_reduction(table1_spec())
-        assert (red.a, red.b, red.m) == (2.0, 25.0, 5.0)
+        assert (red.lam, red.m) == (IntensityFamily.exponential(2.0, 25.0), 5.0)
         assert (red.q11, red.q21) == (-5.0, 5.0)
 
     def test_reduced_functions(self):

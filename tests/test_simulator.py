@@ -313,17 +313,34 @@ class TestMonteCarlo:
                 ("report_points", -3),
                 ("report_points", 2.5),
                 ("h_target", math.inf),
+                ("report_points", True),
+                ("seed", 1.5),
+                ("seed", "7"),
+                ("seed", -1),
+                ("seed", 2**64),
             ]
         ]
-        + [(monte_carlo, "n_paths", 0), (monte_carlo, "n_paths", 2.5)],
+        + [
+            (monte_carlo, name, value)
+            for name, value in [
+                ("n_paths", 0),
+                ("n_paths", 2.5),
+                ("n_paths", True),
+                ("export_paths", -1),
+                ("export_paths", 1.5),
+                ("export_paths", True),
+            ]
+        ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
     def test_one_domain_contract(self, entry, name, value):
-        # one path count, one report grid and one finite positive filter step
-        kwargs = {"n_paths": 2} if entry is monte_carlo else {}
+        # one path count, one report grid, one seed range and one finite
+        # positive filter step: counts are integers >= 1 and not bool, the
+        # seed an integer in [0, 2**64), the export count an integer >= 0
+        kwargs = {"n_paths": 2, "seed": 1} if entry is monte_carlo else {"seed": 1}
         kwargs[name] = value
         with pytest.raises(ValueError, match=name):
-            entry(table1_spec(), FIXED, seed=1, **kwargs)
+            entry(table1_spec(), FIXED, **kwargs)
 
     def test_value_function_consistency_partial_policy(self):
         # Monte Carlo mean within 3 standard errors of theta(0, 0, 0.5)
