@@ -8,11 +8,11 @@ classical RK4.
 
 Everything of the right-hand side that depends only on the spec is a
 ``_Plan``, built once per solve and once per surface: the drift and
-inventory-penalty term, and the intensity groups.  Every exponential curve,
-of any regime and side, falls into one group that passes per-column (a, b)
-arrays through ``intensity``'s closed form, so a market of exponential
-curves makes one maximizer call per RK4 stage; any other curve makes one
-call per distinct family.
+inventory-penalty term, and the intensity groups.  Every curve of one
+non-tabulated kind, of any regime and side, falls into one group that
+passes per-column parameter arrays through ``intensity``'s maximizer, so a
+market of one kind makes one maximizer call per RK4 stage; a tabulated
+curve makes one call per distinct table.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UnsupportedConfigError
 from .grid import check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
-from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, utility
+from .intensity import STUB_SPREAD, IntensityFamily, family_at, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
 DEFAULT_TIME_STEPS = 2000
@@ -37,9 +37,10 @@ class _Plan:
 
     The side axis has 2k columns: every regime's bid curve, then every
     regime's ask curve.  ``groups`` pairs a family with the columns it
-    covers (an index of that axis), one maximizer call each.  All
-    exponential columns form one group whose family carries per-column
-    (a, b) arrays; every other distinct family is a group of its own.
+    covers (an index of that axis), one maximizer call each.  The columns
+    of one non-tabulated kind form one group whose family carries
+    per-column parameter arrays; every distinct tabulated family is a group
+    of its own.
     ``owner`` and ``slot`` give each column its group and its place among
     that group's columns, which is how a lookup gathers the parameters.
     """
@@ -54,13 +55,13 @@ class _Plan:
     def build(spec: ModelSpec) -> "_Plan":
         base = spec.running_reward(spec.inventory_levels().astype(float))
         families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
-        keys = ["exponential" if f.kind == "exponential" else f for f in families]
+        keys = [f if f.kind == "tabulated" else f.kind for f in families]
         groups, owner, slot = [], np.empty(len(keys), int), np.empty(len(keys), int)
         for g, key in enumerate(dict.fromkeys(keys)):
             cols = [j for j, other in enumerate(keys) if other == key]
             owner[cols], slot[cols] = g, range(len(cols))
             fam = families[cols[0]]
-            if key == "exponential":
+            if fam.kind != "tabulated":
                 params = zip(*(families[j].params for j in cols))
                 fam = IntensityFamily(fam.kind, tuple(np.array(p) for p in params))
             groups.append((fam, slice(None) if len(cols) == len(keys) else np.array(cols)))
@@ -68,25 +69,16 @@ class _Plan:
 
     def spreads(self, d, cols):
         """``optimal_spread`` at points ``d`` whose side columns are ``cols``
-        (broadcast against ``d``): one call per group, with the exponential
-        group's parameters gathered per point."""
+        (broadcast against ``d``): one call per group, with the group's
+        parameters gathered per point."""
         gamma, bounds = self.spec.risk_aversion_gamma, self.spec.spread_bounds
         if len(self.groups) == 1:
-            return optimal_spread(_family_at(self.groups[0][0], self.slot[cols]), gamma, d, bounds)
+            return optimal_spread(family_at(self.groups[0][0], self.slot[cols]), gamma, d, bounds)
         out, cols = np.empty(d.shape), np.broadcast_to(cols, d.shape)
         for g, (fam, _) in enumerate(self.groups):
             on = self.owner[cols] == g
-            out[on] = optimal_spread(_family_at(fam, self.slot[cols[on]]), gamma, d[on], bounds)
+            out[on] = optimal_spread(family_at(fam, self.slot[cols[on]]), gamma, d[on], bounds)
         return out
-
-
-def _family_at(fam: IntensityFamily, slots) -> IntensityFamily:
-    """A group's family at the given places among its columns: the
-    exponential group's parameter arrays gathered there, any other family
-    as it is."""
-    if fam.kind != "exponential":
-        return fam
-    return IntensityFamily(fam.kind, tuple(p[slots] for p in fam.params))
 
 
 def _regime_column(spec: ModelSpec, i):

@@ -85,11 +85,16 @@ class PartialInfoSurface:
 class Stepper:
     """Precomputed grid data plus the explicit-step evaluation.
 
-    ``evaluate(theta)`` maps one time level to the feedback spreads, the
-    marching right-hand side (d theta / d tau, backward time) and the CFL
-    coefficient bounding the stable step, with one ``optimal_spread`` and one
-    ``eval_intensity`` call for both sides.  Exposed separately from ``solve``
-    so single-step properties (monotonicity under CFL) can be tested.
+    The constructor computes everything a step needs that does not depend
+    on theta, each product grouped as the step's own expressions group it:
+    the belief-gradient weights, the post-fill belief bracket as flat
+    indices into a theta panel with its two weights, and the CFL
+    coefficient's two belief factors.  ``evaluate(theta)`` maps one time
+    level to the feedback spreads, the marching right-hand side
+    (d theta / d tau, backward time) and the CFL coefficient bounding the
+    stable step, with one ``optimal_spread`` and one ``eval_intensity``
+    call for both sides.  Exposed separately from ``solve`` so single-step
+    properties (monotonicity under CFL) can be tested.
     """
 
     def __init__(self, spec: ModelSpec, m_pi: int, belief_gradient_scale: float = 1.0):
@@ -116,12 +121,20 @@ class Stepper:
         self.d_pi = 1.0 / m_pi
         self.q_hat = red.q_hat(self.pi_grid)
         self.m_hat = red.m_hat(self.pi_grid)
-        self.w = red.w(self.pi_grid)
+        w = red.w(self.pi_grid)
         # bracket of the post-order belief pi/m_hat(pi), in [0, 1] since m >= 1
         self.i0, self.wt = belief_bracket(m_pi, self.pi_grid / self.m_hat)
+        # flat panel indices of the bracket's lower and upper nodes, row by
+        # row, and their interpolation weights
+        lower = np.arange(len(self.levels))[:, None] * (m_pi + 1) + self.i0
+        self.bracket = np.stack([lower, lower + 1])
+        self.bracket_weights = np.stack([1.0 - self.wt, self.wt])[:, None, :]
         self.q_pos = np.maximum(self.q_hat, 0.0)
         self.q_neg = np.minimum(self.q_hat, 0.0)
         self.base = spec.running_reward(self.levels)[:, None]
+        self.adj_weight = self.scale * (w / self.m_hat)
+        self.cfl_transport = self.scale * np.abs(self.q_hat) / self.d_pi
+        self.cfl_fill = self.scale * w / self.d_pi + self.m_hat
 
     def terminal_panel(self) -> np.ndarray:
         return np.repeat(
@@ -133,31 +146,42 @@ class Stepper:
         inward-available side (their outward coefficients are zero)."""
         fwd = np.empty_like(theta)
         bwd = np.empty_like(theta)
-        fwd[:, :-1] = (theta[:, 1:] - theta[:, :-1]) / self.d_pi
-        bwd[:, 1:] = fwd[:, :-1]
+        inner = np.subtract(theta[:, 1:], theta[:, :-1], out=fwd[:, :-1])
+        inner /= self.d_pi
+        bwd[:, 1:] = inner
         fwd[:, -1] = bwd[:, -1]
         bwd[:, 0] = fwd[:, 0]
         return fwd, bwd
 
     def evaluate(self, theta: np.ndarray):
-        """Feedback spreads, marching RHS and CFL coefficient at one level."""
-        scale, m_hat, w = self.scale, self.m_hat, self.w
+        """(spreads, rhs, CFL coefficient) at one level.
+
+        ``spreads`` is (2, 2 N*, m_pi + 1): the bid quoted at rows :-1
+        (n -> n + 1) and the ask quoted at rows 1: (n -> n - 1).  The
+        blocked sides, the bid at n = N* and the ask at n = -N*, have no
+        entry.
+        """
         fwd, bwd = self.one_sided(theta)
         # the volatility-adjustment term carries a nonnegative coefficient:
         # a forward difference keeps the explicit step monotone
-        adj = scale * (w / m_hat) * fwd
-        theta_nl = (1.0 - self.wt) * theta[:, self.i0] + self.wt * theta[:, self.i0 + 1]
-        # each side's Hamiltonian argument, theta after the fill (post-order
-        # belief) less theta, plus adj: the bid quoted at rows :-1 (n -> n + 1),
-        # the ask at rows 1: (n -> n - 1)
-        d = np.stack([theta_nl[1:] - theta[:-1] + adj[:-1], theta_nl[:-1] - theta[1:] + adj[1:]])
+        adj = self.adj_weight * fwd
+        # theta at the post-order belief, linear between its bracket's nodes
+        ends = theta.take(self.bracket)
+        ends *= self.bracket_weights
+        theta_nl = np.add(ends[0], ends[1])
+        # each side's Hamiltonian argument, theta after the fill less theta,
+        # plus adj
+        d = np.empty((2,) + adj[1:].shape)
+        np.subtract(theta_nl[1:], theta[:-1], out=d[0])
+        np.subtract(theta_nl[:-1], theta[1:], out=d[1])
+        d[0] += adj[:-1]
+        d[1] += adj[1:]
         spreads = optimal_spread(self.red.lam, self.spec.risk_aversion_gamma, d, self.spec.spread_bounds)
         lam = eval_intensity(self.red.lam, spreads)
-        gain = m_hat * lam * (spreads + d)
+        gain = self.m_hat * lam
+        d += spreads
+        gain *= d
 
-        bid = np.full_like(theta, STUB_SPREAD)
-        ask = np.full_like(theta, STUB_SPREAD)
-        bid[:-1], ask[1:] = spreads
         rate = np.zeros_like(theta)
         rate[:-1] = lam[0]
         rate[1:] += lam[1]
@@ -165,10 +189,15 @@ class Stepper:
         term[:-1] = gain[0]
         term[1:] += gain[1]
 
-        transport = scale * (self.q_pos * fwd + self.q_neg * bwd)
-        rhs = self.base + transport + term
-        cfl_coeff = scale * np.abs(self.q_hat) / self.d_pi + rate * (scale * w / self.d_pi + m_hat)
-        return bid, ask, rhs, float(np.max(cfl_coeff))
+        rhs = self.q_pos * fwd
+        rhs += self.q_neg * bwd
+        rhs *= self.scale
+        rhs += self.base
+        rhs += term
+        # the CFL coefficient, formed in the fill rates' array
+        rate *= self.cfl_fill
+        rate += self.cfl_transport
+        return spreads, rhs, float(np.max(rate))
 
 
 def output_levels(m_pi: int) -> int:
@@ -214,30 +243,30 @@ def solve(
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)
     # a blocked side (bid at n = N*, ask at n = -N*) keeps its stub at every
-    # level: interpolating it would form 0 * inf = NaN
-    tables = ((out_theta, slice(None)), (out_bid, slice(None, -1)), (out_ask, slice(1, None)))
+    # level: only the quoted rows are interpolated
+    quoted_bid, quoted_ask = out_bid[:, :-1], out_ask[:, 1:]
     nxt = len(out_t) - 1  # highest output level not yet written
 
     max_coeff = 0.0
     min_dt, max_dt, n_steps = math.inf, 0.0, 0
     t = T
-    bid, ask, rhs, coeff = stepper.evaluate(theta)
+    spreads, rhs, coeff = stepper.evaluate(theta)
     while t > 0.0:
         max_coeff = max(max_coeff, coeff)
         dt = min(CFL_SAFETY / coeff if coeff > 0.0 else math.inf, target_dt, t)
         if not dt > 0.0 or not math.isfinite(dt):
             raise NumericsError("partial-information scheme: time step underflow")
         min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1
-        upper = (theta, bid, ask)
+        theta_up, spreads_up = theta, spreads
         theta = theta + dt * rhs
         t_up, t = t, 0.0 if t - dt <= 1e-15 * T else t - dt
-        bid, ask, rhs, coeff = stepper.evaluate(theta)
+        spreads, rhs, coeff = stepper.evaluate(theta)
         # output times in [t, t_up) (T too, on the first step), with the
         # weight a lookup's ``time_bracket`` would give them
         while nxt >= 0 and out_t[nxt] >= t:
             w = (out_t[nxt] - t) / (t_up - t)
-            for (table, rows), lo, hi in zip(tables, (theta, bid, ask), upper):
-                table[nxt, rows] = (1 - w) * lo[rows] + w * hi[rows]
+            out_theta[nxt] = (1 - w) * theta + w * theta_up
+            quoted_bid[nxt], quoted_ask[nxt] = (1 - w) * spreads + w * spreads_up
             nxt -= 1
 
     report = CflReport(max_coefficient=max_coeff, min_dt=min_dt, max_dt=max_dt, n_steps=n_steps)

@@ -14,8 +14,12 @@ search of the fixed point for the other smooth families, grid search for
 tabulated ones), and the Hamiltonian
 ``H(d) = sup_delta h(delta, d)``, ``hamiltonian_value``.
 
-All operations broadcast over numpy arrays of ``delta`` or ``d``; families are
-immutable and safe to share across workers.
+All operations broadcast over numpy arrays of ``delta`` or ``d``.  Every
+kind but the tabulated one also takes per-element parameters: equal-shape
+arrays, one curve per element, which broadcast against the spreads, so one
+call covers many curves of one kind and equals the calls at each of its
+curves bit for bit.  ``family_at`` gathers such a family's curves at an
+index.  Families are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -56,10 +60,9 @@ def is_stub(delta):
 class IntensityFamily:
     """One regime's decreasing intensity curve with analytic derivatives.
 
-    kind/params:
-      exponential: (a, b)        lam = a * exp(-b d); a and b may also be
-                                 equal-shape arrays, one curve per element,
-                                 which broadcast against the spreads
+    kind/params (each may also be an equal-shape array of per-element
+    parameters, except the tabulated kind's):
+      exponential: (a, b)        lam = a * exp(-b d)
       logistic:    (a, b, c)     lam = a / (1 + c e^{b d})
       arctan:      (a, b, c)     lam = a * (pi/2 + atan(-b d + c))
       power_law:   (a, b, c, d)  lam = a * (b d + c)^{-d}, needs b d + c > 0
@@ -134,14 +137,12 @@ def eval_intensity(fam: IntensityFamily, delta):
         a, b, c, p = fam.params
         base = b * d + c
         if np.any(base <= 0):
-            raise ValueError(
-                f"power_law intensity evaluated at delta <= {-c / b:.6g} (outside domain)"
-            )
-        out = a * base ** (-p)
+            raise ValueError("power_law intensity evaluated outside its domain b delta + c > 0")
+        out = a * _power(base, -p)
     else:  # tabulated
         knots, values = fam.params
         out = np.interp(d, knots, values)
-    return out if isinstance(delta, np.ndarray) else float(out)
+    return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
 
 
 def eval_derivative(fam: IntensityFamily, delta):
@@ -163,7 +164,7 @@ def eval_derivative(fam: IntensityFamily, delta):
         base = b * d + c
         if np.any(base <= 0):
             raise ValueError("power_law derivative outside domain")
-        out = -a * b * p * base ** (-p - 1.0)
+        out = -a * b * p * _power(base, -p - 1.0)
     else:  # tabulated: centered differences, step = knot range / 1e6
         knots, values = fam.params
         h = (knots[-1] - knots[0]) / 1e6
@@ -171,7 +172,31 @@ def eval_derivative(fam: IntensityFamily, delta):
         dm = np.clip(d - h, lo, hi)
         dp = np.clip(d + h, lo, hi)
         out = (np.interp(dp, knots, values) - np.interp(dm, knots, values)) / (dp - dm)
-    return out if isinstance(delta, np.ndarray) else float(out)
+    return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
+
+
+def _power(base, exponent):
+    """``base ** exponent``, an array of exponents one distinct value at a
+    time: numpy's ``**`` takes shortcuts at some scalar exponents (-1 is a
+    reciprocal), which per-element parameters must take too."""
+    if np.ndim(exponent) == 0:
+        return base ** exponent
+    exponent = np.broadcast_to(exponent, base.shape)
+    out = np.empty(base.shape)
+    for e in np.unique(exponent):
+        on = exponent == e
+        out[on] = base[on] ** e
+    return out
+
+
+def family_at(fam: IntensityFamily, index, shape=None) -> IntensityFamily:
+    """The curves of ``fam`` at ``index``: each per-element parameter, after
+    broadcasting to ``shape`` if one is given, taken there.  A family of
+    scalar parameters is returned as it is."""
+    if fam.kind == "tabulated" or all(np.ndim(p) == 0 for p in fam.params):
+        return fam
+    params = fam.params if shape is None else (np.broadcast_to(p, shape) for p in fam.params)
+    return IntensityFamily(fam.kind, tuple(p[index] for p in params))
 
 
 # -- CARA utility -----------------------------------------------------------
@@ -264,12 +289,13 @@ def spread_thresholds(
 
     For d below the first value the optimal spread caps at the upper bound;
     for d above the second it floors at the lower bound.  Infinite bounds
-    yield -inf / +inf respectively (no capping / no flooring ever).
+    yield -inf / +inf respectively (no capping / no flooring ever).  A
+    family of per-element parameters gives arrays, any other floats.
     """
     lo, hi = bounds
-    cap = -math.inf if math.isinf(hi) else float(_neg_uinv_ratio(fam, gamma, hi) - hi)
-    floor = math.inf if math.isinf(lo) else float(_neg_uinv_ratio(fam, gamma, lo) - lo)
-    return cap, floor
+    cap = -math.inf if math.isinf(hi) else _neg_uinv_ratio(fam, gamma, hi) - hi
+    floor = math.inf if math.isinf(lo) else _neg_uinv_ratio(fam, gamma, lo) - lo
+    return tuple(v if np.ndim(v) else float(v) for v in (cap, floor))
 
 
 def _fixed_point_residual(fam, gamma, delta, d):
@@ -293,14 +319,15 @@ def _solve_fixed_point(fam, gamma, d, lo, hi):
     lo_v = np.full(d.shape, lo if math.isfinite(lo) else -1.0)
     hi_v = np.full(d.shape, hi if math.isfinite(hi) else 1.0)
     dom_lo = fam.domain_lo()
+    bounded = fam.kind == "power_law"  # the one smooth kind with a finite domain end
     if not math.isfinite(lo):
-        lo_v = np.maximum(lo_v, dom_lo + 1e-9 * max(1.0, abs(dom_lo))) if math.isfinite(dom_lo) else lo_v
+        lo_v = np.maximum(lo_v, dom_lo + 1e-9 * np.maximum(1.0, np.abs(dom_lo))) if bounded else lo_v
         for _ in range(200):
             bad = _fixed_point_residual(fam, gamma, lo_v, d) > 0.0
             if not np.any(bad):
                 break
             grow = np.where(bad, 1.0 + 2.0 * np.abs(lo_v), 0.0)
-            if math.isfinite(dom_lo):
+            if bounded:
                 lo_v = np.where(bad, np.maximum(lo_v - grow, 0.5 * (lo_v + dom_lo)), lo_v)
             else:
                 lo_v = np.where(bad, lo_v - grow, lo_v)
@@ -385,7 +412,7 @@ def _fixed_point_spread(fam: IntensityFamily, gamma: float, d: np.ndarray, bound
     interior = (d > cap) & (d < floor)
     out = np.where(d <= cap, hi, lo).astype(float)
     if np.any(interior):
-        out[interior] = _solve_fixed_point(fam, gamma, d[interior], lo, hi)
+        out[interior] = _solve_fixed_point(family_at(fam, interior, d.shape), gamma, d[interior], lo, hi)
     return np.clip(out, lo, hi)
 
 
@@ -395,12 +422,11 @@ def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, f
     Interior solutions solve the fixed point
         delta = -U_gamma^{-1}(lam(delta)/lam'(delta)) - d,
     clamped at the bounds outside the threshold window.  Exponential curves
-    admit a closed form (the percentage sensitivity lam'/lam is constant),
-    and their (a, b) may be arrays that broadcast against ``d``, one curve
-    per element; other smooth families use a bracketed Chandrupatla root
-    search, tabulated curves use grid search.  Every element is solved on its
-    own, so an array call equals the calls at each of its elements, bit for
-    bit.
+    admit a closed form (the percentage sensitivity lam'/lam is constant);
+    other smooth families use a bracketed Chandrupatla root search,
+    tabulated curves use grid search.  Per-element parameters broadcast
+    against ``d``.  Every element is solved on its own, so an array call
+    equals the calls at each of its elements and curves, bit for bit.
     """
     lo, hi = bounds
     if fam.kind == "exponential":

@@ -585,7 +585,9 @@ def simulate_path(
     h_target: float = DEFAULT_FILTER_STEP,
 ) -> PathRecord:
     """Simulate path ``path_index`` alone under the observable-intensity
-    dynamics."""
+    dynamics.  ``path_index`` is an integer in [0, 2**62), so that its
+    stream keys fit in 64 bits."""
+    check_count("path_index", path_index, 0, 2**62)
     *_, records, _ = _run(spec, policy, seed, [path_index], report_points, h_target, False, 1)
     return records[0]
 
@@ -603,8 +605,9 @@ def simulate_with_regime(
     regime-true intensity while the filter runs on observables only.
 
     Returns the path record plus the sampled (switch time, 0-based state)
-    regime path.
+    regime path.  ``path_index`` is checked as in ``simulate_path``.
     """
+    check_count("path_index", path_index, 0, 2**62)
     *_, records, _ = _run(spec, policy, seed, [path_index], report_points, h_target, True, 1)
     return records[0], draw_regime_path(spec, stream(seed, path_index, REGIME))
 

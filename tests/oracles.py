@@ -441,6 +441,15 @@ def convergence_sup_loop(surfaces, probe_times):
     return tuple(diffs)
 
 
+def stub_tables(spreads):
+    """(bid, ask) tables of every inventory row from ``Stepper.evaluate``'s
+    spreads, with the stub sentinel on the blocked sides."""
+    shape = (spreads.shape[1] + 1, spreads.shape[2])
+    bid, ask = np.full(shape, STUB_SPREAD), np.full(shape, STUB_SPREAD)
+    bid[:-1], ask[1:] = spreads
+    return bid, ask
+
+
 def solve_all_levels(spec, m_pi, cfl_safety=0.9):
     """The partial-information march with its step rule unchanged, keeping
     every marching level: the reference for the solver's output time grid,
@@ -452,7 +461,8 @@ def solve_all_levels(spec, m_pi, cfl_safety=0.9):
     max_coeff = 0.0
     t = T
     while t > 0.0:
-        bid, ask, rhs, coeff = stepper.evaluate(theta)
+        spreads, rhs, coeff = stepper.evaluate(theta)
+        bid, ask = stub_tables(spreads)
         bids.append(bid)
         asks.append(ask)
         max_coeff = max(max_coeff, coeff)
@@ -462,7 +472,7 @@ def solve_all_levels(spec, m_pi, cfl_safety=0.9):
         thetas.append(theta)
         times.append(t)
         dts.append(dt)
-    bid, ask, _, _ = stepper.evaluate(theta)
+    bid, ask = stub_tables(stepper.evaluate(theta)[0])
     bids.append(bid)
     asks.append(ask)
     report = CflReport(max_coeff, min(dts), max(dts), len(dts))

@@ -7,20 +7,27 @@ directory.  Each written file is one body, and so is each command's exit
 code with its standard output and error.  The manifest's
 ``wall_clock_seconds`` line and the temporary directory's name are dropped
 first, so two source trees that produce the same outputs print the same
-lines.  Compare a change against its parent with
+lines.  The regimemm package is imported from ``sys.path``, so
+``PYTHONPATH`` picks the tree under test:
 
-    PYTHONPATH=src python tests/output_digests.py > change.txt
-    PYTHONPATH=../parent/src python tests/output_digests.py > parent.txt
-    diff parent.txt change.txt
+    PYTHONPATH=src python tests/output_digests.py
 
-The regimemm package is imported from ``sys.path``, so ``PYTHONPATH`` picks
-the tree under test.  Not a pytest module: it runs for
-tens of seconds.
+Compare the tree under test against another source tree, such as a
+checkout of the parent commit, with
+
+    PYTHONPATH=src python tests/output_digests.py --parent ../parent/src
+
+which runs the same commands on both trees, the other one in a subprocess
+with its own ``PYTHONPATH``, prints each line that differs and exits 1 on
+any difference.  Not a pytest module: it runs for tens of seconds.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -72,11 +79,46 @@ def digests(config: Path, out: Path):
             yield f"{label} | {path.name}", _digest(text)
 
 
-def main() -> int:
+def lines():
+    """Every output line, ``<sha256>  <label>``, of ``COMMANDS`` on every config."""
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted(CONFIGS.glob("*.cfg")):
             for label, digest in digests(config, Path(tmp)):
-                print(f"{digest}  {label}", flush=True)
+                yield f"{digest}  {label}"
+
+
+def compare(parent_src: str) -> int:
+    """Prints the lines that differ between the tree under test and the
+    tree at ``parent_src``; 1 if any does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(parent_src).resolve()))
+    parent = subprocess.Popen(
+        [sys.executable, __file__], env=env, stdout=subprocess.PIPE, text=True
+    )
+    change = list(lines())
+    parent_out = parent.communicate()[0].splitlines()
+    if parent.returncode != 0:
+        print(f"the run on {parent_src} exited {parent.returncode}")
+        return 1
+    differ = 0
+    for old, new in zip(parent_out, change):
+        if old != new:
+            differ += 1
+            print(f"- {old}\n+ {new}")
+    if len(parent_out) != len(change):
+        differ += 1
+        print(f"{len(parent_out)} lines on {parent_src}, {len(change)} here")
+    print(f"{len(change) - differ} of {len(change)} lines identical")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", metavar="SRC", help="source tree to compare against")
+    args = parser.parse_args()
+    if args.parent is not None:
+        return compare(args.parent)
+    for line in lines():
+        print(line, flush=True)
     return 0
 
 

@@ -213,9 +213,9 @@ def test_criterion_7_scheme_convergence(table1, report):
     rng = np.random.default_rng(20240)
     theta = stepper.terminal_panel()
     for _ in range(20):
-        _, _, rhs, coeff = stepper.evaluate(theta)
+        _, rhs, coeff = stepper.evaluate(theta)
         theta = theta + (0.9 / coeff) * rhs
-    _, _, rhs, coeff = stepper.evaluate(theta)
+    _, rhs, coeff = stepper.evaluate(theta)
     dt = 0.9 / coeff
     base_new = theta + dt * rhs
     eps = 1e-6
@@ -225,7 +225,7 @@ def test_criterion_7_scheme_convergence(table1, report):
         j = rng.integers(0, theta.shape[1])
         pert = theta.copy()
         pert[r, j] += eps
-        _, _, rhs_p, _ = stepper.evaluate(pert)
+        _, rhs_p, _ = stepper.evaluate(pert)
         pert_new = pert + dt * rhs_p
         worst_drop = min(worst_drop, float(np.min(pert_new - base_new)))
     elapsed = time.perf_counter() - t0

@@ -72,11 +72,17 @@ def distinct_decay_spec():
     return with_params(table1_spec(), regimes=regimes, risk_aversion_gamma=0.5)
 
 
+def logistic_spec():
+    """perfbench's logistic market: two logistic curves, one per regime,
+    that share one maximizer call."""
+    return load_config(ROOT / "perfbench" / "logistic.cfg")
+
+
 # the specs whose grouped maximizer calls are checked against per-regime loops
 GROUPING_SPECS = pytest.mark.parametrize(
     "make_spec",
-    [table1_spec, distinct_decay_spec, mixed_family_spec],
-    ids=["table1", "distinct_decay", "mixed"],
+    [table1_spec, distinct_decay_spec, mixed_family_spec, logistic_spec],
+    ids=["table1", "distinct_decay", "mixed", "logistic"],
 )
 
 
@@ -181,8 +187,9 @@ class TestSolveConstrained:
     def test_exponential_curves_form_one_group(self):
         assert len(_Plan.build(table1_spec()).groups) == 1
         assert len(_Plan.build(distinct_decay_spec()).groups) == 1
-        # the shared exponential curve, then each logistic curve
-        assert len(_Plan.build(mixed_family_spec()).groups) == 3
+        assert len(_Plan.build(logistic_spec()).groups) == 1
+        # the shared exponential curve, then both logistic curves
+        assert len(_Plan.build(mixed_family_spec()).groups) == 2
 
     def test_spread_symmetry_about_risk_neutral_value(self):
         surf = solve_constrained(table1_spec(), n_steps=400)

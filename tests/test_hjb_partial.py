@@ -214,14 +214,14 @@ class TestEvaluate:
         stepper = Stepper(spec, m_pi=24, belief_gradient_scale=scale)
         theta = stepper.terminal_panel()
         for _ in range(25):
-            _, _, rhs, coeff = stepper.evaluate(theta)
+            _, rhs, coeff = stepper.evaluate(theta)
             theta = theta + (0.9 / coeff) * rhs
         rng = np.random.default_rng(11)
         for noise in (0.0, 1e-3, 1e-2):
             panel = theta + rng.normal(0.0, noise, theta.shape)
-            got = stepper.evaluate(panel)
-            want = evaluate_loop(spec, 24, scale, panel)
-            for g, w in zip(got, want):
+            spreads, rhs, coeff = stepper.evaluate(panel)
+            bid, ask, loop_rhs, loop_coeff = evaluate_loop(spec, 24, scale, panel)
+            for g, w in zip((*spreads, rhs, coeff), (bid[:-1], ask[1:], loop_rhs, loop_coeff)):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
@@ -233,9 +233,9 @@ class TestMonotoneStep:
         theta = stepper.terminal_panel()
         # walk a few levels down so the panel is generic, then perturb
         for _ in range(25):
-            _, _, rhs, coeff = stepper.evaluate(theta)
+            _, rhs, coeff = stepper.evaluate(theta)
             theta = theta + (0.9 / coeff) * rhs
-        _, _, rhs, coeff = stepper.evaluate(theta)
+        _, rhs, coeff = stepper.evaluate(theta)
         dt = 0.9 / coeff
         base_new = theta + dt * rhs
         eps = 1e-6
@@ -244,7 +244,7 @@ class TestMonotoneStep:
             j = rng.integers(0, theta.shape[1])
             pert = theta.copy()
             pert[r, j] += eps
-            _, _, rhs_p, _ = stepper.evaluate(pert)
+            _, rhs_p, _ = stepper.evaluate(pert)
             pert_new = pert + dt * rhs_p
             assert np.all(pert_new - base_new >= -1e-12)
 

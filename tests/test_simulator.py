@@ -14,6 +14,7 @@ from regimemm.hjb_partial import policy as hjb_partial_policy
 from regimemm.hjb_partial import solve as solve_partial
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, table1_spec, with_params
+from regimemm.rng import REGIME, PathStreams, stream
 from regimemm.simulate import (
     FixedSpreadPolicy,
     FullInfoPolicy,
@@ -330,13 +331,19 @@ class TestMonteCarlo:
                 ("export_paths", 1.5),
                 ("export_paths", True),
             ]
+        ]
+        + [
+            (entry, "path_index", value)
+            for entry in (simulate_path, simulate_with_regime)
+            for value in (-1, 2**62, 1.5, True)
         ],
         ids=lambda v: getattr(v, "__name__", str(v)),
     )
     def test_one_domain_contract(self, entry, name, value):
         # one path count, one report grid, one seed range and one finite
         # positive filter step: counts are integers >= 1 and not bool, the
-        # seed an integer in [0, 2**64), the export count an integer >= 0
+        # seed an integer in [0, 2**64), the export count an integer >= 0,
+        # a path index an integer in [0, 2**62) so its stream keys fit uint64
         kwargs = {"n_paths": 2, "seed": 1} if entry is monte_carlo else {"seed": 1}
         kwargs[name] = value
         with pytest.raises(ValueError, match=name):
@@ -358,6 +365,14 @@ class TestMonteCarlo:
         fix = monte_carlo(spec, FIXED, n_paths=3000, seed=7, report_points=100)
         paired_se = float(np.std(fix.pnls - opt.pnls, ddof=1) / math.sqrt(3000))
         assert fix.mean_pnl <= opt.mean_pnl + 3.0 * paired_se
+
+
+class TestStreams:
+    def test_regime_substream_is_built_on_first_use(self):
+        streams = PathStreams(5, 3)
+        assert "regime" not in vars(streams)
+        assert np.array_equal(streams.regime.random(8), stream(5, 3, REGIME).random(8))
+        assert streams.regime is streams.regime
 
 
 class TestFilterStep:
