@@ -8,11 +8,12 @@ classical RK4.
 
 Everything of the right-hand side that depends only on the spec is a
 ``_Plan``, built once per solve and once per surface: the drift and
-inventory-penalty term, and the intensity groups.  Every curve of one
-non-tabulated kind, of any regime and side, falls into one group that
-passes per-column parameter arrays through ``intensity``'s maximizer, so a
-market of one kind makes one maximizer call per RK4 stage; a tabulated
-curve makes one call per distinct table.
+inventory-penalty term, and the intensity groups.  Every exponential,
+logistic or arctan curve, of any regime and side, falls into the one group
+of its kind that passes per-column parameter arrays through
+``intensity``'s maximizer, so a market of one such kind makes one
+maximizer call per RK4 stage; a power-law or tabulated curve makes one call
+per distinct family.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ class _Plan:
 
     The side axis has 2k columns: every regime's bid curve, then every
     regime's ask curve.  ``groups`` pairs a family with the columns it
-    covers (an index of that axis), one maximizer call each.  The columns
-    of one non-tabulated kind form one group whose family carries
-    per-column parameter arrays; every distinct tabulated family is a group
-    of its own.
+    covers (an index of that axis), one maximizer call each.  The
+    exponential, logistic and arctan columns form one group per kind whose
+    family carries per-column parameter arrays; every distinct power-law or
+    tabulated family is a group of its own.
     ``owner`` and ``slot`` give each column its group and its place among
     that group's columns, which is how a lookup gathers the parameters.
     """
@@ -55,13 +56,13 @@ class _Plan:
     def build(spec: ModelSpec) -> "_Plan":
         base = spec.running_reward(spec.inventory_levels().astype(float))
         families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
-        keys = [f if f.kind == "tabulated" else f.kind for f in families]
+        keys = [f if f.kind in ("tabulated", "power_law") else f.kind for f in families]
         groups, owner, slot = [], np.empty(len(keys), int), np.empty(len(keys), int)
         for g, key in enumerate(dict.fromkeys(keys)):
             cols = [j for j, other in enumerate(keys) if other == key]
             owner[cols], slot[cols] = g, range(len(cols))
             fam = families[cols[0]]
-            if fam.kind != "tabulated":
+            if isinstance(key, str):  # a kind, not one family
                 params = zip(*(families[j].params for j in cols))
                 fam = IntensityFamily(fam.kind, tuple(np.array(p) for p in params))
             groups.append((fam, slice(None) if len(cols) == len(keys) else np.array(cols)))

@@ -243,7 +243,7 @@ def solve(
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)
     # a blocked side (bid at n = N*, ask at n = -N*) keeps its stub at every
-    # level: only the quoted rows are interpolated
+    # level: interpolating it would form 0 * inf = NaN
     quoted_bid, quoted_ask = out_bid[:, :-1], out_ask[:, 1:]
     nxt = len(out_t) - 1  # highest output level not yet written
 

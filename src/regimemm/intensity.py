@@ -14,11 +14,11 @@ search of the fixed point for the other smooth families, grid search for
 tabulated ones), and the Hamiltonian
 ``H(d) = sup_delta h(delta, d)``, ``hamiltonian_value``.
 
-All operations broadcast over numpy arrays of ``delta`` or ``d``.  Every
-kind but the tabulated one also takes per-element parameters: equal-shape
-arrays, one curve per element, which broadcast against the spreads, so one
-call covers many curves of one kind and equals the calls at each of its
-curves bit for bit.  ``family_at`` gathers such a family's curves at an
+All operations broadcast over numpy arrays of ``delta`` or ``d``.  The
+exponential, logistic and arctan kinds also take per-element parameters:
+equal-shape arrays, one curve per element, which broadcast against the
+spreads, so one call covers many curves of one kind and equals the calls at
+each of its curves bit for bit.  ``family_at`` gathers such a family's curves at an
 index.  Families are immutable and safe to share across workers.
 """
 
@@ -60,8 +60,8 @@ def is_stub(delta):
 class IntensityFamily:
     """One regime's decreasing intensity curve with analytic derivatives.
 
-    kind/params (each may also be an equal-shape array of per-element
-    parameters, except the tabulated kind's):
+    kind/params (the exponential, logistic and arctan ones may also be
+    equal-shape arrays of per-element parameters):
       exponential: (a, b)        lam = a * exp(-b d)
       logistic:    (a, b, c)     lam = a / (1 + c e^{b d})
       arctan:      (a, b, c)     lam = a * (pi/2 + atan(-b d + c))
@@ -137,8 +137,10 @@ def eval_intensity(fam: IntensityFamily, delta):
         a, b, c, p = fam.params
         base = b * d + c
         if np.any(base <= 0):
-            raise ValueError("power_law intensity evaluated outside its domain b delta + c > 0")
-        out = a * _power(base, -p)
+            raise ValueError(
+                f"power_law intensity evaluated at delta <= {-c / b:.6g} (outside domain)"
+            )
+        out = a * base ** (-p)
     else:  # tabulated
         knots, values = fam.params
         out = np.interp(d, knots, values)
@@ -164,7 +166,7 @@ def eval_derivative(fam: IntensityFamily, delta):
         base = b * d + c
         if np.any(base <= 0):
             raise ValueError("power_law derivative outside domain")
-        out = -a * b * p * _power(base, -p - 1.0)
+        out = -a * b * p * base ** (-p - 1.0)
     else:  # tabulated: centered differences, step = knot range / 1e6
         knots, values = fam.params
         h = (knots[-1] - knots[0]) / 1e6
@@ -173,20 +175,6 @@ def eval_derivative(fam: IntensityFamily, delta):
         dp = np.clip(d + h, lo, hi)
         out = (np.interp(dp, knots, values) - np.interp(dm, knots, values)) / (dp - dm)
     return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
-
-
-def _power(base, exponent):
-    """``base ** exponent``, an array of exponents one distinct value at a
-    time: numpy's ``**`` takes shortcuts at some scalar exponents (-1 is a
-    reciprocal), which per-element parameters must take too."""
-    if np.ndim(exponent) == 0:
-        return base ** exponent
-    exponent = np.broadcast_to(exponent, base.shape)
-    out = np.empty(base.shape)
-    for e in np.unique(exponent):
-        on = exponent == e
-        out[on] = base[on] ** e
-    return out
 
 
 def family_at(fam: IntensityFamily, index, shape=None) -> IntensityFamily:
@@ -319,15 +307,14 @@ def _solve_fixed_point(fam, gamma, d, lo, hi):
     lo_v = np.full(d.shape, lo if math.isfinite(lo) else -1.0)
     hi_v = np.full(d.shape, hi if math.isfinite(hi) else 1.0)
     dom_lo = fam.domain_lo()
-    bounded = fam.kind == "power_law"  # the one smooth kind with a finite domain end
     if not math.isfinite(lo):
-        lo_v = np.maximum(lo_v, dom_lo + 1e-9 * np.maximum(1.0, np.abs(dom_lo))) if bounded else lo_v
+        lo_v = np.maximum(lo_v, dom_lo + 1e-9 * max(1.0, abs(dom_lo))) if math.isfinite(dom_lo) else lo_v
         for _ in range(200):
             bad = _fixed_point_residual(fam, gamma, lo_v, d) > 0.0
             if not np.any(bad):
                 break
             grow = np.where(bad, 1.0 + 2.0 * np.abs(lo_v), 0.0)
-            if bounded:
+            if math.isfinite(dom_lo):
                 lo_v = np.where(bad, np.maximum(lo_v - grow, 0.5 * (lo_v + dom_lo)), lo_v)
             else:
                 lo_v = np.where(bad, lo_v - grow, lo_v)

@@ -11,8 +11,6 @@ draw sequence.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 EVENTS = 0
@@ -26,15 +24,11 @@ def stream(seed: int, path_index: int, substream: int) -> np.random.Generator:
 
 
 class PathStreams:
-    """The three substreams backing one simulated path.  The regime
-    substream is built on first use: only regime-true runs read it."""
+    """The three substreams backing one simulated path."""
 
     def __init__(self, seed: int, path_index: int):
         self.seed = int(seed)
         self.path_index = int(path_index)
         self.events = stream(seed, path_index, EVENTS)
         self.prices = stream(seed, path_index, PRICES)
-
-    @cached_property
-    def regime(self) -> np.random.Generator:
-        return stream(self.seed, self.path_index, REGIME)
+        self.regime = stream(seed, path_index, REGIME)

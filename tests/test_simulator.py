@@ -14,7 +14,6 @@ from regimemm.hjb_partial import policy as hjb_partial_policy
 from regimemm.hjb_partial import solve as solve_partial
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, table1_spec, with_params
-from regimemm.rng import REGIME, PathStreams, stream
 from regimemm.simulate import (
     FixedSpreadPolicy,
     FullInfoPolicy,
@@ -365,14 +364,6 @@ class TestMonteCarlo:
         fix = monte_carlo(spec, FIXED, n_paths=3000, seed=7, report_points=100)
         paired_se = float(np.std(fix.pnls - opt.pnls, ddof=1) / math.sqrt(3000))
         assert fix.mean_pnl <= opt.mean_pnl + 3.0 * paired_se
-
-
-class TestStreams:
-    def test_regime_substream_is_built_on_first_use(self):
-        streams = PathStreams(5, 3)
-        assert "regime" not in vars(streams)
-        assert np.array_equal(streams.regime.random(8), stream(5, 3, REGIME).random(8))
-        assert streams.regime is streams.regime
 
 
 class TestFilterStep:
