@@ -1,12 +1,13 @@
 """The solvers' stored grids: one lookup and the grid-file codec.
 
 Every read of a solved surface, partial or full information, one point or
-a broadcast batch, is one ``gather`` on the brackets found here, so all
-lookups share one interpolation and one domain contract: a time within
-1e-12 of the grid's span is clamped onto it and a time further out raises
-``ValueError``, as do a belief outside [0, 1] and an inventory outside
-[-N*, N*].  Scalars and arrays are both accepted; the returned indices and
-weights take the input's shape.
+a broadcast batch, is one ``gather`` on the brackets found here, and both
+surface policies read their stored spread tables through one
+``gather_spreads``.  So all lookups share one interpolation and one domain
+contract: a time within 1e-12 of the grid's span is clamped onto it and a
+time further out raises ``ValueError``, as do a belief outside [0, 1] and
+an inventory outside [-N*, N*].  Scalars and arrays are both accepted; the
+returned indices and weights take the input's shape.
 
 Both solved surfaces persist as one grid file: ``# key = value`` header
 lines, a column header row, then one row ``t,n,x,theta,spread_bid,spread_ask``
@@ -19,6 +20,8 @@ from __future__ import annotations
 import io
 
 import numpy as np
+
+from .intensity import STUB_SPREAD
 
 _TIME_SLACK = 1e-12
 
@@ -75,6 +78,21 @@ def gather(table: np.ndarray, s, wt, rows, k, wp=None):
         return cell if wp is None else (1 - wp) * cell + wp * table[s, rows, k + 1]
 
     return (1 - wt) * level(s) + wt * level(s + 1)
+
+
+def gather_spreads(bid_table, ask_table, s, wt, rows, k, wp=None):
+    """(bid, ask) interpolated from stub-padded spread tables at the same
+    brackets as ``gather``; a blocked side (the bid at the top inventory
+    row, the ask at row 0) returns the stub sentinel.  Scalars give a pair
+    of floats, arrays a pair of arrays."""
+    top = bid_table.shape[1] - 1
+    # a blocked side's row holds the +inf stub, and a zero weight times inf
+    # is NaN: gather from the nearest quoted row, then discard the value
+    bid = np.where(rows < top, gather(bid_table, s, wt, np.minimum(rows, top - 1), k, wp), STUB_SPREAD)
+    ask = np.where(rows > 0, gather(ask_table, s, wt, np.maximum(rows, 1), k, wp), STUB_SPREAD)
+    if bid.ndim == 0:
+        return float(bid), float(ask)
+    return bid, ask
 
 
 def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:

@@ -7,34 +7,35 @@ inventory cap makes it a nonlinear system, integrated backward with
 classical RK4.
 
 Everything of the right-hand side that depends only on the spec is a
-``_Plan``, built once per solve and once per surface: the drift and
-inventory-penalty term, and the intensity groups.  Every exponential,
-logistic or arctan curve, of any regime and side, falls into the one group
-of its kind that passes per-column parameter arrays through
-``intensity``'s maximizer, so a market of one such kind makes one
-maximizer call per RK4 stage; a power-law or tabulated curve makes one call
-per distinct family.
+``_Plan``, built once per solve: the drift and inventory-penalty term, and
+the intensity groups.  Every exponential, logistic or arctan curve, of any
+regime and side, falls into the one group of its kind that passes
+per-column parameter arrays through ``intensity``'s maximizer, so a market
+of one such kind makes one maximizer call per RK4 stage; a power-law or
+tabulated curve makes one call per distinct family.
+
+The solve stores the feedback spreads at every node, and ``policy`` reads
+them back, linear in t, through the same ``grid.gather_spreads`` as the
+partial-information policy: a lookup evaluates no intensity function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedConfigError
-from .grid import check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
-from .intensity import STUB_SPREAD, IntensityFamily, family_at, hamiltonian_value, optimal_spread, utility
+from .grid import check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
+from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, utility
 from .model import ModelSpec, format_config, parse_config
 
 DEFAULT_TIME_STEPS = 2000
-_NEIGHBOURS = np.array([0, 1, -1])  # inventory rows n, n + 1 and n - 1 of a lookup
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """The spec-dependent parts of the right-hand side and the policy.
+    """The spec-dependent parts of the right-hand side and the spread tables.
 
     The side axis has 2k columns: every regime's bid curve, then every
     regime's ask curve.  ``groups`` pairs a family with the columns it
@@ -42,44 +43,26 @@ class _Plan:
     exponential, logistic and arctan columns form one group per kind whose
     family carries per-column parameter arrays; every distinct power-law or
     tabulated family is a group of its own.
-    ``owner`` and ``slot`` give each column its group and its place among
-    that group's columns, which is how a lookup gathers the parameters.
     """
 
     spec: ModelSpec
     base: np.ndarray  # (2 N* + 1, 1): spec.running_reward of each inventory row
     groups: tuple  # ((family, column index), ...)
-    owner: np.ndarray  # (2k,) group of each column
-    slot: np.ndarray  # (2k,) place of each column in its group
 
     @staticmethod
     def build(spec: ModelSpec) -> "_Plan":
         base = spec.running_reward(spec.inventory_levels().astype(float))
         families = [r.bid_intensity for r in spec.regimes] + [r.ask_intensity for r in spec.regimes]
         keys = [f if f.kind in ("tabulated", "power_law") else f.kind for f in families]
-        groups, owner, slot = [], np.empty(len(keys), int), np.empty(len(keys), int)
-        for g, key in enumerate(dict.fromkeys(keys)):
+        groups = []
+        for key in dict.fromkeys(keys):
             cols = [j for j, other in enumerate(keys) if other == key]
-            owner[cols], slot[cols] = g, range(len(cols))
             fam = families[cols[0]]
             if isinstance(key, str):  # a kind, not one family
                 params = zip(*(families[j].params for j in cols))
                 fam = IntensityFamily(fam.kind, tuple(np.array(p) for p in params))
             groups.append((fam, slice(None) if len(cols) == len(keys) else np.array(cols)))
-        return _Plan(spec, base[:, None], tuple(groups), owner, slot)
-
-    def spreads(self, d, cols):
-        """``optimal_spread`` at points ``d`` whose side columns are ``cols``
-        (broadcast against ``d``): one call per group, with the group's
-        parameters gathered per point."""
-        gamma, bounds = self.spec.risk_aversion_gamma, self.spec.spread_bounds
-        if len(self.groups) == 1:
-            return optimal_spread(family_at(self.groups[0][0], self.slot[cols]), gamma, d, bounds)
-        out, cols = np.empty(d.shape), np.broadcast_to(cols, d.shape)
-        for g, (fam, _) in enumerate(self.groups):
-            on = self.owner[cols] == g
-            out[on] = optimal_spread(family_at(fam, self.slot[cols[on]]), gamma, d[on], bounds)
-        return out
+        return _Plan(spec, base[:, None], tuple(groups))
 
 
 def _regime_column(spec: ModelSpec, i):
@@ -116,10 +99,6 @@ class FullInfoSurface:
         """theta at broadcast (t, n, i), linear in t; scalars give a float."""
         value = gather(self.theta, *self._brackets(t, n, i))
         return float(value) if value.ndim == 0 else value
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        return _Plan.build(self.spec)
 
 
 def _coupling(theta_panel: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
@@ -208,27 +187,13 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
 
 
 def policy(surface: FullInfoSurface, t, n, i):
-    """Feedback spreads at (t, n, i); blocked sides return the stub sentinel.
+    """Feedback spreads at (t, n, i), linear in t between the stored spread
+    tables' time levels; blocked sides return the stub sentinel.
 
-    theta is interpolated linearly in t and the spreads recomputed from the
-    interpolated inventory differences, so the policy is continuous in t.
     The arguments broadcast against each other: scalars give a pair of
-    floats, arrays (a batch of paths) a pair of arrays, with one spread
-    evaluation per side and group of the surface's plan.
+    floats, arrays (a batch of paths) a pair of arrays.
     """
-    spec = surface.spec
-    s, w, r, col = surface._brackets(t, n, i)
-    # rows n, n + 1 and n - 1 in one gather, clamped to the table: a blocked
-    # side's neighbour is n itself, so its difference is 0
-    shift = _NEIGHBOURS.reshape((3,) + (1,) * max(np.ndim(s), np.ndim(r), np.ndim(col)))
-    rows = np.minimum(np.maximum(r + shift, 0), 2 * int(spec.inventory_cap_Nstar))
-    here, up, down = gather(surface.theta, s, w, rows, col)
-    plan = surface._plan
-    bid = np.where(spec.bid_active(n), plan.spreads(up - here, col), STUB_SPREAD)
-    ask = np.where(spec.ask_active(n), plan.spreads(down - here, col + spec.n_regimes), STUB_SPREAD)
-    if bid.ndim == 0:
-        return float(bid), float(ask)
-    return bid, ask
+    return gather_spreads(surface.spread_bid, surface.spread_ask, *surface._brackets(t, n, i))
 
 
 def comparison_bounds(spec: ModelSpec) -> tuple[float, float]:

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
-from .grid import belief_bracket, check_count, gather, grid_from_csv, grid_to_csv, inventory_row, time_bracket
+from .grid import (
+    belief_bracket, check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
+)
 from .intensity import STUB_SPREAD, eval_intensity, optimal_spread
 from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
@@ -289,15 +291,7 @@ def policy(surface: PartialInfoSurface, t, n, pi):
     floats, arrays (a batch of paths, a column of times) a pair of arrays.
     Blocked sides (|n| at the cap) return the stub sentinel.
     """
-    s, wt, rows, j, wp = surface._brackets(t, n, pi)
-    top = 2 * int(surface.spec.inventory_cap_Nstar)
-    # a blocked side's row holds the +inf stub, and a zero weight times inf
-    # is NaN: gather from the nearest quoted row, then discard the value
-    bid = np.where(rows < top, gather(surface.spread_bid, s, wt, np.minimum(rows, top - 1), j, wp), STUB_SPREAD)
-    ask = np.where(rows > 0, gather(surface.spread_ask, s, wt, np.maximum(rows, 1), j, wp), STUB_SPREAD)
-    if bid.ndim == 0:
-        return float(bid), float(ask)
-    return bid, ask
+    return gather_spreads(surface.spread_bid, surface.spread_ask, *surface._brackets(t, n, pi))
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,8 @@ def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) 
     """Check positivity, monotone decay and (if hi is infinite, gamma = 0) the
     fast-decay tail condition. Returns human-readable violations, empty if ok."""
     out: list[str] = []
+    if not all(np.all(np.isfinite(p)) for p in fam.params):
+        return ["parameters must be finite"]
     if fam.kind == "power_law" and not lo > fam.domain_lo():
         out.append(
             f"power_law requires spread_lo > {fam.domain_lo():.6g} (curve domain)"

@@ -94,28 +94,41 @@ class ModelSpec:
         return -n < self.inventory_cap_Nstar
 
 
+_NONNEGATIVE_FIELDS = ("vol_sigma", "risk_aversion_gamma", "running_penalty_zeta", "terminal_cost_c")
+_FINITE_FIELDS = ("horizon_T", "drift_mu", *_NONNEGATIVE_FIELDS, "initial_cash_x0", "initial_price_s0")
+
+
 def validate(spec: ModelSpec) -> list[str]:
     """Return every violated model invariant, with a readable reason each.
 
     Pure and idempotent; an empty list means every downstream operation can
-    consume the spec without further parameter errors.
+    consume the spec without further parameter errors.  Every number must be
+    finite except an unbounded inventory cap and infinite spread bounds.
     """
     out: list[str] = []
     k = spec.n_regimes
     if k < 1:
         out.append("at least one regime is required")
         return out
-    if not spec.horizon_T > 0:
-        out.append("horizon_T must be strictly positive")
-    for name in ("vol_sigma", "risk_aversion_gamma", "running_penalty_zeta", "terminal_cost_c"):
-        if getattr(spec, name) < 0:
+    for name in _FINITE_FIELDS:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            out.append(f"{name} must be finite")
+        elif name == "horizon_T" and not value > 0:
+            out.append("horizon_T must be strictly positive")
+        elif name in _NONNEGATIVE_FIELDS and value < 0:
             out.append(f"{name} must be >= 0")
-    if not spec.spread_lo < spec.spread_hi:
+    nan_bounds = [
+        f"{name} must be a number or +-inf"
+        for name in ("spread_lo", "spread_hi") if math.isnan(getattr(spec, name))
+    ]
+    out += nan_bounds
+    if not (nan_bounds or spec.spread_lo < spec.spread_hi):
         out.append("spread_lo must be strictly below spread_hi")
 
     cap = spec.inventory_cap_Nstar
-    if not math.isinf(cap):
-        if cap != int(cap) or cap < 1:
+    if cap != math.inf:
+        if not math.isfinite(cap) or cap != int(cap) or cap < 1:
             out.append("inventory_cap_Nstar must be a positive integer or unbounded")
         elif not -cap <= spec.initial_inventory_n0 <= cap:
             out.append("initial_inventory_n0 outside [-N*, N*]")
@@ -129,6 +142,8 @@ def validate(spec: ModelSpec) -> list[str]:
     q = spec.generator_Q
     if q.shape != (k, k):
         out.append(f"generator_Q must be {k}x{k} to match the regimes")
+    elif not np.all(np.isfinite(q)):
+        out.append("generator_Q entries must be finite")
     else:
         rows = q.sum(axis=1)
         if np.any(np.abs(rows) > 1e-9):
@@ -142,6 +157,8 @@ def validate(spec: ModelSpec) -> list[str]:
     mu0 = spec.initial_filter_mu0
     if mu0.shape != (k,):
         out.append(f"initial_filter_mu0 must have length {k}")
+    elif not np.all(np.isfinite(mu0)):
+        out.append("initial_filter_mu0 entries must be finite")
     else:
         if abs(float(mu0.sum()) - 1.0) > 1e-12:
             out.append("initial_filter_mu0 must sum to 1 within 1e-12")

@@ -68,9 +68,10 @@ class Policy:
     spread arrays, with the stub sentinel on blocked sides, at per-path
     times, inventories and beliefs in regime 1; ``y`` holds the 0-based
     hidden regimes in regime-true runs and is None otherwise.  The surface
-    policies delegate to their solver's ``policy``: the engine quotes from
-    the lookup the solver reports.  ``min_spreads`` supplies the lower
-    bounds behind the thinning dominating rate."""
+    policies delegate to their solver's ``policy``, which interpolates the
+    stored spread tables: the engine quotes from the lookup the solver
+    reports.  ``min_spreads`` supplies the lower bounds behind the thinning
+    dominating rate, for a surface policy its tables' smallest spreads."""
 
     def quotes_batch(self, t: np.ndarray, n: np.ndarray, pi1: np.ndarray, y=None):
         raise NotImplementedError

@@ -8,11 +8,13 @@ full-information right-hand side to measure how well the RK4 march solves
 it, and the curve diagnostics reuse the package's probe grid.  ``rhs_loop``,
 ``solve_loop`` and ``policy_loop`` reuse the coupling term, the RK4 march,
 the surface lookup and the maximizer: what they check is how the solver
-groups its maximizer calls.  ``solve_unconstrained`` is the linear system
+groups its maximizer calls.  ``table_policy_loop`` reads the stored spread
+tables one point at a time in plain Python, with no ``grid`` code.  ``solve_unconstrained`` is the linear system
 of an unbounded inventory cap, the limit ``solve_constrained`` approaches as
 the cap grows.
 """
 
+import bisect
 import io
 import math
 from dataclasses import dataclass
@@ -277,6 +279,29 @@ def policy_loop(surface, t, n, i):
         bid[on] = optimal_spread(regime.bid_intensity, gamma, d_bid[on], bounds)
         on = (col == k) & spec.ask_active(n)
         ask[on] = optimal_spread(regime.ask_intensity, gamma, d_ask[on], bounds)
+    return bid, ask
+
+
+def table_policy_loop(surface, t, n, i):
+    """The full-information policy as a read of the stored spread tables,
+    one broadcast point (t, n, i) at a time in Python floats: the bracket
+    from ``bisect``, the two time levels weighted (1 - w) and w, and a
+    blocked side never read.  The reference for ``hjb_full.policy``."""
+    times = surface.time_grid.tolist()
+    cap = int(surface.spec.inventory_cap_Nstar)
+    t, n, i = np.broadcast_arrays(t, n, i)
+    bid, ask = np.empty(t.shape), np.empty(t.shape)
+    for idx in np.ndindex(t.shape):
+        at = min(max(float(t[idx]), times[0]), times[-1])
+        s = min(max(bisect.bisect_right(times, at) - 1, 0), len(times) - 2)
+        w = (at - times[s]) / (times[s + 1] - times[s])
+        row, col = int(n[idx]) + cap, int(i[idx]) - 1
+
+        def read(table):
+            return (1 - w) * float(table[s, row, col]) + w * float(table[s + 1, row, col])
+
+        bid[idx] = STUB_SPREAD if row == 2 * cap else read(surface.spread_bid)
+        ask[idx] = STUB_SPREAD if row == 0 else read(surface.spread_ask)
     return bid, ask
 
 

@@ -87,6 +87,48 @@ class TestSolveFull:
         assert "horizon_T" in capsys.readouterr().err
 
 
+NON_FINITE = [
+    (key, value)
+    for key in (
+        "horizon_T", "drift_mu", "vol_sigma", "risk_aversion_gamma", "running_penalty_zeta",
+        "terminal_cost_c", "initial_cash_x0", "initial_price_s0",
+    )
+    for value in ("nan", "inf")
+] + [
+    ("generator_Q", "-5 nan ; 5 -5"),
+    ("generator_Q", "-inf inf ; 5 -5"),
+    ("initial_filter_mu0", "nan 0.5"),
+    ("initial_filter_mu0", "inf 0.5"),
+    ("regime.1.bid_intensity", "exponential nan 25"),
+    ("regime.1.bid_intensity", "exponential inf 25"),
+    ("inventory_cap_Nstar", "nan"),
+    ("inventory_cap_Nstar", "-inf"),
+    ("spread_lo", "nan"),
+    ("spread_hi", "nan"),
+]
+
+
+class TestNonFiniteNumbers:
+    """Every number but an unbounded cap and infinite spread bounds
+    (``test_model.py::TestConfigFormat::test_unbounded_markers``) must be
+    finite: a NaN or infinity is a config error (exit 2) naming its key,
+    never a traceback or an all-NaN surface."""
+
+    @pytest.mark.parametrize("command", ["solve-full", "solve-partial"])
+    @pytest.mark.parametrize("key, value", NON_FINITE, ids=[f"{k}={v}" for k, v in NON_FINITE])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, command, key, value):
+        text = re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", format_config(table1_spec()))
+        assert f"{key} = {value}" in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        named = "regime 1 (low-liquidity) bid intensity" if key.startswith("regime.") else key
+        assert f"invalid config: {named}" in err
+        assert ";" not in err  # one message, for the one bad key
+        assert not (tmp_path / "o").exists()
+
+
 class TestSolvePartial:
     def test_writes_surface_with_cfl(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")

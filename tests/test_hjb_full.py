@@ -11,6 +11,7 @@ from oracles import (
     rhs_loop,
     solve_loop,
     solve_unconstrained,
+    table_policy_loop,
 )
 from scipy.integrate import quad
 
@@ -26,6 +27,7 @@ from regimemm.hjb_full import (
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread
 from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, validate, with_params
+from regimemm.simulate import FullInfoPolicy, monte_carlo
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,6 +86,24 @@ GROUPING_SPECS = pytest.mark.parametrize(
     [table1_spec, distinct_decay_spec, mixed_family_spec, logistic_spec],
     ids=["table1", "distinct_decay", "mixed", "logistic"],
 )
+
+
+def off_node_points(size=300):
+    """Random lookups (t, n, i) off every time node, both caps included."""
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0.0, 1.0, size)
+    return t, rng.integers(-3, 4, size), rng.integers(1, 3, size)
+
+
+def recomputed_gap(surf, t, n, i):
+    """Largest |policy - policy_loop| over the quoted sides of the points;
+    both put the stub on exactly the blocked sides."""
+    gap = 0.0
+    for quoted, ref in zip(policy(surf, t, n, i), policy_loop(surf, t, n, i)):
+        assert np.array_equal(quoted == STUB_SPREAD, ref == STUB_SPREAD)
+        on = ref != STUB_SPREAD
+        gap = max(gap, float(np.max(np.abs(quoted[on] - ref[on]))))
+    return gap
 
 
 class TestSolveConstrained:
@@ -288,20 +308,48 @@ class TestPolicy:
             assert theta == surf.theta_at(t, n, i)
 
     @GROUPING_SPECS
-    def test_batch_equals_the_per_regime_loop(self, make_spec):
+    def test_time_nodes_equal_the_recomputed_policy(self, make_spec):
+        """At a stored time level the table read is the maximizer at that
+        level's theta differences, blocked sides included, bit for bit."""
         surf = solve_constrained(make_spec(), n_steps=50)
-        rng = np.random.default_rng(17)
-        t = np.append(rng.uniform(0.0, 1.0, 300), [0.0, 1.0])
-        n = rng.integers(-3, 4, t.size)  # both caps included: blocked sides
-        i = rng.integers(1, 3, t.size)
+        t, n, i = surf.time_grid[:, None, None], np.arange(-3, 4)[:, None], np.array([1, 2])
         bids, asks = policy(surf, t, n, i)
         ref_bids, ref_asks = policy_loop(surf, t, n, i)
+        assert bids.shape == (51, 7, 2)
+        assert np.array_equal(bids, ref_bids)
+        assert np.array_equal(asks, ref_asks)
+        assert np.any(bids == STUB_SPREAD) and np.any(asks == STUB_SPREAD)
+
+    @GROUPING_SPECS
+    def test_batch_equals_the_table_loop(self, make_spec):
+        surf = solve_constrained(make_spec(), n_steps=50)
+        t, n, i = off_node_points()
+        bids, asks = policy(surf, t, n, i)
+        ref_bids, ref_asks = table_policy_loop(surf, t, n, i)
         assert np.array_equal(bids, ref_bids)
         assert np.array_equal(asks, ref_asks)
         assert np.any(bids == STUB_SPREAD) and np.any(asks == STUB_SPREAD)
         for a in range(0, t.size, 37):
             bid, ask = policy(surf, float(t[a]), int(n[a]), int(i[a]))
             assert (bid, ask) == (bids[a], asks[a])
+
+    @pytest.mark.parametrize(
+        "make_spec", [table1_spec, distinct_decay_spec], ids=["table1", "distinct_decay"]
+    )
+    def test_exponential_tables_equal_the_recomputed_policy_off_node(self, make_spec):
+        """An exponential curve's spread is linear in d while the bounds do
+        not bind, so interpolating the tables is recomputing the spreads."""
+        surf = solve_constrained(make_spec(), n_steps=50)
+        assert recomputed_gap(surf, *off_node_points()) <= 1e-15
+
+    def test_smooth_curve_gap_to_the_recomputed_policy_is_second_order(self):
+        """On logistic curves the tables and the recomputed spreads differ
+        off-node by the time interpolation's O(dt^2) error."""
+        spec = logistic_spec()
+        gaps = [recomputed_gap(solve_constrained(spec, n_steps=m), *off_node_points()) for m in (250, 500, 1000)]
+        assert 0 < gaps[-1] < 1e-8
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert coarse >= 3.0 * fine
 
     @pytest.mark.parametrize("n, i", [(4, 1), (-4, 2), (0.5, 1), (0, 0), (0, 3)])
     def test_lookup_off_the_grid_rejected(self, n, i):
@@ -310,6 +358,22 @@ class TestPolicy:
             surf.theta_at(0.5, n, i)
         with pytest.raises(ValueError, match="inventory|regime"):
             policy(surf, 0.5, n, i)
+
+
+class TestRegimeTrueMonteCarlo:
+    """The simulation oracle for theta_full: regime-true paths under the
+    solved policy earn mu0 . theta_full(0, n0, .) on average."""
+
+    @pytest.mark.parametrize(
+        "config", ["table1.cfg", "logistic.cfg"], ids=["table1", "logistic"]
+    )
+    def test_mean_pnl_matches_theta_within_3_se(self, config):
+        spec = load_config(ROOT / "configs" / config)
+        surf = solve_constrained(spec, n_steps=500)
+        summary = monte_carlo(spec, FullInfoPolicy(surf), 10_000, seed=1, regime_true=True)
+        regimes = np.arange(1, spec.n_regimes + 1)
+        target = float(spec.initial_filter_mu0 @ surf.theta_at(0.0, spec.initial_inventory_n0, regimes))
+        assert abs(summary.mean_pnl - target) < 3.0 * summary.stderr
 
 
 class TestGridArguments:

@@ -147,6 +147,7 @@ class TestConfigFormat:
         back = parse_config(format_config(spec))
         assert math.isinf(back.inventory_cap_Nstar)
         assert back.spread_lo == -math.inf and back.spread_hi == math.inf
+        assert validate(back) == []
 
     def test_missing_key_reports_key(self):
         text = format_config(table1_spec())

@@ -1,8 +1,11 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from regimemm import simulate
@@ -13,7 +16,7 @@ from regimemm.hjb_full import solve_constrained
 from regimemm.hjb_partial import policy as hjb_partial_policy
 from regimemm.hjb_partial import solve as solve_partial
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
-from regimemm.model import ModelSpec, RegimeSpec, table1_spec, with_params
+from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, with_params
 from regimemm.simulate import (
     FixedSpreadPolicy,
     FullInfoPolicy,
@@ -25,6 +28,7 @@ from regimemm.simulate import (
 )
 
 FIXED = FixedSpreadPolicy(0.04, 0.04)
+LOGISTIC = Path(__file__).resolve().parent.parent / "configs" / "logistic.cfg"
 
 
 def small_policy(spec, name):
@@ -525,3 +529,48 @@ class TestLookupDomain:
         np.testing.assert_array_equal(policy.quotes_batch(t, n, np.full(100, 0.5), y), np.array(scalar).T)
         with pytest.raises(ValueError, match="belief"):
             policy.quotes_batch(t, n, np.full(100, -0.5), y)
+
+
+SURFACES = {
+    "full-table1": lambda: FullInfoPolicy(solve_constrained(table1_spec(), n_steps=50)),
+    "full-logistic": lambda: FullInfoPolicy(solve_constrained(load_config(LOGISTIC), n_steps=50)),
+    "partial-table1": lambda: PartialInfoPolicy(solve_partial(table1_spec(), m_pi=50)),
+}
+RANGE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestQuotesWithinTheirNodes:
+    """A surface policy's finite quote lies within the range of the table
+    values at its bracketing nodes: 2 time levels for the full policy, 2
+    time levels by 2 belief nodes for the partial one.  So no quote falls
+    below ``min_spreads``, which is what keeps the engine's thinning
+    dominator above every arrival rate."""
+
+    @pytest.fixture(scope="class", params=list(SURFACES))
+    def surface_policy(self, request):
+        return SURFACES[request.param]()
+
+    @RANGE_PROPERTY
+    @given(
+        t=st.floats(0.0, 1.0),
+        n=st.integers(-3, 3),
+        x=st.floats(0.0, 1.0),  # the belief, or the regime as x < 0.5
+    )
+    def test_quote_within_bracketing_nodes(self, surface_policy, t, n, x):
+        surf = surface_policy.surface
+        if isinstance(surface_policy, FullInfoPolicy):
+            quotes, cols = full_policy(surf, t, n, 1 + (x >= 0.5)), [int(x >= 0.5)]
+        else:
+            quotes, cells = hjb_partial_policy(surf, t, n, x), len(surf.pi_grid) - 1
+            j = min(int(x * cells), cells - 1)
+            cols = [j, j + 1]
+        grid = surf.time_grid
+        s = min(max(int(np.searchsorted(grid, t, side="right")) - 1, 0), len(grid) - 2)
+        row = n + 3
+        for quote, table, floor in zip(quotes, (surf.spread_bid, surf.spread_ask), surface_policy.min_spreads()):
+            nodes = table[s : s + 2, row, cols]
+            if quote == STUB_SPREAD:
+                assert np.all(nodes == STUB_SPREAD)
+                continue
+            assert nodes.min() <= quote <= nodes.max()
+            assert quote >= floor
