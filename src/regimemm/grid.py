@@ -107,10 +107,21 @@ def check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
 
 _TABLES = ("theta", "spread_bid", "spread_ask")
 _BLOCK_ROWS = 1 << 16  # rows formatted per block, which bounds the writer's scratch memory
+_BLOCK_CHARS = 1 << 20  # body characters parsed per block, which bounds the reader's scratch memory
+_ROW = "%s%.17g,%.17g,%.17g\n".__mod__
 
 
 def _digits(values) -> list[str]:
     return ["%.17g" % v for v in np.asarray(values).tolist()]
+
+
+def _rows(heads: list[str], tail: list[str], tables) -> str:
+    """One block's rows.  A call of its own, so the block's prefixes and
+    float lists are freed before the next block, and the last block's
+    before the caller's join."""
+    prefix = [head + rest for head in heads for rest in tail]
+    values = [table.ravel().tolist() for table in tables]
+    return "".join(map(_ROW, zip(prefix, *values)))
 
 
 def grid_to_csv(headers: list[str], axis: str, axes, tables) -> str:
@@ -124,15 +135,12 @@ def grid_to_csv(headers: list[str], axis: str, axes, tables) -> str:
     times, levels, third = axes
     tail = [f"{n},{x}," for n in _digits(levels) for x in _digits(third)]
     flat = [np.asarray(table).reshape(len(times), len(tail)) for table in tables]
-    row = "%s%.17g,%.17g,%.17g\n".__mod__
     step = max(1, _BLOCK_ROWS // len(tail))
     heads = [t + "," for t in _digits(times)]
     parts = [f"# {line}\n" for line in headers]
     parts.append(",".join(("t", "n", axis) + _TABLES) + "\n")
     for s in range(0, len(times), step):
-        prefix = [head + rest for head in heads[s : s + step] for rest in tail]
-        values = [table[s : s + step].ravel().tolist() for table in flat]
-        parts.append("".join(map(row, zip(prefix, *values))))
+        parts.append(_rows(heads[s : s + step], tail, [table[s : s + step] for table in flat]))
     return "".join(parts)
 
 
@@ -153,13 +161,24 @@ def grid_from_csv(text: str):
                 headers.append(line[1:].strip())
         elif line.strip():
             break  # the column header row
-    # numpy's C reader parses bytes with correct rounding; a str source
-    # would hold a second, wider copy of the body
-    body = io.BytesIO(text.encode())
-    body.seek(len(text[:pos].encode()))
-    data = np.loadtxt(body, delimiter=",", ndmin=2)
-    if data.shape[1] != 6:
-        raise ValueError(f"grid file rows have {data.shape[1]} columns, expected 6")
+    # numpy's C reader parses bytes with correct rounding.  The body is
+    # encoded and parsed one block of lines at a time into one array, so the
+    # reader never holds a whole second copy of the text
+    data = np.empty((text.count("\n", pos) + 1, 6))
+    rows = 0
+    while pos < len(text):
+        end = text.find("\n", pos + _BLOCK_CHARS) + 1 or len(text)
+        lines, pos = text[pos:end], end
+        if lines.isspace():
+            continue
+        block = np.loadtxt(io.BytesIO(lines.encode()), delimiter=",", ndmin=2)
+        if block.shape[1] != 6:
+            raise ValueError(f"grid file rows have {block.shape[1]} columns, expected 6")
+        data[rows : rows + len(block)] = block
+        rows += len(block)
+    if rows == 0:
+        raise ValueError("grid file has no rows")
+    data = data[:rows]
     axes, index = zip(*(np.unique(data[:, c], return_inverse=True) for c in range(3)))
     shape = tuple(len(a) for a in axes)
     size = int(np.prod(shape))

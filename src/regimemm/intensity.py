@@ -177,14 +177,13 @@ def eval_derivative(fam: IntensityFamily, delta):
     return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
 
 
-def family_at(fam: IntensityFamily, index, shape=None) -> IntensityFamily:
-    """The curves of ``fam`` at ``index``: each per-element parameter, after
-    broadcasting to ``shape`` if one is given, taken there.  A family of
-    scalar parameters is returned as it is."""
+def family_at(fam: IntensityFamily, index, shape) -> IntensityFamily:
+    """The curves of ``fam`` at ``index``: each per-element parameter,
+    broadcast to ``shape``, taken there.  A family of scalar parameters is
+    returned as it is."""
     if fam.kind == "tabulated" or all(np.ndim(p) == 0 for p in fam.params):
         return fam
-    params = fam.params if shape is None else (np.broadcast_to(p, shape) for p in fam.params)
-    return IntensityFamily(fam.kind, tuple(p[index] for p in params))
+    return IntensityFamily(fam.kind, tuple(np.broadcast_to(p, shape)[index] for p in fam.params))
 
 
 # -- CARA utility -----------------------------------------------------------
@@ -234,6 +233,8 @@ def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) 
     out: list[str] = []
     if not all(np.all(np.isfinite(p)) for p in fam.params):
         return ["parameters must be finite"]
+    if fam.kind == "power_law" and not fam.params[1] > 0:
+        return ["power_law requires b > 0"]  # else its domain has no left end
     if fam.kind == "power_law" and not lo > fam.domain_lo():
         out.append(
             f"power_law requires spread_lo > {fam.domain_lo():.6g} (curve domain)"

@@ -168,6 +168,12 @@ def validate(spec: ModelSpec) -> list[str]:
         elif np.any(mu0 <= 0.0) or np.any(mu0 >= 1.0):
             out.append("initial_filter_mu0 entries must lie strictly in (0, 1)")
 
+    for idx, regime in enumerate(spec.regimes, start=1):
+        # a label is one config line's value, which parse_config strips
+        label = regime.label
+        if label != label.strip() or "".join(label.splitlines()) != label:
+            out.append(f"regime {idx} label must be one line without surrounding whitespace")
+
     if spec.spread_lo < spec.spread_hi:  # curve checks need a non-empty range
         for idx, regime in enumerate(spec.regimes, start=1):
             for side, fam in (("bid", regime.bid_intensity), ("ask", regime.ask_intensity)):

@@ -66,43 +66,35 @@ def exact_filter(spec, delta_bid, delta_ask, record):
     return out
 
 
-def one_regime_backward_ode(spec, n_steps):
-    """Plain-loop RK4 for the single-regime system with explicit exponential
-    Hamiltonians; compares against the vectorized solver."""
-    a, b = spec.regimes[0].bid_intensity.params
-    lo, hi = spec.spread_lo, spec.spread_hi
-    mu, sig = spec.drift_mu, spec.vol_sigma
-    zeta, c = spec.running_penalty_zeta, spec.terminal_cost_c
-    n_star = int(spec.inventory_cap_Nstar)
-    ns = list(range(-n_star, n_star + 1))
+def exponential_closed_form(spec, times):
+    """theta(t, n, i) at ``times`` of a market whose regimes do not switch
+    (Q = 0) and quote exponential curves a e^(-b delta) with one b per
+    regime, spreads inside their bounds.
 
-    def ham(d):
-        delta = min(max(1.0 / b - d, lo), hi)
-        return a * math.exp(-b * delta) * (delta + d)
-
-    def rhs(th):
-        out = []
-        for r, n in enumerate(ns):
-            val = mu * n - 0.5 * sig * sig * n * n * zeta
-            if n < n_star:
-                val += ham(th[r + 1] - th[r])
-            if -n < n_star:
-                val += ham(th[r - 1] - th[r])
-            out.append(val)
-        return out
-
-    h = spec.horizon_T / n_steps
-    th = [-c * n * n for n in ns]
-    for _ in range(n_steps):
-        k1 = rhs(th)
-        k2 = rhs([y + 0.5 * h * v for y, v in zip(th, k1)])
-        k3 = rhs([y + 0.5 * h * v for y, v in zip(th, k2)])
-        k4 = rhs([y + h * v for y, v in zip(th, k3)])
-        th = [
-            y + (h / 6.0) * (v1 + 2 * v2 + 2 * v3 + v4)
-            for y, v1, v2, v3, v4 in zip(th, k1, k2, k3, k4)
-        ]
-    return np.array(th)
+    There the Hamiltonian is H_gamma(d) = C e^(b d), with C = a / (b e) at
+    gamma = 0 and (a / b)(1 + gamma / b)^(-1 - b / gamma) above, so
+    w = e^(b theta) solves the linear ODE -w' = M w (Gueant, Lehalle and
+    Fernandez-Tapia, 2013): w(t) = expm(M (T - t)) e^(-b c n^2), where M is
+    b times the running reward on the diagonal plus b C_bid above it (a
+    bid fill raises n) and b C_ask below it.
+    """
+    if np.any(spec.generator_Q != 0):
+        raise ValueError("the closed form needs regimes that do not switch")
+    gamma = spec.risk_aversion_gamma
+    levels = spec.inventory_levels()
+    out = np.empty((len(times), len(levels), spec.n_regimes))
+    for i, regime in enumerate(spec.regimes):
+        (a_bid, b), (a_ask, b_ask) = regime.bid_intensity.params, regime.ask_intensity.params
+        if b_ask != b:
+            raise ValueError("the closed form needs one decay b per regime")
+        scale = math.exp(-1.0) if gamma == 0 else (1.0 + gamma / b) ** (-1.0 - b / gamma)
+        M = np.diag(b * spec.running_reward(levels.astype(float)))
+        M += np.diag(np.full(len(levels) - 1, a_bid * scale), 1)
+        M += np.diag(np.full(len(levels) - 1, a_ask * scale), -1)
+        w_end = np.exp(-b * spec.terminal_cost(levels))
+        for s, t in enumerate(times):
+            out[s, :, i] = np.log(expm(M * (spec.horizon_T - t)) @ w_end) / b
+    return out
 
 
 def hamiltonian_closed_form(fam, gamma, d, bounds):

@@ -4,10 +4,12 @@ Runs ``solve-full`` (default and ``--steps 400``), ``solve-partial --mpi 200``,
 ``compare --mpi 200``, ``simulate --policy partial|full|fixed:0.04 --seed 7``
 and ``attractor --beta 1|2`` on every config in ``configs/`` into a temporary
 directory.  Each written file is one body, and so is each command's exit
-code with its standard output and error.  The manifest's
-``wall_clock_seconds`` line and the temporary directory's name are dropped
-first, so two source trees that produce the same outputs print the same
-lines.  The regimemm package is imported from ``sys.path``, so
+code with its standard output and error, and each surface file also gets
+a line for the arrays that its ``surface_from_csv`` reads back, so a
+change to the reader shows even where the files keep their bytes.  The
+manifest's ``wall_clock_seconds`` line and the temporary directory's name
+are dropped first, so two source trees that produce the same outputs
+print the same lines.  The regimemm package is imported from ``sys.path``, so
 ``PYTHONPATH`` picks the tree under test:
 
     PYTHONPATH=src python tests/output_digests.py
@@ -32,7 +34,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from regimemm import cli
+import numpy as np
+
+from regimemm import cli, hjb_full, hjb_partial
+from regimemm.model import format_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,8 +54,25 @@ COMMANDS = (
 )
 
 
+READERS = {"surface_full.csv": hjb_full, "surface_partial.csv": hjb_partial}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _read_back_digest(module, text: str) -> str:
+    """sha256 of the spec and of the time grid, belief axis (partial
+    surfaces) and tables that ``module.surface_from_csv`` reads from
+    ``text``: each array's shape, then its bytes."""
+    surface = module.surface_from_csv(text)
+    h = hashlib.sha256(format_config(surface.spec).encode())
+    for name in ("time_grid", "pi_grid", "theta", "spread_bid", "spread_ask"):
+        if hasattr(surface, name):
+            array = np.ascontiguousarray(getattr(surface, name))
+            h.update(repr(array.shape).encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
 
 
 def digests(config: Path, out: Path):
@@ -77,6 +99,8 @@ def digests(config: Path, out: Path):
                     if not line.startswith("wall_clock_seconds")
                 )
             yield f"{label} | {path.name}", _digest(text)
+            if path.name in READERS:
+                yield f"{label} | {path.name} read back", _read_back_digest(READERS[path.name], text)
 
 
 def lines():

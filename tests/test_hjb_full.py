@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import (
     comparison_bounds_loop,
-    one_regime_backward_ode,
+    exponential_closed_form,
     policy_loop,
     residual_report,
     rhs_loop,
@@ -236,11 +236,25 @@ class TestSolveConstrained:
         ratio = errs[0] / errs[1]
         assert 10.0 < ratio < 24.0
 
+    @staticmethod
+    def assert_closed_form_holds(make_spec):
+        """θ at every node within 1e-11 of the closed form, for
+        γ ∈ {0, 0.5, 2} and c ∈ {0, 0.01}; RK4's error there is at most
+        4.2e-12 (with the drift) at 1000 steps."""
+        for gamma in (0.0, 0.5, 2.0):
+            for c in (0.0, 0.01):
+                spec = with_params(make_spec(c), risk_aversion_gamma=gamma)
+                surf = solve_constrained(spec, n_steps=1000)
+                oracle = exponential_closed_form(spec, surf.time_grid)
+                np.testing.assert_allclose(surf.theta, oracle, rtol=0, atol=1e-11, err_msg=f"{gamma=} {c=}")
+
     def test_one_regime_matches_independent_oracle(self):
-        spec = one_regime_spec(c=0.01, mu=0.3)
-        surf = solve_constrained(spec, n_steps=400)
-        oracle = one_regime_backward_ode(spec, 400)
-        np.testing.assert_allclose(surf.theta[0][:, 0], oracle, atol=1e-10)
+        self.assert_closed_form_holds(lambda c: one_regime_spec(c=c, mu=0.3))
+
+    def test_regimes_that_never_switch_match_the_closed_form(self):
+        self.assert_closed_form_holds(
+            lambda c: with_params(table1_spec(terminal_cost_c=c), generator_Q=np.zeros((2, 2)))
+        )
 
     def test_residual_small_at_midpoints(self):
         surf = solve_constrained(table1_spec(), n_steps=2000)

@@ -367,7 +367,7 @@ class TestPerElementParameters:
     def test_family_at_gathers_the_curves(self):
         curves = PER_ELEMENT_CURVES["logistic"]
         fam = stacked(curves)
-        picked = family_at(fam, np.array([2, 0, 2]))
+        picked = family_at(fam, np.array([2, 0, 2]), (3,))
         assert [tuple(p.tolist()) for p in picked.params] == [
             tuple(curves[j].params[k] for j in (2, 0, 2)) for k in range(3)
         ]

@@ -1,11 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
 from regimemm.errors import ConfigError, UnsupportedConfigError
 from regimemm.intensity import IntensityFamily
 from regimemm.model import (
+    ModelSpec,
     RegimeSpec,
     format_config,
     parse_config,
@@ -73,6 +78,18 @@ class TestValidate:
         )
         msgs = validate(spec)
         assert any(v.startswith("regime 1") and "decreasing" in v for v in msgs)
+
+    def test_flat_power_law_reported(self):
+        # b = 0 leaves the curve's domain without a left end (-c / b)
+        flat = IntensityFamily.power_law(1.0, 0.0, 1.0, 1.0)
+        spec = with_params(table1_spec(), regimes=(RegimeSpec("flat", flat, flat), table1_spec().regimes[1]))
+        assert "regime 1 (flat) bid intensity: power_law requires b > 0" in validate(spec)
+
+    @pytest.mark.parametrize("label", [" low", "low\n", "lo\nw", "lo\x85w", "lo\u2028w"])
+    def test_label_must_be_one_config_line(self, label):
+        lam = table1_spec().regimes[0].bid_intensity
+        spec = with_params(table1_spec(), regimes=(RegimeSpec(label, lam, lam), table1_spec().regimes[1]))
+        assert validate(spec) == ["regime 1 label must be one line without surrounding whitespace"]
 
     def test_idempotent(self):
         spec = with_params(table1_spec(), spread_lo=2.0)
@@ -207,3 +224,115 @@ class TestSpecHelpers:
             spec.drift_mu = 1.0
         with pytest.raises(Exception):
             spec.generator_Q[0, 0] = 1.0
+
+
+# -- properties ----------------------------------------------------------------
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+# the values a spec field may hold besides a valid one: zeros, NaN, +-inf,
+# extremes and any other float
+edges = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324]), st.floats())
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+rates = st.floats(1e-3, 1e3)
+
+
+def either(valid, wild):
+    return st.one_of(valid, edges) if wild else valid
+
+
+def families(wild):
+    p = either(rates, wild)
+    return st.one_of(
+        st.builds(IntensityFamily.exponential, p, p),
+        st.builds(IntensityFamily.logistic, p, p, p),
+        st.builds(IntensityFamily.arctan, p, p, either(finite, wild)),
+        st.builds(IntensityFamily.power_law, p, p, p, p),
+        st.integers(2, 5).flatmap(
+            lambda size: st.builds(
+                IntensityFamily.tabulated,
+                st.lists(either(st.floats(-20.0, 20.0), wild), min_size=size, max_size=size, unique=True).map(sorted),
+                st.lists(p, min_size=size, max_size=size).map(lambda v: sorted(v, reverse=True)),
+            )
+        ),
+    )
+
+
+@st.composite
+def specs(draw, wild):
+    """Model specs.  With ``wild``, any field may hold any float (NaN and
+    +-inf included), the generator and initial belief any array of up to
+    three axes, and the regimes may be none; otherwise every field is drawn
+    from the values ``validate`` accepts for it alone."""
+    k = draw(st.integers(0 if wild else 1, 3))
+    regimes = [
+        RegimeSpec(draw(st.text(max_size=6)), draw(families(wild)), draw(families(wild)))
+        for _ in range(k)
+    ]
+    k = max(k, 1)
+    if wild and draw(st.booleans()):
+        any_array = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3), elements=edges)
+        q, mu0 = draw(any_array), draw(any_array)
+    else:
+        q = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=k * k, max_size=k * k))).reshape(k, k)
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1))
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        mu0 = w / w.sum() if k > 1 else np.array([1.0])
+    unbounded = draw(st.booleans())
+    penalty = st.just(0.0) if unbounded else either(nonnegative, wild)
+    cap = st.floats(1.0, 1e300).map(lambda x: float(math.floor(x)))
+    return ModelSpec(
+        horizon_T=draw(either(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), wild)),
+        drift_mu=draw(either(finite, wild)),
+        vol_sigma=draw(either(nonnegative, wild)),
+        risk_aversion_gamma=draw(penalty),
+        running_penalty_zeta=draw(penalty),
+        terminal_cost_c=draw(penalty),
+        inventory_cap_Nstar=math.inf if unbounded else draw(either(st.one_of(st.integers(1, 6).map(float), cap), wild)),
+        spread_lo=draw(either(st.one_of(st.floats(-10.0, 0.0), st.just(-math.inf)), wild)),
+        spread_hi=draw(either(st.one_of(st.floats(0.1, 10.0), st.just(math.inf)), wild)),
+        regimes=tuple(regimes),
+        generator_Q=q,
+        initial_filter_mu0=mu0,
+        initial_inventory_n0=draw(st.one_of(st.integers(-3, 3), st.integers())),
+        initial_cash_x0=draw(either(finite, wild)),
+        initial_price_s0=draw(either(finite, wild)),
+    )
+
+
+def same_spec(a, b) -> bool:
+    """Every field of two specs equal, floats to the bit."""
+
+    def bits(x):
+        return x if isinstance(x, int) else np.asarray(x, dtype=float).tobytes()
+
+    scalars = [f.name for f in dataclasses.fields(ModelSpec) if f.name != "regimes"]
+    if any(bits(getattr(a, name)) != bits(getattr(b, name)) for name in scalars):
+        return False
+    if np.shape(a.generator_Q) != np.shape(b.generator_Q) or a.n_regimes != b.n_regimes:
+        return False
+    return all(
+        ra.label == rb.label
+        and all(
+            fa.kind == fb.kind and all(bits(pa) == bits(pb) for pa, pb in zip(fa.params, fb.params))
+            for fa, fb in ((ra.bid_intensity, rb.bid_intensity), (ra.ask_intensity, rb.ask_intensity))
+        )
+        for ra, rb in zip(a.regimes, b.regimes)
+    )
+
+
+class TestProperties:
+    @settings(PROPERTY, max_examples=200)
+    @given(specs(wild=True))
+    def test_validate_never_raises(self, spec):
+        with np.errstate(all="ignore"):
+            reasons = validate(spec)
+        assert isinstance(reasons, list) and all(isinstance(r, str) for r in reasons)
+
+    @settings(PROPERTY, max_examples=100)
+    @given(specs(wild=False))
+    def test_config_round_trip_of_every_valid_spec(self, spec):
+        with np.errstate(all="ignore"):
+            assume(validate(spec) == [])
+        assert same_spec(parse_config(format_config(spec)), spec)

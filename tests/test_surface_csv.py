@@ -1,14 +1,16 @@
 """The surface grid-file codec, for both solved surfaces: bytes against the
-per-value loop writers in ``oracles``, exact reads in any row order, and
-rejection of grids that are incomplete or malformed."""
+per-value loop writers in ``oracles``, exact reads in any row order and
+block size, rejection of grids that are incomplete or malformed, and the
+reader's memory bound."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import full_surface_csv_loop, partial_surface_csv_loop
 
-from regimemm import hjb_full, hjb_partial
+from regimemm import grid, hjb_full, hjb_partial
 from regimemm.model import format_config, table1_spec
 
 TABLES = ("time_grid", "theta", "spread_bid", "spread_ask")
@@ -44,6 +46,11 @@ def kind(request):
     return surface, module, loop_writer
 
 
+# the reader's default block size, which holds a test surface's whole body,
+# and one of a few rows, so a body spans many blocks
+BLOCK_CHARS = (grid._BLOCK_CHARS, 150)
+
+
 def split(text):
     """(header block including the column row, body rows)."""
     lines = text.splitlines(keepends=True)
@@ -59,29 +66,38 @@ def test_writer_matches_loop_reference(kind):
     assert "-0," in text and "0.33333333333333331" in text and ",inf" in text
 
 
-def test_shuffled_rows_read_back_exactly(kind):
+def test_shuffled_rows_read_back_exactly(kind, monkeypatch):
     surface, module, _ = kind
     head, rows = split(module.surface_to_csv(surface, {"manifest": "m"}))
     np.random.default_rng(5).shuffle(rows)
-    back = module.surface_from_csv(head + "".join(rows))
-    for name in TABLES:
-        np.testing.assert_allclose(getattr(back, name), getattr(surface, name), rtol=0, atol=0)
-    assert format_config(back.spec) == format_config(surface.spec)
+    body = "".join(rows)
+    for chars in BLOCK_CHARS:
+        monkeypatch.setattr(grid, "_BLOCK_CHARS", chars)
+        for text in (head + body, head + body.rstrip("\n")):  # with and without the final newline
+            back = module.surface_from_csv(text)
+            for name in TABLES:
+                np.testing.assert_allclose(getattr(back, name), getattr(surface, name), rtol=0, atol=0)
+            assert format_config(back.spec) == format_config(surface.spec)
 
 
-def test_incomplete_or_malformed_grid_rejected(kind):
+def test_incomplete_or_malformed_grid_rejected(kind, monkeypatch):
     surface, module, _ = kind
     head, rows = split(module.surface_to_csv(surface))
-    bad = {
-        "rows": rows[:-3],  # truncated file
-        "node": rows[:-1] + rows[-2:-1],  # last node replaced by a repeat
-        "changed": rows[:-1] + [rows[-1].rsplit(",", 1)[0] + "\n"],  # one short row
-        "5 columns": [row.rsplit(",", 1)[0] + "\n" for row in rows],
-        "inventories": [row for row in rows if row.split(",")[1] != "3"],
-    }
-    for message, body in bad.items():
-        with pytest.raises(ValueError, match=message):
-            module.surface_from_csv(head + "".join(body))
+    short = rows[-1].rsplit(",", 1)[0] + "\n"
+    bad = [
+        ("rows", head + "".join(rows[:-3])),  # truncated file
+        ("node", head + "".join(rows[:-1] + rows[-2:-1])),  # last node replaced by a repeat
+        ("columns", head + "".join(rows[:-1] + [short])),  # one short row, in the last block
+        ("columns", head + "".join(row.rsplit(",", 1)[0] + "\n" for row in rows)),
+        ("inventories", head + "".join(row for row in rows if row.split(",")[1] != "3")),
+        ("no rows", head),  # an empty body
+        ("no rows", head.rsplit("\n", 2)[0] + "\n"),  # header lines only
+    ]
+    for chars in BLOCK_CHARS:
+        monkeypatch.setattr(grid, "_BLOCK_CHARS", chars)
+        for message, text in bad:
+            with pytest.raises(ValueError, match=message):
+                module.surface_from_csv(text)
 
 
 def test_missing_third_axis_node_rejected():
@@ -92,3 +108,17 @@ def test_missing_third_axis_node_rejected():
         body = [row for row in rows if row.split(",")[2] != "1"]
         with pytest.raises(ValueError, match="regimes|beliefs"):
             module.surface_from_csv(head + "".join(body))
+
+
+def test_reader_memory_is_bounded_by_the_text():
+    # the m_pi = 200 surface of the benchmark's solve workload, about 39 MB
+    # of text; the reader parses it in blocks, so beyond the text it holds
+    # little more than the parsed rows and the tables
+    text = hjb_partial.surface_to_csv(hjb_partial.solve(table1_spec(), m_pi=200))
+    tracemalloc.start()
+    try:
+        hjb_partial.surface_from_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * len(text)
