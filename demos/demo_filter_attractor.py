@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from regimemm.filtering import FilterState, attractor, jump_update
+from regimemm.filtering import attractor, jump_update
 from regimemm.model import table1_spec, with_params
 from regimemm.simulate import FixedSpreadPolicy, monte_carlo
 
@@ -32,8 +32,8 @@ def main():
     print("two-sided equilibrium; each fill then knocks it down by the Bayes")
     print("factor pi -> pi / m_hat(pi):")
     for pi in (0.5, 0.6, 0.636):
-        jumped = jump_update(FilterState(np.array([pi, 1 - pi])), "ask", 0.04, spec)
-        print(f"  fill at pi = {pi:.3f} -> {jumped.probs[0]:.3f}")
+        jumped = jump_update(np.array([pi, 1 - pi]), "ask", 0.04, spec)
+        print(f"  fill at pi = {pi:.3f} -> {jumped[0]:.3f}")
     print()
 
     summary = monte_carlo(spec, FixedSpreadPolicy(0.04, 0.04), 1, 9, export_paths=1)

@@ -30,7 +30,6 @@ from .model import (
     with_params,
 )
 from .filtering import (
-    FilterState,
     ObservableRates,
     attractor,
     drift,
@@ -69,7 +68,6 @@ __all__ = [
     "two_regime_reduction",
     "validate",
     "with_params",
-    "FilterState",
     "ObservableRates",
     "attractor",
     "drift",

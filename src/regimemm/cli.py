@@ -39,38 +39,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-class RunManifest:
-    """Flat-text record of one command run; the hash covers everything except
-    the wall-clock line, so reruns reproduce it bit-for-bit."""
-
-    def __init__(self, command: str, spec: ModelSpec, params: dict, outputs: list[str]):
-        self.command = command
-        self.spec_text = format_config(spec)
-        self.params = {k: str(v) for k, v in params.items()}
-        self.outputs = list(outputs)
-
-    def payload(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"command = {self.command}\n")
-        buf.write(f"version = {__version__}\n")
-        for key in sorted(self.params):
-            buf.write(f"{key} = {self.params[key]}\n")
-        for line in self.spec_text.strip().splitlines():
-            buf.write(f"spec.{line}\n")
-        for name in self.outputs:
-            buf.write(f"output = {name}\n")
-        return buf.getvalue()
-
-    @property
-    def hash(self) -> str:
-        return hashlib.sha256(self.payload().encode()).hexdigest()[:16]
-
-    def render(self, wall_clock: float) -> str:
-        return (
-            self.payload()
-            + f"manifest_hash = {self.hash}\n"
-            + f"wall_clock_seconds = {wall_clock:.3f}\n"
-        )
+def _manifest_payload(command: str, spec: ModelSpec, params: dict, outputs) -> str:
+    """Flat-text record of one command run, all of which the manifest hash
+    covers; the wall-clock line is written after it, so reruns reproduce
+    the hash bit-for-bit."""
+    lines = [f"command = {command}", f"version = {__version__}"]
+    lines += [f"{key} = {params[key]}" for key in sorted(params)]
+    lines += [f"spec.{line}" for line in format_config(spec).strip().splitlines()]
+    lines += [f"output = {name}" for name in outputs]
+    return "\n".join(lines) + "\n"
 
 
 def _load_spec(path: str) -> ModelSpec:
@@ -100,14 +77,18 @@ def _run(args) -> int:
     if result is None:
         return EXIT_OK
     params, renderers = result
-    manifest = RunManifest(args.command, spec, params, list(renderers))
-    texts = {name: render(manifest.hash) for name, render in renderers.items()}
-    run_dir = Path(args.out) / args.command / manifest.hash
+    payload = _manifest_payload(args.command, spec, params, renderers)
+    manifest_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    texts = {name: render(manifest_hash) for name, render in renderers.items()}
+    run_dir = Path(args.out) / args.command / manifest_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (run_dir / name).write_text(text, encoding="utf-8")
     (run_dir / "manifest.txt").write_text(
-        manifest.render(time.time() - started), encoding="utf-8"
+        payload
+        + f"manifest_hash = {manifest_hash}\n"
+        + f"wall_clock_seconds = {time.time() - started:.3f}\n",
+        encoding="utf-8",
     )
     print(run_dir)
     return EXIT_OK

@@ -27,27 +27,6 @@ _FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Belief over regimes: coordinates of at least ``_FLOOR`` summing to one.
-
-    ``probs`` is one belief (k,) or a batch of per-path beliefs (P, k).
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def check(self, atol: float = 1e-10) -> None:
-        if np.any(np.abs(self.probs.sum(axis=-1) - 1.0) > atol):
-            raise ValueError("belief does not sum to 1")
-        if not np.all(self.probs >= _FLOOR):
-            raise ValueError("belief coordinate below the simplex floor")
-
-
-@dataclass(frozen=True)
 class ObservableRates:
     """Belief-weighted order-arrival rates seen by the market maker: floats
     for one belief, (P,) arrays for a batch."""
@@ -78,49 +57,48 @@ def _components(spec: ModelSpec, side: str, delta, on=True) -> np.ndarray:
     return lam * (~stub & on)[..., None]
 
 
-def observable_rates(state: FilterState, spreads, n, spec: ModelSpec) -> ObservableRates:
+def observable_rates(pi: np.ndarray, spreads, n, spec: ModelSpec) -> ObservableRates:
     """Average regime intensities under the belief, zeroed on a blocked side.
 
-    Broadcasts over paths: ``state`` may hold a (P, k) batch, with spreads
-    and ``n`` scalars or (P,) arrays.
+    Broadcasts over paths: ``pi`` is one belief (k,) or a (P, k) batch, with
+    spreads and ``n`` scalars or (P,) arrays.
     """
     bid = _components(spec, "bid", spreads[0], spec.bid_active(n))
     ask = _components(spec, "ask", spreads[1], spec.ask_active(n))
     # row-wise belief averages: (P,) for a batch, a float for one belief
     return ObservableRates(
-        bid_rate=np.einsum("...k,...k->...", state.probs, bid)[()],
-        ask_rate=np.einsum("...k,...k->...", state.probs, ask)[()],
+        bid_rate=np.einsum("...k,...k->...", pi, bid)[()],
+        ask_rate=np.einsum("...k,...k->...", pi, ask)[()],
         bid_components=bid,
         ask_components=ask,
     )
 
 
-def drift(state: FilterState, spreads, n, spec: ModelSpec) -> np.ndarray:
+def drift(pi: np.ndarray, spreads, n, spec: ModelSpec) -> np.ndarray:
     """Between-order belief velocity; tangent to the simplex (sums to zero).
 
     Coordinate i moves by generator transport plus pi_i times the gap between
     the observable rate and regime i's own rate, summed over active sides (a
     blocked side's rates are zero).  Broadcasts like ``observable_rates``.
     """
-    pi = state.probs
-    rates = observable_rates(state, spreads, n, spec)
+    rates = observable_rates(pi, spreads, n, spec)
     out = pi @ spec.generator_Q
     out = out + pi * (rates.bid_rate[..., None] - rates.bid_components)
     out = out + pi * (rates.ask_rate[..., None] - rates.ask_components)
     return out
 
 
-def jump_update(state: FilterState, side: str, spread, spec: ModelSpec) -> FilterState:
+def jump_update(pi: np.ndarray, side: str, spread, spec: ModelSpec) -> np.ndarray:
     """Bayes update at an order: reweight by that side's regime intensities.
 
     Broadcasts over a (P, k) batch of beliefs with per-path spreads.  A
     coordinate the update pushes below the simplex floor is raised to it.
     """
-    raw = state.probs * _components(spec, side, spread)
+    raw = pi * _components(spec, side, spread)
     total = raw.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
         raise NumericsError("jump update with zero observable intensity")
-    return FilterState(np.maximum(raw / total, _FLOOR))
+    return np.maximum(raw / total, _FLOOR)
 
 
 def _rk4_step(pi: np.ndarray, t, h, deriv) -> tuple[np.ndarray, int]:

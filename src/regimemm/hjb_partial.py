@@ -354,7 +354,8 @@ def surface_to_csv(surface: PartialInfoSurface, extra_headers: dict | None = Non
 def surface_from_csv(text: str) -> PartialInfoSurface:
     """Inverse of ``surface_to_csv``; rows may come in any order.  Raises
     ``ValueError`` for a grid that misses a node of the spec's inventories
-    or of a uniform belief grid."""
+    or of a uniform belief grid, for a missing ``cfl_*`` or
+    ``belief_gradient_scale`` header and for a negative scale."""
     lines, (times, levels, pis), tables = grid_from_csv(text)
     config_lines = []
     headers: dict[str, str] = {}
@@ -369,11 +370,16 @@ def surface_from_csv(text: str) -> PartialInfoSurface:
         raise ValueError("grid file inventories do not match the inventory cap")
     if not np.array_equal(pis, np.linspace(0.0, 1.0, len(pis))):
         raise ValueError("grid file beliefs are not a uniform grid over [0, 1]")
-    report = CflReport(
-        max_coefficient=float(headers.get("cfl_max_coeff", "nan")),
-        min_dt=float(headers.get("cfl_min_dt", "nan")),
-        max_dt=float(headers.get("cfl_max_dt", "nan")),
-        n_steps=int(headers.get("cfl_n_steps", "0")),
-    )
-    scale = float(headers.get("belief_gradient_scale", "1"))
+    try:
+        report = CflReport(
+            max_coefficient=float(headers["cfl_max_coeff"]),
+            min_dt=float(headers["cfl_min_dt"]),
+            max_dt=float(headers["cfl_max_dt"]),
+            n_steps=int(headers["cfl_n_steps"]),
+        )
+        scale = float(headers["belief_gradient_scale"])
+    except KeyError as exc:
+        raise ValueError(f"grid file has no {exc.args[0]} header") from None
+    if not scale >= 0.0:
+        raise ValueError(f"grid file belief_gradient_scale {scale:g} must be >= 0")
     return PartialInfoSurface(spec, times, pis, *tables, report, scale)

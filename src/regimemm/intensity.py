@@ -228,8 +228,10 @@ def _probe_grid(fam: IntensityFamily, lo: float, hi: float) -> np.ndarray:
 
 
 def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) -> list[str]:
-    """Check positivity, monotone decay and (if hi is infinite, gamma = 0) the
-    fast-decay tail condition. Returns human-readable violations, empty if ok."""
+    """Check positivity, monotone decay, a fall across the probed spread
+    range (a flat curve has no optimal spread) and (if hi is infinite,
+    gamma = 0) the fast-decay tail condition. Returns human-readable
+    violations, empty if ok."""
     out: list[str] = []
     if not all(np.all(np.isfinite(p)) for p in fam.params):
         return ["parameters must be finite"]
@@ -249,6 +251,8 @@ def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) 
         out.append("intensity must be strictly positive on the spread range")
     if np.any(np.diff(vals) > 1e-12 * np.maximum(1.0, np.abs(vals[:-1]))):
         out.append("intensity must be decreasing in the spread")
+    if not vals[-1] < vals[0]:  # e.g. b = 0: no spread beats another
+        out.append("intensity must fall across the spread range, not stay flat")
     if math.isinf(hi) and fam.kind != "tabulated":
         # tail condition: delta^{1{gamma=0}} * lam(delta) -> 0 as delta -> inf,
         # probed by requiring clear decay between two far-out points

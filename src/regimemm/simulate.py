@@ -40,7 +40,7 @@ import numpy as np
 
 from . import hjb_full, hjb_partial
 from .errors import NumericsError, UnsupportedConfigError
-from .filtering import _FLOOR, FilterState, _hermite, _rk4_step, drift, observable_rates
+from .filtering import _FLOOR, _hermite, _rk4_step, drift, observable_rates
 from .filtering import jump_update as _filter_jump
 from .grid import check_belief, check_count
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
@@ -293,13 +293,6 @@ class _BridgedPrices:
         self.last_s = float(spec.initial_price_s0)
         self.last_cell = 0
 
-    def node(self, r: int) -> float:
-        return float(self.grid[r])
-
-    @property
-    def terminal(self) -> float:
-        return float(self.grid[-1])
-
     def at_fill(self, t: float, prices_rng) -> float:
         cell = min(int(t / self.dt), self.cells - 1)
         if cell != self.last_cell:
@@ -394,7 +387,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
 
     def velocity(sel, t_sel, n_sel, pi_sel):
         spreads = policy.quotes_batch(t_sel, n_sel, pi_sel[:, 0], regime_at(sel, t_sel))
-        return drift(FilterState(pi_sel), spreads, n_sel, spec)
+        return drift(pi_sel, spreads, n_sel, spec)
 
     t = np.zeros(n_paths)
     n = np.full(n_paths, spec.initial_inventory_n0, dtype=int)
@@ -408,7 +401,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     active = np.ones(n_paths, dtype=bool)
     counts = {"rk4_steps": 0, "candidates": 0, "clamps": 0}
     # recorded rows: (t, S, N, X, belief, event side)
-    log = [[(0.0, prices[p].node(0), n[p], x[p], pi[p].copy(), "")] for p in range(record)]
+    log = [[(0.0, prices[p].grid[0], n[p], x[p], pi[p].copy(), "")] for p in range(record)]
     fills: list[list[Fill]] = [[] for _ in range(record)]
     next_report = np.ones(record, dtype=int)
 
@@ -451,7 +444,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
                 pi0[rec][of], f0[of], pi[sel][of], f1[of], h[of, None], theta[:, None]
             )
             for p, row, belief in zip(sel[of], r, beliefs):
-                log[p].append((report_t[row - 1], prices[p].node(row), n[p], x[p], belief, ""))
+                log[p].append((report_t[row - 1], prices[p].grid[row], n[p], x[p], belief, ""))
             next_report[sel] = first + many
 
         at_end = t_stop >= T
@@ -465,7 +458,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         qb, qa = policy.quotes_batch(t[cand], n[cand], pi[cand, 0], y)
         # arrival rates: belief-averaged, or the hidden regime's own
         weights = pi[cand] if y is None else np.eye(spec.n_regimes)[y]
-        rates = observable_rates(FilterState(weights), (qb, qa), n[cand], spec)
+        rates = observable_rates(weights, (qb, qa), n[cand], spec)
         rate_b, total = rates.bid_rate, rates.total
         bound_arr = thinning_bound(cand)
         if np.any(total > bound_arr * _BOUND_SLACK):
@@ -492,9 +485,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
             on_side = [(p, spread) for p, s, spread, _ in filled if s == side]
             if on_side:
                 paths, spreads = (list(c) for c in zip(*on_side))
-                pi[paths] = _filter_jump(
-                    FilterState(pi[paths]), side, np.array(spreads), spec
-                ).probs
+                pi[paths] = _filter_jump(pi[paths], side, np.array(spreads), spec)
                 # the update raises a coordinate it pushes under the floor to it
                 counts["clamps"] += int(np.count_nonzero(pi[paths] == _FLOOR))
         for p, side, spread, s_fill in filled:
@@ -502,7 +493,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
                 fills[p].append(Fill(float(t[p]), side, spread, s_fill))
                 log[p].append((t[p], s_fill, n[p], x[p], pi[p].copy(), side))
 
-    s_final = np.array([b.terminal for b in prices])
+    s_final = np.array([b.grid[-1] for b in prices])
     pnls = np.asarray(_penalized_pnl(spec, x, s_final, n.astype(float), inv_integral))
     records = []
     for p in range(record):

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from regimemm.errors import UnsupportedConfigError
+from regimemm.filtering import _FLOOR
 from regimemm.grid import check_count, gather, time_bracket
 from regimemm.hjb_full import FullInfoSurface, _coupling, _march, _Plan, _regime_column, _rhs
 from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
@@ -64,6 +65,17 @@ def exact_filter(spec, delta_bid, delta_ask, record):
         rho = rho / rho.sum()
         out[row] = rho
     return out
+
+
+def check_simplex(pi, atol=1e-10):
+    """Raise ``ValueError`` unless every belief in ``pi``, one (k,) or a
+    (P, k) batch, sums to 1 within ``atol`` with every coordinate at or
+    above the simplex floor."""
+    pi = np.asarray(pi, dtype=float)
+    if np.any(np.abs(pi.sum(axis=-1) - 1.0) > atol):
+        raise ValueError("belief does not sum to 1")
+    if not np.all(pi >= _FLOOR):
+        raise ValueError("belief coordinate below the simplex floor")
 
 
 def exponential_closed_form(spec, times):

@@ -17,7 +17,7 @@ from scipy import stats
 
 from regimemm import hjb_full, hjb_partial
 from regimemm.cli import main as cli_main
-from regimemm.filtering import FilterState, jump_update
+from regimemm.filtering import jump_update
 from regimemm.hjb_full import comparison_bounds, solve_constrained
 from regimemm.intensity import IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, format_config, table1_spec
@@ -160,8 +160,8 @@ def test_criterion_5_filter_oracle(table1, report):
     )
     n_fills = sum(len(rec.fills) for rec in summary.records)
 
-    jumped = jump_update(FilterState(np.array([0.5, 0.5])), "bid", 0.04, table1)
-    jump_err = abs(jumped.probs[0] - 1.0 / 6.0)
+    jumped = jump_update(np.array([0.5, 0.5]), "bid", 0.04, table1)
+    jump_err = abs(jumped[0] - 1.0 / 6.0)
     elapsed = time.perf_counter() - t0
     assert sup_err < 1e-7
     assert jump_err <= 1e-12

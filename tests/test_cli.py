@@ -7,7 +7,8 @@ import pytest
 
 from regimemm import cli
 from regimemm.cli import main
-from regimemm.model import format_config, table1_spec, with_params
+from regimemm.intensity import IntensityFamily
+from regimemm.model import RegimeSpec, format_config, table1_spec, with_params
 
 
 @pytest.fixture
@@ -126,6 +127,42 @@ class TestNonFiniteNumbers:
         named = "regime 1 (low-liquidity) bid intensity" if key.startswith("regime.") else key
         assert f"invalid config: {named}" in err
         assert ";" not in err  # one message, for the one bad key
+        assert not (tmp_path / "o").exists()
+
+
+class TestFlatCurves:
+    """A curve that does not fall across the spread range (here b = 0) has
+    no optimal spread: every command exits 2 naming it and writes nothing,
+    never a NaN surface or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-full", "--steps", "50"],
+            ["solve-partial"],
+            ["compare"],
+            ["simulate", "--policy", "partial", "--paths", "2"],
+            ["simulate", "--policy", "full", "--paths", "2"],
+            ["simulate", "--policy", "fixed:0.04", "--paths", "2"],
+            ["attractor", "--beta", "1"],
+        ],
+        ids=[
+            "solve-full", "solve-partial", "compare", "simulate-partial", "simulate-full",
+            "simulate-fixed", "attractor",
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
+        base = table1_spec()
+        flat = [IntensityFamily.exponential(a, 0.0) for a in (2.0, 10.0)]
+        regimes = tuple(RegimeSpec(r.label, f, f) for r, f in zip(base.regimes, flat))
+        cfg = write_config(tmp_path, with_params(base, regimes=regimes))
+        out = ["--out", str(tmp_path / "o")] if argv[0] != "attractor" else []
+        assert main([argv[0], cfg] + argv[1:] + out) == 2
+        captured = capsys.readouterr()
+        for r, side in ((1, "bid"), (1, "ask"), (2, "bid"), (2, "ask")):
+            label = base.regimes[r - 1].label
+            assert f"regime {r} ({label}) {side} intensity: intensity must fall" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
 

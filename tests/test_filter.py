@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_filter
+from oracles import check_simplex, exact_filter
 
 from regimemm.errors import NumericsError
 from regimemm.filtering import (
     _FLOOR,
-    FilterState,
     _rk4_step,
     attractor,
     drift,
@@ -29,7 +28,7 @@ from regimemm.simulate import (
 )
 
 E = math.e
-HALF = FilterState(np.array([0.5, 0.5]))
+HALF = np.array([0.5, 0.5])
 
 
 def m_one_spec():
@@ -56,7 +55,7 @@ class TestObservableRates:
         assert at_floor.ask_rate == 0.0 and at_floor.bid_rate > 0.0
 
     def test_degenerate_weights(self):
-        state = FilterState(np.array([1.0 - 1e-15, 1e-15]))
+        state = np.array([1.0 - 1e-15, 1e-15])
         rates = observable_rates(state, (0.04, 0.04), 0, table1_spec())
         assert rates.bid_rate == pytest.approx(2 / E, rel=1e-9)
 
@@ -95,66 +94,66 @@ class TestDrift:
                     + pi[i] * pi[j] * ((lam_b[j] - lam_b[i]) + (lam_a[j] - lam_a[i]))
                     for j in range(2)
                 )
-            got = drift(FilterState(pi), (db, da), 0, spec)
+            got = drift(pi, (db, da), 0, spec)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_boundary_rate(self):
-        v = drift(FilterState(np.array([1e-16, 1.0 - 1e-16])), (0.04, 0.04), 0, table1_spec())
+        v = drift(np.array([1e-16, 1.0 - 1e-16]), (0.04, 0.04), 0, table1_spec())
         assert v[0] == pytest.approx(5.0, abs=1e-8)
 
     def test_identical_intensities_leave_transport_only(self):
         spec = m_one_spec()
-        state = FilterState(np.array([0.3, 0.7]))
+        state = np.array([0.3, 0.7])
         v = drift(state, (0.1, 0.2), 0, spec)
-        np.testing.assert_allclose(v, spec.generator_Q.T @ state.probs, atol=1e-14)
+        np.testing.assert_allclose(v, spec.generator_Q.T @ state, atol=1e-14)
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(5)
         spec = table1_spec()
         for _ in range(50):
             p1 = rng.uniform(0.01, 0.99)
-            v = drift(FilterState(np.array([p1, 1 - p1])), (0.0, 0.1), 0, spec)
+            v = drift(np.array([p1, 1 - p1]), (0.0, 0.1), 0, spec)
             assert abs(v.sum()) < 1e-12
 
 
 class TestJumpUpdate:
     def test_proportional_update_from_half(self):
         new = jump_update(HALF, "bid", 0.04, table1_spec())
-        assert new.probs[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert new[0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_update_from_point_six(self):
-        state = FilterState(np.array([0.6, 0.4]))
+        state = np.array([0.6, 0.4])
         new = jump_update(state, "ask", 0.1, table1_spec())
-        assert new.probs[0] == pytest.approx(0.6 / 2.6, rel=1e-14)
-        assert new.probs[0] == pytest.approx(0.23076923076923078, rel=1e-12)
+        assert new[0] == pytest.approx(0.6 / 2.6, rel=1e-14)
+        assert new[0] == pytest.approx(0.23076923076923078, rel=1e-12)
 
     def test_uninformative_orders_do_nothing(self):
         spec = m_one_spec()
-        state = FilterState(np.array([0.3, 0.7]))
+        state = np.array([0.3, 0.7])
         new = jump_update(state, "bid", 0.15, spec)
-        np.testing.assert_allclose(new.probs, state.probs, atol=1e-15)
+        np.testing.assert_allclose(new, state, atol=1e-15)
         again = jump_update(new, "ask", 0.15, spec)
-        np.testing.assert_allclose(again.probs, state.probs, atol=1e-15)
+        np.testing.assert_allclose(again, state, atol=1e-15)
 
     def test_stays_in_open_simplex(self):
-        state = FilterState(np.array([1e-12, 1.0 - 1e-12]))
+        state = np.array([1e-12, 1.0 - 1e-12])
         new = jump_update(state, "bid", 0.04, table1_spec())
-        new.check()
+        check_simplex(new)
 
     @pytest.mark.parametrize("probs", [[1e-16, 1.0 - 1e-16], [1e-300, 1.0]], ids=["1e-16", "floor"])
     def test_beliefs_near_a_vertex_pass_the_check(self, probs):
         # the complement of a tiny coordinate rounds to 1.0; the update keeps
         # the tiny one at or above the simplex floor
-        state = FilterState(np.array(probs))
-        state.check()
+        state = np.array(probs)
+        check_simplex(state)
         new = jump_update(state, "bid", 0.04, table1_spec())
-        new.check()
-        assert new.probs[0] >= 1e-300 and new.probs[1] == 1.0
+        check_simplex(new)
+        assert new[0] >= 1e-300 and new[1] == 1.0
 
     def test_check_rejects_a_coordinate_below_the_floor(self):
         for probs in ([0.0, 1.0], [1e-310, 1.0], [math.nan, 1.0]):
             with pytest.raises(ValueError, match="floor"):
-                FilterState(np.array(probs)).check()
+                check_simplex(np.array(probs))
 
 
 class TestBroadcast:
@@ -170,11 +169,11 @@ class TestBroadcast:
     N = np.array([3, -3, 0, 1, 0, 2, -1, -2])
 
     def batch(self):
-        return FilterState(np.column_stack([self.PI1, 1.0 - self.PI1]))
+        return np.column_stack([self.PI1, 1.0 - self.PI1])
 
     def rows(self):
         for p in range(len(self.PI1)):
-            state = FilterState(np.array([self.PI1[p], 1.0 - self.PI1[p]]))
+            state = np.array([self.PI1[p], 1.0 - self.PI1[p]])
             yield p, state, (float(self.BID[p]), float(self.ASK[p])), int(self.N[p])
 
     def test_observable_rates_rows_equal_single_calls(self):
@@ -204,10 +203,10 @@ class TestBroadcast:
         spec = table1_spec()
         spreads = np.where(np.isinf(self.BID) | np.isinf(self.ASK), 0.04, self.BID)
         batch = jump_update(self.batch(), side, spreads, spec)
-        assert batch.probs.shape == (len(self.PI1), 2)
+        assert batch.shape == (len(self.PI1), 2)
         for p, state, _, _ in self.rows():
             one = jump_update(state, side, float(spreads[p]), spec)
-            np.testing.assert_array_equal(batch.probs[p], one.probs)
+            np.testing.assert_array_equal(batch[p], one)
 
     def test_jump_update_on_a_stub_row_raises(self):
         with pytest.raises(NumericsError):
@@ -288,10 +287,10 @@ class TestEvolve:
                 no_jump = list(r.event_side)
                 no_jump[row] = ""
                 left = exact_filter(spec, *QUOTES, dataclasses.replace(r, event_side=no_jump))[row]
-                expected = jump_update(FilterState(left), side, quote, spec)
-                np.testing.assert_allclose(r.probs[row], expected.probs, rtol=0.0, atol=1e-7)
-                before = jump_update(FilterState(r.probs[row - 1]), side, quote, spec)
-                stale = max(stale, float(np.max(np.abs(before.probs - r.probs[row]))))
+                expected = jump_update(left, side, quote, spec)
+                np.testing.assert_allclose(r.probs[row], expected, rtol=0.0, atol=1e-7)
+                before = jump_update(r.probs[row - 1], side, quote, spec)
+                stale = max(stale, float(np.max(np.abs(before - r.probs[row]))))
         assert stale > 1e-2
 
     def test_zero_generator_and_equal_intensities_constant(self):
@@ -316,9 +315,9 @@ class TestEvolve:
         h = 1e-3
 
         def deriv(t, p):
-            return drift(FilterState(p), (0.04, 0.04), 0, spec)
+            return drift(p, (0.04, 0.04), 0, spec)
 
-        pi = HALF.probs
+        pi = HALF
         for i in range(5000):
             pi, _ = _rk4_step(pi, i * h, h, deriv)
         assert abs(pi[0] - attractor(spec, beta=2)) < 1e-9
@@ -330,7 +329,7 @@ class TestEvolve:
         spreads = (0.03, 0.05)
 
         def deriv(t, p):
-            return drift(FilterState(p), spreads, 0, spec)
+            return drift(p, spreads, 0, spec)
 
         pis = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
         t = np.array([0.0, 0.3, 0.7])
@@ -387,22 +386,22 @@ class TestFilterProperties:
     def test_jump_update_stays_on_the_simplex(self, rows, side):
         pis = np.array([belief(w1, w2) for w1, w2, _ in rows])
         delta = np.array([d for *_, d in rows])
-        jump_update(FilterState(pis), side, delta, TABLE1).check(atol=1e-12)
+        check_simplex(jump_update(pis, side, delta, TABLE1), atol=1e-12)
 
     @PROPERTY
     @given(weights, weights, spreads, spreads, st.integers(-3, 3), st.floats(1e-6, 1.0))
     def test_stable_rk4_step_stays_on_the_simplex(self, w1, w2, bid, ask, n, frac):
         # h times the guard's rate bound stays within RK4's real-axis limit
-        rates = observable_rates(FilterState(belief(w1, w2)), (bid, ask), n, TABLE1)
+        rates = observable_rates(belief(w1, w2), (bid, ask), n, TABLE1)
         bound = 2.0 * np.max(np.abs(np.diag(TABLE1.generator_Q)))
         bound += rates.bid_components.max() + rates.ask_components.max()
         h = frac * _RK4_REAL_LIMIT / bound
 
         def deriv(t, p):
-            return drift(FilterState(p), (bid, ask), n, TABLE1)
+            return drift(p, (bid, ask), n, TABLE1)
 
         out, _ = _rk4_step(belief(w1, w2), 0.0, h, deriv)
-        FilterState(out).check(atol=1e-12)
+        check_simplex(out, atol=1e-12)
 
 
 class TestAttractor:

@@ -3,7 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import convergence_sup_loop, evaluate_loop, solve_all_levels
+from oracles import (
+    convergence_sup_loop,
+    evaluate_loop,
+    exponential_closed_form,
+    solve_all_levels,
+)
 
 from regimemm.errors import UnsupportedConfigError
 from regimemm.grid import inventory_row
@@ -301,6 +306,22 @@ class TestConvergence:
         rep = convergence_report(table1_spec(), ladder=(25, 50, 100, 200))
         assert len(rep.ratios) == 2
         assert all(1.6 <= r <= 2.5 for r in rep.ratios), rep.ratios
+
+    def test_identical_regimes_converge_to_the_closed_form(self):
+        # both regimes on regime 1's curve: orders carry no information, so
+        # theta does not depend on pi and equals the closed form of the
+        # frozen (Q = 0) market; the upwind error halves per doubling of m_pi
+        base = table1_spec()
+        spec = with_params(base, regimes=(base.regimes[0], base.regimes[0]))
+        frozen = with_params(spec, generator_Q=np.zeros((2, 2)))
+        errors = []
+        for m_pi in (50, 100, 200):
+            surf = solve(spec, m_pi=m_pi)
+            exact = exponential_closed_form(frozen, surf.time_grid)[:, :, :1]
+            errors.append(float(np.max(np.abs(surf.theta - exact))))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(1.9 <= r <= 2.1 for r in ratios), (errors, ratios)
+        assert errors[-1] < 4e-6
 
     def test_bad_ladder_rejected(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,26 @@ class TestValidate:
         spec = with_params(table1_spec(), regimes=(RegimeSpec("flat", flat, flat), table1_spec().regimes[1]))
         assert "regime 1 (flat) bid intensity: power_law requires b > 0" in validate(spec)
 
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            IntensityFamily.exponential(2.0, 0.0),
+            IntensityFamily.logistic(2.0, 0.0, 1.0),
+            IntensityFamily.arctan(2.0, 0.0, 1.0),
+            IntensityFamily.power_law(2.0, 1.0, 11.0, 0.0),
+            IntensityFamily.tabulated([-10.0, 10.0], [2.0, 2.0]),
+        ],
+        ids=lambda fam: fam.kind,
+    )
+    def test_flat_curve_reported(self, flat):
+        # a curve that does not fall has no optimal spread; within finite
+        # spread bounds no other check catches it
+        base = table1_spec()
+        spec = with_params(base, regimes=(RegimeSpec("flat", flat, flat), base.regimes[1]))
+        msgs = validate(spec)
+        reason = "intensity must fall across the spread range, not stay flat"
+        assert msgs == [f"regime 1 (flat) bid intensity: {reason}", f"regime 1 (flat) ask intensity: {reason}"]
+
     @pytest.mark.parametrize("label", [" low", "low\n", "lo\nw", "lo\x85w", "lo\u2028w"])
     def test_label_must_be_one_config_line(self, label):
         lam = table1_spec().regimes[0].bid_intensity

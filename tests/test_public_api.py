@@ -1,6 +1,12 @@
-"""The package's public names: everything ``__all__`` lists is importable."""
+"""The package's public names: everything ``__all__`` lists is importable,
+and the README's library quick start runs."""
+
+import re
+from pathlib import Path
 
 import regimemm
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_name_in_all_resolves():
@@ -14,3 +20,10 @@ def test_star_import_binds_exactly_all():
     exec("from regimemm import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(regimemm.__all__)
+
+
+def test_readme_library_quick_start_runs():
+    # a public name removed from the code but left in the README fails here
+    section = README.read_text().split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import check_simplex
 from scipy import stats
 
 from regimemm import simulate
 from regimemm.errors import NumericsError, UnsupportedConfigError
-from regimemm.filtering import FilterState
 from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_full import solve_constrained
 from regimemm.hjb_partial import policy as hjb_partial_policy
@@ -135,7 +135,7 @@ class TestSinglePath:
         assert np.max(np.abs(sums - 1.0)) < 1e-9
         assert rec.probs.min() > 0.0
         for row in rec.probs[:: max(1, len(rec.probs) // 50)]:
-            FilterState(row).check(atol=1e-9)
+            check_simplex(row, atol=1e-9)
 
     def test_report_grid_rows(self):
         rec = simulate_path(table1_spec(), FIXED, seed=2, report_points=50)

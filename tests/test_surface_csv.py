@@ -1,9 +1,10 @@
 """The surface grid-file codec, for both solved surfaces: bytes against the
 per-value loop writers in ``oracles``, exact reads in any row order and
-block size, rejection of grids that are incomplete or malformed, and the
-reader's memory bound."""
+block size, rejection of grids that are incomplete or malformed or miss a
+header, and the reader's memory bound."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,28 @@ def test_missing_third_axis_node_rejected():
         body = [row for row in rows if row.split(",")[2] != "1"]
         with pytest.raises(ValueError, match="regimes|beliefs"):
             module.surface_from_csv(head + "".join(body))
+
+
+@pytest.mark.parametrize(
+    "key", ["cfl_max_coeff", "cfl_min_dt", "cfl_max_dt", "cfl_n_steps", "belief_gradient_scale"]
+)
+def test_partial_reader_requires_every_header_its_writer_writes(key):
+    # no default stands in for a missing header: a scale-2 surface must not
+    # read back as scale 1, nor its CFL report as nan
+    surface = dataclasses.replace(partial_surface(), belief_gradient_scale=2.0)
+    text = hjb_partial.surface_to_csv(surface)
+    stripped = re.sub(rf"(?m)^# {key} = .*\n", "", text)
+    assert len(stripped) < len(text)
+    with pytest.raises(ValueError, match=f"no {key} header"):
+        hjb_partial.surface_from_csv(stripped)
+
+
+def test_partial_reader_rejects_a_negative_scale():
+    text = hjb_partial.surface_to_csv(partial_surface())
+    bad = text.replace("# belief_gradient_scale = 1\n", "# belief_gradient_scale = -7\n")
+    assert bad != text
+    with pytest.raises(ValueError, match="belief_gradient_scale -7 must be >= 0"):
+        hjb_partial.surface_from_csv(bad)
 
 
 def test_reader_memory_is_bounded_by_the_text():
