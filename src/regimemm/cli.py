@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, filtering, hjb_full, hjb_partial, simulate
+from . import __version__, filtering, hjb_full, hjb_partial, rng, simulate
 from .errors import ConfigError, NumericsError, UnsupportedConfigError
 from .model import ModelSpec, format_config, load_config, validate
 
@@ -145,6 +145,8 @@ def cmd_simulate(args, spec: ModelSpec):
         f"({summary.paths} paths, fills {summary.mean_fills_bid:.2f}/{summary.mean_fills_ask:.2f})"
     )
     params = {"policy": args.policy, "paths": args.paths, "seed": args.seed, "export_paths": export}
+    # the draws behind every path: a run under another stream scheme hashes apart
+    params["streams"] = rng.SCHEME
     if args.policy == "partial":  # only the partial surface reads the belief grid
         params |= {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
     renderers = {

@@ -27,7 +27,13 @@ _TIME_SLACK = 1e-12
 
 
 def time_bracket(grid: np.ndarray, t):
-    """Interval ``s`` and weight ``w`` with t = (1 - w) grid[s] + w grid[s + 1]."""
+    """Interval ``s`` and weight ``w`` with t = (1 - w) grid[s] + w grid[s + 1].
+
+    ``s`` is ``searchsorted(grid, t, side="right") - 1`` kept inside the
+    grid's intervals.  The solvers' grids are uniform, so the interval is
+    first read off ``t`` and then moved by at most one to that exact
+    index; a grid where that guess misses falls back to the search.
+    """
     t = np.asarray(t, dtype=float)
     lo, hi = grid[0], grid[-1]
     inside = (t >= lo - _TIME_SLACK) & (t <= hi + _TIME_SLACK)
@@ -35,8 +41,18 @@ def time_bracket(grid: np.ndarray, t):
         raise ValueError(f"t={t[~inside].flat[0]:g} outside [0, T]")
     # minimum/maximum rather than np.clip: scalar lookups are a hot path
     t = np.minimum(np.maximum(t, lo), hi)
-    s = np.minimum(np.maximum(np.searchsorted(grid, t, side="right") - 1, 0), len(grid) - 2)
-    return s, (t - grid[s]) / (grid[s + 1] - grid[s])
+    last = len(grid) - 2
+    s = np.minimum(((t - lo) * ((last + 1) / (hi - lo))).astype(int), last)
+    for _ in range(2):
+        left, right = grid.take(s), grid.take(s + 1)
+        low, high = left > t, (right <= t) & (s < last)
+        if not (low.any() or high.any()):
+            break
+        s = s - low + high  # a rounded guess is off by one at most
+    else:  # a grid the guess misses by more: search it
+        s = np.minimum(np.maximum(np.searchsorted(grid, t, side="right") - 1, 0), last)
+        left, right = grid.take(s), grid.take(s + 1)
+    return s, (t - left) / (right - left)
 
 
 def check_belief(pi):
@@ -71,13 +87,22 @@ def inventory_row(cap: int, n):
 def gather(table: np.ndarray, s, wt, rows, k, wp=None):
     """``table[time level, inventory row, k]`` interpolated in time (``s, wt``
     from ``time_bracket``); with ``wp`` (``k, wp`` from ``belief_bracket``)
-    each time level is first interpolated in belief.  Indices broadcast."""
+    each time level is first interpolated in belief.  The indices are
+    integers or integer arrays, and broadcast.
 
-    def level(s):
-        cell = table[s, rows, k]
-        return cell if wp is None else (1 - wp) * cell + wp * table[s, rows, k + 1]
-
-    return (1 - wt) * level(s) + wt * level(s + 1)
+    The corners are read with ``take`` on the flat index (s R + row) C + k
+    of a table with R rows and C columns."""
+    _, width, depth = table.shape
+    flat = table.reshape(-1)
+    corner = (s * width + rows) * depth + k
+    if wp is None:
+        lower, upper = flat.take(corner), flat.take(corner + width * depth)
+    else:
+        stay = 1 - wp
+        lower = stay * flat.take(corner) + wp * flat.take(corner + 1)
+        corner = corner + width * depth
+        upper = stay * flat.take(corner) + wp * flat.take(corner + 1)
+    return (1 - wt) * lower + wt * upper
 
 
 def gather_spreads(bid_table, ask_table, s, wt, rows, k, wp=None):

@@ -53,7 +53,7 @@ _GRID_BLOCK = 64
 
 def is_stub(delta):
     """True where a spread is the do-not-quote sentinel (+inf); broadcasts."""
-    return np.isposinf(delta)
+    return np.equal(delta, np.inf)
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,31 @@ fills it follows its no-order ODE, integrated with the filter's RK4 step,
 and at fills it takes the multiplicative Bayes update.  The belief drift,
 the arrival rates and the Bayes update are ``filtering``'s ``drift``,
 ``observable_rates`` and ``jump_update`` called on the batch, so the engine
-holds no copy of the filter.  The reference price is sampled exactly on a
-uniform reporting grid (one Gaussian block per path) and fill prices are
-drawn as Brownian bridges inside their reporting cell, so the penalized P&L
+holds no copy of the filter.  The P&L needs the reference price only at
+fills and at T, so it is drawn only there, as exact Gaussian increments
+from its last draw; a recorded path's report rows get their prices
+afterwards, as Brownian bridges between those draws, so the penalized P&L
 does not depend on how densely the path is recorded.
 
-The engine is event driven.  Every path owns its counter-based streams and
-stops only at its own events: its nodes ``k * h_target``, its thinning
-candidates and T.  No gap exceeds ``h_target``, so each stop is one RK4
-step, and a path's result does not depend on the other paths in its batch,
-up to vectorized-math rounding.  Recorded rows at the reporting times take
-their belief from the cubic Hermite dense output of the step that spans
-them (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), so recording moves
-no node: ``simulate_path`` and ``simulate_with_regime`` are one-path runs of
-the engine, and ``monte_carlo`` records its first paths without changing
-any P&L.  Paths run in blocks of ``_CHUNK``, so memory does not grow with
-the path count beyond the per-path results.
+Every draw is a word of the path's keyed counter-based streams
+(``rng.Substream``): candidate gaps, acceptance and side draws from its
+events substream, price increments and bridges from its price substream,
+the hidden chain from its regime substream.  Each stage, from the
+candidate clocks to the cash and inventory updates, is one array operation
+over the paths that take part in it; only building the recorded paths'
+rows loops over paths.
+
+The engine is event driven.  Every path stops only at its own events: its
+nodes ``k * h_target``, its thinning candidates and T.  No gap exceeds
+``h_target``, so each stop is one RK4 step, and a path's result does not
+depend on the other paths in its batch, up to vectorized-math rounding.
+Recorded rows at the reporting times take their belief from the cubic
+Hermite dense output of the step that spans them (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.6), so recording moves no node:
+``simulate_path`` and ``simulate_with_regime`` are one-path runs of the
+engine, and ``monte_carlo`` records its first paths without changing any
+P&L.  Paths run in blocks of ``_CHUNK``, so memory does not grow with the
+path count beyond the per-path results.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .filtering import jump_update as _filter_jump
 from .grid import check_belief, check_count
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
 from .model import ModelSpec
-from .rng import REGIME, PathStreams, stream
+from .rng import EVENTS, PRICES, REGIME, Substream
 
 logger = logging.getLogger(__name__)
 
@@ -212,8 +221,10 @@ class MonteCarloSummary:
     pnls: np.ndarray
     fills_bid_paths: np.ndarray
     fills_ask_paths: np.ndarray
-    # run counters, summed over paths: belief RK4 steps, thinning candidates
-    # stopped at, and belief coordinates clamped at the simplex floor
+    # run counters: lockstep iterations summed over blocks, and summed over
+    # paths belief RK4 steps, thinning candidates stopped at and belief
+    # coordinates clamped at the simplex floor
+    iterations: int
     rk4_steps: int
     candidates: int
     clamps: int
@@ -228,6 +239,7 @@ class MonteCarloSummary:
             f"fills_ask = {self.mean_fills_ask:.17g}",
             "hist_edges = " + " ".join(format(v, ".17g") for v in self.hist_edges),
             "hist_counts = " + " ".join(str(int(v)) for v in self.hist_counts),
+            f"iterations = {self.iterations}",
             f"rk4_steps = {self.rk4_steps}",
             f"candidates = {self.candidates}",
             f"clamps = {self.clamps}",
@@ -276,38 +288,24 @@ def _batch_advance(spec, velocity, rows, pi, t0, t1, n):
     return pi, len(go), clamped
 
 
-class _BridgedPrices:
-    """Exact reference-price sampling: a Gaussian block on the reporting grid,
-    Brownian bridges for fill times inside a reporting cell."""
+def _bridge(spec: ModelSpec, known_t, known_s, times, z):
+    """Reference prices at ``times``, each inside [known_t[0], known_t[-1]),
+    drawn exactly given the prices ``known_s`` at the increasing
+    ``known_t``: a Brownian bridge inside each interval between known
+    points.  ``z`` holds one standard normal per entry of ``known_t[1:]``
+    and of ``times``.
 
-    def __init__(self, spec: ModelSpec, prices_rng, report_points: int):
-        self.spec = spec
-        self.cells = report_points
-        self.dt = spec.horizon_T / report_points
-        z = prices_rng.standard_normal(report_points)
-        increments = spec.drift_mu * self.dt + spec.vol_sigma * math.sqrt(self.dt) * z
-        self.grid = np.empty(report_points + 1)
-        self.grid[0] = spec.initial_price_s0
-        self.grid[1:] = spec.initial_price_s0 + np.cumsum(increments)
-        self.last_t = 0.0
-        self.last_s = float(spec.initial_price_s0)
-        self.last_cell = 0
-
-    def at_fill(self, t: float, prices_rng) -> float:
-        cell = min(int(t / self.dt), self.cells - 1)
-        if cell != self.last_cell:
-            self.last_cell = cell
-            self.last_t = cell * self.dt
-            self.last_s = float(self.grid[cell])
-        right_t = (cell + 1) * self.dt
-        span = right_t - self.last_t
-        frac = (t - self.last_t) / span if span > 0 else 1.0
-        mean = self.last_s + (float(self.grid[cell + 1]) - self.last_s) * frac
-        var = self.spec.vol_sigma**2 * (t - self.last_t) * (right_t - t) / span if span > 0 else 0.0
-        s = mean + math.sqrt(max(var, 0.0)) * float(prices_rng.standard_normal())
-        self.last_t = t
-        self.last_s = s
-        return s
+    A Brownian path W is drawn at all the times, and each interval's piece
+    is pinned to its known end points; the drift cancels in the bridge."""
+    at = np.concatenate([known_t[1:], times])
+    order = np.argsort(at, kind="stable")  # a known point first among equal times
+    w = np.empty(len(at))
+    w[order] = np.cumsum(spec.vol_sigma * np.sqrt(np.diff(at[order], prepend=known_t[0])) * z)
+    w_known = np.concatenate([[0.0], w[: len(known_t) - 1]])
+    seg = np.searchsorted(known_t, times, side="right") - 1
+    a, b = known_t[seg], known_t[seg + 1]
+    rise = (w_known[seg + 1] - w_known[seg]) - (known_s[seg + 1] - known_s[seg])
+    return known_s[seg] + (w[len(known_t) - 1 :] - w_known[seg]) - (times - a) / (b - a) * rise
 
 
 def _penalized_pnl(spec: ModelSpec, x_final, s_final, n_final, inventory_integral):
@@ -319,39 +317,54 @@ def _penalized_pnl(spec: ModelSpec, x_final, s_final, n_final, inventory_integra
     )
 
 
-def draw_regime_path(spec: ModelSpec, regime_rng) -> list[tuple[float, int]]:
-    """Sample the hidden chain on [0, T]: initial state from the prior, then
-    exponential holding times from the generator.  States are 0-based."""
-    q = spec.generator_Q
-    u = float(regime_rng.random())
-    y = min(int(np.searchsorted(np.cumsum(spec.initial_filter_mu0), u)), spec.n_regimes - 1)
-    path = [(0.0, y)]
-    t = 0.0
-    while True:
-        rate = -float(q[y, y])
-        if rate <= 0.0:
-            break
-        t += float(regime_rng.standard_exponential()) / rate
-        if t >= spec.horizon_T:
-            break
-        others = [j for j in range(spec.n_regimes) if j != y]
-        weights = np.cumsum(np.array([q[y, j] for j in others]) / rate)
-        u2 = float(regime_rng.random())
-        y = others[min(int(np.searchsorted(weights, u2)), len(others) - 1)]
-        path.append((t, y))
-    return path
+def _regime_chains(spec: ModelSpec, draws: Substream):
+    """The hidden chains of every row of ``draws`` on [0, T]: each starts
+    from the prior and then takes exponential holding times from the
+    generator.  Returns switch times, padded with +inf, and the 0-based
+    states they switch to, both shaped (rows, most switches + 1).
+
+    A row draws a uniform for its initial state, then per holding time an
+    exponential and, if the switch falls before T, a uniform for the state
+    it switches to."""
+    q, k, T = spec.generator_Q, spec.n_regimes, spec.horizon_T
+    rate = -np.diag(q)
+    # the states each state can switch to, with their cumulative probabilities
+    others = np.array([[j for j in range(k) if j != i] for i in range(k)], dtype=int).reshape(k, k - 1)
+    cum = np.cumsum(q[np.arange(k)[:, None], others] / np.where(rate > 0.0, rate, 1.0)[:, None], axis=1)
+    rows = np.arange(len(draws))
+    y = np.minimum(np.searchsorted(np.cumsum(spec.initial_filter_mu0), draws.uniform(rows)), k - 1)
+    t = np.zeros(len(rows))
+    switches, states = [t.copy()], [y.copy()]
+    live = rows[rate[y] > 0.0]
+    while len(live):
+        t_next = t[live] + draws.exponential(live) / rate[y[live]]
+        live = live[t_next < T]
+        t[live] = t_next[t_next < T]
+        u = draws.uniform(live)
+        nxt = others[y[live], np.minimum(np.sum(cum[y[live]] < u[:, None], axis=1), k - 2)]
+        y[live] = nxt
+        column = np.full(len(rows), math.inf)
+        column[live] = t[live]
+        switches.append(column)
+        states.append(y.copy())
+        live = live[rate[nxt] > 0.0]
+    return np.stack(switches, axis=1), np.stack(states, axis=1)
 
 
-def _regime_clock(spec: ModelSpec, streams: list[PathStreams]):
-    """Vectorized lookup ``(rows, t) -> 0-based regime`` of the batch's hidden
-    chains, drawn from each path's regime substream and held as switch
-    times padded with +inf."""
-    chains = [draw_regime_path(spec, s.regime) for s in streams]
-    width = max(len(c) for c in chains)
-    switch = np.full((len(chains), width), math.inf)
-    state = np.zeros((len(chains), width), dtype=int)
-    for row, chain in enumerate(chains):
-        switch[row, : len(chain)], state[row, : len(chain)] = zip(*chain)
+def draw_regime_path(spec: ModelSpec, regime_rng: Substream) -> list[tuple[float, int]]:
+    """The hidden chain on [0, T] drawn from the one-path substream
+    ``regime_rng``, as (switch time, 0-based state) pairs from time 0: the
+    chain that path's regime-true run follows when ``regime_rng`` is its
+    ``REGIME`` substream."""
+    switch, state = _regime_chains(spec, regime_rng)
+    finite = np.isfinite(switch[0])
+    return list(zip(switch[0, finite].tolist(), state[0, finite].tolist()))
+
+
+def _regime_clock(spec: ModelSpec, draws: Substream):
+    """Vectorized lookup ``(rows, t) -> 0-based regime`` of the block's
+    hidden chains, drawn from the rows' regime substream."""
+    switch, state = _regime_chains(spec, draws)
 
     def at(rows, t):
         return state[rows, np.sum(switch[rows] <= t[:, None], axis=1) - 1]
@@ -361,26 +374,33 @@ def _regime_clock(spec: ModelSpec, streams: list[PathStreams]):
 
 # -- the engine ---------------------------------------------------------------------
 
+_SIDES = ("", "bid", "ask")  # event_side of a recorded row by its side code
+
 
 def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true, record):
     """Lockstep thinning over one block of ``path_ids``; the first ``record``
     of them are recorded.
 
     Each iteration moves every active path to its next stop: its next node
-    ``k * h_target``, its next thinning candidate, or T.  Recorded rows at
+    ``k * h_target``, its next thinning candidate, or T.  Every stage is an
+    array operation over the paths that take part in it.  Recorded rows at
     report times take their belief from the dense output of the step that
-    spans them, so recording moves no node.  Returns per-path penalized P&L,
-    bid and ask fill counts, the records and the run counters.
+    spans them, so recording moves no node, and their prices are bridged
+    after the run.  Returns per-path penalized P&L, bid and ask fill
+    counts, the records and the run counters.
     """
     n_paths = len(path_ids)
     T = spec.horizon_T
     lam_bid_max, lam_ask_max = _dominating_rates(spec, policy)
-    streams = [PathStreams(seed, p) for p in path_ids]
-    prices = [_BridgedPrices(spec, s.prices, report_points) for s in streams]
+    events = Substream(seed, path_ids, EVENTS)
+    prices = Substream(seed, path_ids, PRICES)
     report_t = np.arange(1, report_points + 1) * (T / report_points)
     # a single regime's belief is constant, so it needs no nodes
     node_dt = h_target if spec.n_regimes > 1 else math.inf
-    regime_at = _regime_clock(spec, streams) if regime_true else lambda rows, t: None
+    if regime_true:
+        regime_at = _regime_clock(spec, Substream(seed, path_ids, REGIME))
+    else:
+        regime_at = lambda rows, t: None
 
     def thinning_bound(rows):  # summed dominating rates of the rows' open sides
         return lam_bid_max * spec.bid_active(n[rows]) + lam_ask_max * spec.ask_active(n[rows])
@@ -399,22 +419,28 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
     next_node = np.ones(n_paths, dtype=int)
     next_candidate = np.full(n_paths, math.nan)
     active = np.ones(n_paths, dtype=bool)
-    counts = {"rk4_steps": 0, "candidates": 0, "clamps": 0}
-    # recorded rows: (t, S, N, X, belief, event side)
-    log = [[(0.0, prices[p].grid[0], n[p], x[p], pi[p].copy(), "")] for p in range(record)]
-    fills: list[list[Fill]] = [[] for _ in range(record)]
+    # the price is drawn only at fills and at T, as exact Gaussian increments
+    # from its last draw
+    s_last = np.full(n_paths, float(spec.initial_price_s0))
+    t_last = np.zeros(n_paths)
+    counts = {"iterations": 0, "rk4_steps": 0, "candidates": 0, "clamps": 0}
+    # recorded rows, one tuple of columns per stage: path, t, S (NaN until
+    # bridged), N, X, belief, side code (0 on report rows), spread (NaN off
+    # fills)
+    first = np.arange(record)
+    unknown = np.full(record, math.nan)
+    log = [(first, t[first], s_last[first], n[first], x[first], pi[first], 0 * first, unknown)]
     next_report = np.ones(record, dtype=int)
 
     while np.any(active):
+        counts["iterations"] += 1
         idx = np.flatnonzero(active)
         # draw fresh candidate clocks where the previous one was consumed
         fresh = idx[np.isnan(next_candidate[idx])]
-        for p, bound in zip(fresh, thinning_bound(fresh)):
-            next_candidate[p] = (
-                t[p] + float(streams[p].events.standard_exponential()) / bound
-                if bound > 0.0
-                else math.inf
-            )
+        bound = thinning_bound(fresh)
+        next_candidate[fresh] = math.inf  # no open side: no candidate
+        fresh, bound = fresh[bound > 0.0], bound[bound > 0.0]
+        next_candidate[fresh] = t[fresh] + events.exponential(fresh) / bound
         t_node = next_node[idx] * node_dt
         t_stop = np.minimum(np.minimum(next_candidate[idx], t_node), T)
         t0, pi0 = t[idx], pi[idx]
@@ -432,20 +458,21 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         rec, many = rec[many > 0], many[many > 0]
         if len(rec):
             sel = idx[rec]
-            first = next_report[sel]
+            start = next_report[sel]
             f0 = velocity(sel, t0[rec], n[sel], pi0[rec])
             f1 = velocity(sel, t_stop[rec], n[sel], pi[sel])
             h = (t_stop - t0)[rec]
             of = np.repeat(np.arange(len(rec)), many)  # the step each row falls in
-            # each row's 1-based report index: first, first + 1, ... within its step
-            r = np.repeat(first - np.cumsum(many) + many, many) + np.arange(len(of))
+            # each row's 1-based report index: start, start + 1, ... within its step
+            r = np.repeat(start - np.cumsum(many) + many, many) + np.arange(len(of))
             theta = (report_t[r - 1] - t0[rec][of]) / h[of]
             beliefs = _hermite(
                 pi0[rec][of], f0[of], pi[sel][of], f1[of], h[of, None], theta[:, None]
             )
-            for p, row, belief in zip(sel[of], r, beliefs):
-                log[p].append((report_t[row - 1], prices[p].grid[row], n[p], x[p], belief, ""))
-            next_report[sel] = first + many
+            p = sel[of]
+            unknown = np.full(len(p), math.nan)
+            log.append((p, report_t[r - 1], unknown, n[p], x[p], beliefs, 0 * p, unknown))
+            next_report[sel] = start + many
 
         at_end = t_stop >= T
         active[idx[at_end]] = False
@@ -460,70 +487,100 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         weights = pi[cand] if y is None else np.eye(spec.n_regimes)[y]
         rates = observable_rates(weights, (qb, qa), n[cand], spec)
         rate_b, total = rates.bid_rate, rates.total
-        bound_arr = thinning_bound(cand)
-        if np.any(total > bound_arr * _BOUND_SLACK):
+        bound = thinning_bound(cand)
+        if np.any(total > bound * _BOUND_SLACK):
             raise NumericsError("thinning bound violated: arrival rate above the dominator")
-        filled = []  # (path, side, spread, fill price) of the accepted candidates
-        for j, p in enumerate(cand):
-            if float(streams[p].events.random()) * bound_arr[j] >= total[j]:
-                continue
-            side = "bid" if float(streams[p].events.random()) * total[j] < rate_b[j] else "ask"
-            s_fill = prices[p].at_fill(float(t[p]), streams[p].prices)
-            if side == "bid":
-                spread = float(qb[j])
-                x[p] -= s_fill - spread
-                n[p] += 1
-                fills_b[p] += 1
-            else:
-                spread = float(qa[j])
-                x[p] += s_fill + spread
-                n[p] -= 1
-                fills_a[p] += 1
-            filled.append((p, side, spread, s_fill))
-        # the Bayes update: one batch call per side over this iteration's fills
-        for side in ("bid", "ask"):
-            on_side = [(p, spread) for p, s, spread, _ in filled if s == side]
-            if on_side:
-                paths, spreads = (list(c) for c in zip(*on_side))
-                pi[paths] = _filter_jump(pi[paths], side, np.array(spreads), spec)
+        accept = events.uniform(cand) * bound < total
+        filled, rate_b, total = cand[accept], rate_b[accept], total[accept]
+        if len(filled) == 0:
+            continue
+        bid = events.uniform(filled) * total < rate_b
+        spread = np.where(bid, qb[accept], qa[accept])
+        dt = t[filled] - t_last[filled]
+        z = prices.normal(filled)[:, 0]
+        s_fill = s_last[filled] + spec.drift_mu * dt + spec.vol_sigma * np.sqrt(dt) * z
+        s_last[filled], t_last[filled] = s_fill, t[filled]
+        # a bid fill buys one unit at S - spread, an ask fill sells one at S + spread
+        x[filled] += np.where(bid, spread - s_fill, s_fill + spread)
+        n[filled] += np.where(bid, 1, -1)
+        fills_b[filled] += bid
+        fills_a[filled] += ~bid
+        # the Bayes update: one batch call per side
+        for side, on in (("bid", bid), ("ask", ~bid)):
+            if on.any():
+                paths = filled[on]
+                pi[paths] = _filter_jump(pi[paths], side, spread[on], spec)
                 # the update raises a coordinate it pushes under the floor to it
                 counts["clamps"] += int(np.count_nonzero(pi[paths] == _FLOOR))
-        for p, side, spread, s_fill in filled:
-            if p < record:
-                fills[p].append(Fill(float(t[p]), side, spread, s_fill))
-                log[p].append((t[p], s_fill, n[p], x[p], pi[p].copy(), side))
+        mine = filled < record
+        if mine.any():
+            p = filled[mine]
+            log.append((p, t[p], s_fill[mine], n[p], x[p], pi[p], 2 - bid[mine], spread[mine]))
 
-    s_final = np.array([b.grid[-1] for b in prices])
+    dt = T - t_last
+    z = prices.normal(np.arange(n_paths))[:, 0]
+    s_final = s_last + spec.drift_mu * dt + spec.vol_sigma * np.sqrt(dt) * z
     pnls = np.asarray(_penalized_pnl(spec, x, s_final, n.astype(float), inv_integral))
-    records = []
-    for p in range(record):
-        if log[p][-1][0] < T:  # the terminal reporting node can miss T by one ulp
-            log[p].append((T, s_final[p], n[p], x[p], pi[p].copy(), ""))
-        times, price, inventory, cash, probs, sides = (np.array(c) for c in zip(*log[p]))
-        bid, ask = policy.quotes_batch(
-            times, inventory, probs[:, 0], regime_at(np.full(len(times), p), times)
-        )
-        records.append(
-            PathRecord(
-                seed=seed,
-                path_index=int(path_ids[p]),
-                fills=fills[p],
-                times=times,
-                price=price,
-                inventory=inventory,
-                cash=cash,
-                probs=probs,
-                spread_bid=bid,
-                spread_ask=ask,
-                event_side=list(sides),
-                n_final=int(n[p]),
-                x_final=float(x[p]),
-                s_final=float(s_final[p]),
-                inventory_integral=float(inv_integral[p]),
-                pnl_penalized=float(pnls[p]),
-            )
-        )
+    records = [
+        _record(spec, policy, regime_at, prices, seed, path_ids, p, rows, pnls, s_final, inv_integral)
+        for p, rows in enumerate(_split_log(log, record))
+    ]
     return pnls, fills_b, fills_a, records, counts
+
+
+def _split_log(log, record: int):
+    """The logged rows of each of the ``record`` recorded paths, in time
+    order: per path the columns t, S, N, X, belief, side code, spread."""
+    if record == 0:
+        return []
+    paths, *columns = (np.concatenate(column) for column in zip(*log))
+    # stable: within a path, stages were logged in time order
+    order = np.argsort(paths, kind="stable")
+    cuts = np.searchsorted(paths[order], np.arange(1, record))
+    return [[col[part] for col in columns] for part in np.split(order, cuts)]
+
+
+def _record(spec, policy, regime_at, prices, seed, path_ids, p, rows, pnls, s_final, inv_integral):
+    """Path ``p``'s record from its logged rows: a terminal row at T, prices
+    bridged at the report rows, the quotes and the fills."""
+    T = spec.horizon_T
+    times, price, inventory, cash, probs, side, spread = rows
+    if times[-1] < T:  # the terminal reporting node can miss T by one ulp
+        times, price, inventory, cash, probs, side, spread = (
+            np.append(col, [last], axis=0)
+            for col, last in zip(rows, (T, s_final[p], inventory[-1], cash[-1], probs[-1], 0, math.nan))
+        )
+    n_final, x_final = int(inventory[-1]), float(cash[-1])
+    price[times >= T] = s_final[p]
+    known = ~np.isnan(price)  # t = 0, the fills and T
+    z = prices.normal(np.array([p]), len(times) - 1)[0]
+    price[~known] = _bridge(spec, times[known], price[known], times[~known], z)
+    bid, ask = policy.quotes_batch(times, inventory, probs[:, 0], regime_at(np.full(len(times), p), times))
+    is_fill = side > 0
+    fills = [
+        Fill(ft, _SIDES[code], sp, fp)
+        for ft, code, sp, fp in zip(
+            times[is_fill].tolist(), side[is_fill].tolist(), spread[is_fill].tolist(), price[is_fill].tolist()
+        )
+    ]
+    return PathRecord(
+        seed=seed,
+        path_index=int(path_ids[p]),
+        fills=fills,
+        times=times,
+        price=price,
+        inventory=inventory,
+        cash=cash,
+        probs=probs,
+        spread_bid=bid,
+        spread_ask=ask,
+        event_side=[_SIDES[code] for code in side.tolist()],
+        n_final=n_final,
+        x_final=x_final,
+        s_final=float(s_final[p]),
+        inventory_integral=float(inv_integral[p]),
+        pnl_penalized=float(pnls[p]),
+    )
 
 
 def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, record):
@@ -601,7 +658,7 @@ def simulate_with_regime(
     """
     check_count("path_index", path_index, 0, 2**62)
     *_, records, _ = _run(spec, policy, seed, [path_index], report_points, h_target, True, 1)
-    return records[0], draw_regime_path(spec, stream(seed, path_index, REGIME))
+    return records[0], draw_regime_path(spec, Substream(seed, [path_index], REGIME))
 
 
 def monte_carlo(

@@ -319,7 +319,8 @@ class UnconstrainedSolution:
 
     def phi_at(self, t: float) -> np.ndarray:
         """(phi_1, ..., phi_k) at one time t, linear in t."""
-        return gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, slice(None))
+        columns = np.arange(self.phi.shape[1])
+        return gather(self.phi[:, None, :], *time_bracket(self.time_grid, t), 0, columns)
 
     def theta_at(self, t, n, i):
         """theta at broadcast (t, n, i); i is a 1-based regime index and

@@ -336,6 +336,17 @@ class TestSimulate:
         assert ("mpi = " in manifest) == (policy == "partial")
         assert ("belief_gradient_scale = " in manifest) == (policy == "partial")
 
+    def test_manifest_records_stream_scheme(self, config_path, tmp_path):
+        # simulate runs name the random stream scheme behind their draws; the
+        # solvers draw nothing and their manifests do not
+        out = tmp_path / "out"
+        argv = ["simulate", config_path, "--out", str(out), "--policy", "fixed:0.04"]
+        assert main(argv + ["--paths", "2"]) == 0
+        manifest = (run_files(out, "simulate") / "manifest.txt").read_text()
+        assert "\nstreams = philox4x64-10-keyed\n" in manifest
+        assert main(["solve-full", config_path, "--out", str(out), "--steps", "20"]) == 0
+        assert "streams" not in (run_files(out, "solve-full") / "manifest.txt").read_text()
+
     def test_deterministic_rerun(self, config_path, tmp_path):
         out1 = str(tmp_path / "a")
         out2 = str(tmp_path / "b")

@@ -11,7 +11,7 @@ from oracles import (
 )
 
 from regimemm.errors import UnsupportedConfigError
-from regimemm.grid import inventory_row
+from regimemm.grid import inventory_row, time_bracket
 from regimemm.hjb_full import comparison_bounds, solve_constrained
 from regimemm.hjb_full import policy as full_policy
 from regimemm.hjb_partial import (
@@ -192,6 +192,27 @@ class TestOutputGrid:
         nbytes = surf.theta.nbytes + surf.spread_bid.nbytes + surf.spread_ask.nbytes
         assert nbytes == 3 * output_levels(200) * 7 * 201 * 8
         assert peak < 2 * nbytes
+
+
+class TestTimeBracket:
+    @pytest.mark.parametrize(
+        "grid",
+        [np.linspace(0.0, 1.0, 284), np.linspace(0.0, 2.5, 2001), np.linspace(0.0, 1.0, 60) ** 2],
+        ids=["uniform-284", "uniform-2001", "squares"],
+    )
+    def test_interval_is_the_right_search(self, grid):
+        # the interval read off a uniform grid, once corrected, is the search's
+        # at every node, both neighbouring floats and random times; a grid the
+        # guess misses by more than one takes the search itself
+        hi = grid[-1]
+        t = np.concatenate([grid, np.nextafter(grid, hi + 1), np.nextafter(grid, -1.0)])
+        t = np.clip(np.concatenate([t, np.random.default_rng(2).uniform(0.0, hi, 5000)]), 0.0, hi)
+        s, w = time_bracket(grid, t)
+        expected = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, len(grid) - 2)
+        np.testing.assert_array_equal(s, expected)
+        np.testing.assert_array_equal(w, (t - grid[expected]) / (grid[expected + 1] - grid[expected]))
+        for x, s_x in zip(t[::53].tolist(), expected[::53]):
+            assert time_bracket(grid, x)[0] == s_x
 
 
 class TestMirror:

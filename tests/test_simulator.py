@@ -17,6 +17,7 @@ from regimemm.hjb_partial import policy as hjb_partial_policy
 from regimemm.hjb_partial import solve as solve_partial
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
 from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, with_params
+from regimemm.rng import REGIME, Substream
 from regimemm.simulate import (
     FixedSpreadPolicy,
     FullInfoPolicy,
@@ -287,6 +288,12 @@ class TestMonteCarlo:
         assert s.candidates >= s.fills_bid_paths.sum() + s.fills_ask_paths.sum()
         assert s.paths * nodes <= s.rk4_steps <= s.paths * nodes + s.candidates + s.paths
 
+    def test_one_path_iterates_once_per_step(self):
+        # one path stops once per iteration, and every stop on table1 is a step
+        s = monte_carlo(table1_spec(), FIXED, n_paths=1, seed=6, report_points=20)
+        assert s.iterations == s.rk4_steps > 0
+        assert f"\niterations = {s.iterations}\n" in s.to_text()
+
     def test_counters_with_one_regime(self):
         # a constant belief takes no steps; every candidate is still counted
         s = monte_carlo(one_regime_spec(), FIXED, n_paths=30, seed=4, report_points=10)
@@ -439,11 +446,21 @@ class TestWithRegime:
 
     def test_regime_path_sorted_within_horizon(self):
         spec = table1_spec()
-        path = draw_regime_path(spec, np.random.default_rng(5))
+        path = draw_regime_path(spec, Substream(5, [0], REGIME))
         times = [p[0] for p in path]
         assert times == sorted(times)
         assert all(0 <= y <= 1 for _, y in path)
         assert times[0] == 0.0 and times[-1] < spec.horizon_T
+
+    def test_block_chains_are_one_path_views(self):
+        # a block's chains are the chains its paths draw alone
+        spec = table1_spec()
+        switch, state = simulate._regime_chains(spec, Substream(9, np.arange(6), REGIME))
+        for p in range(6):
+            finite = np.isfinite(switch[p])
+            alone = draw_regime_path(spec, Substream(9, [p], REGIME))
+            assert alone == list(zip(switch[p, finite].tolist(), state[p, finite].tolist()))
+            assert len(alone) > 1
 
     def test_full_info_policy_needs_regime(self):
         spec = table1_spec()
