@@ -27,13 +27,7 @@ _TIME_SLACK = 1e-12
 
 
 def time_bracket(grid: np.ndarray, t):
-    """Interval ``s`` and weight ``w`` with t = (1 - w) grid[s] + w grid[s + 1].
-
-    ``s`` is ``searchsorted(grid, t, side="right") - 1`` kept inside the
-    grid's intervals.  The solvers' grids are uniform, so the interval is
-    first read off ``t`` and then moved by at most one to that exact
-    index; a grid where that guess misses falls back to the search.
-    """
+    """Interval ``s`` and weight ``w`` with t = (1 - w) grid[s] + w grid[s + 1]."""
     t = np.asarray(t, dtype=float)
     lo, hi = grid[0], grid[-1]
     inside = (t >= lo - _TIME_SLACK) & (t <= hi + _TIME_SLACK)
@@ -41,17 +35,8 @@ def time_bracket(grid: np.ndarray, t):
         raise ValueError(f"t={t[~inside].flat[0]:g} outside [0, T]")
     # minimum/maximum rather than np.clip: scalar lookups are a hot path
     t = np.minimum(np.maximum(t, lo), hi)
-    last = len(grid) - 2
-    s = np.minimum(((t - lo) * ((last + 1) / (hi - lo))).astype(int), last)
-    for _ in range(2):
-        left, right = grid.take(s), grid.take(s + 1)
-        low, high = left > t, (right <= t) & (s < last)
-        if not (low.any() or high.any()):
-            break
-        s = s - low + high  # a rounded guess is off by one at most
-    else:  # a grid the guess misses by more: search it
-        s = np.minimum(np.maximum(np.searchsorted(grid, t, side="right") - 1, 0), last)
-        left, right = grid.take(s), grid.take(s + 1)
+    s = np.minimum(np.maximum(np.searchsorted(grid, t, side="right") - 1, 0), len(grid) - 2)
+    left, right = grid.take(s), grid.take(s + 1)
     return s, (t - left) / (right - left)
 
 

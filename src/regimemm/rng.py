@@ -18,9 +18,11 @@ window size nor on which paths share its block.  Uniforms are
 ``(x >> 11) 2**-53``, as ``Generator.random()`` makes them; exponentials
 are ``-log1p(-u)`` and normals Box--Muller pairs (cosine branch).
 
-``stream`` and ``PathStreams`` give numpy Generators over the same keys:
-their ``random()`` draws equal ``Substream.uniform``'s, but their
-exponential and normal draws use numpy's ziggurat instead.
+``stream`` gives a numpy Generator over the same key, the reference that
+the tests check ``Substream`` against: its ``random()`` draws equal
+``Substream.uniform``'s, but its exponential and normal draws use numpy's
+ziggurat instead.  ``PathStreams``, one path's three such Generators, is
+used by no simulation code; only the benchmark's tracer test still calls it.
 """
 
 from __future__ import annotations

@@ -201,9 +201,8 @@ class TestTimeBracket:
         ids=["uniform-284", "uniform-2001", "squares"],
     )
     def test_interval_is_the_right_search(self, grid):
-        # the interval read off a uniform grid, once corrected, is the search's
-        # at every node, both neighbouring floats and random times; a grid the
-        # guess misses by more than one takes the search itself
+        # the interval is the search's, kept inside the grid, at every node,
+        # both neighbouring floats and random times, on uniform and other grids
         hi = grid[-1]
         t = np.concatenate([grid, np.nextafter(grid, hi + 1), np.nextafter(grid, -1.0)])
         t = np.clip(np.concatenate([t, np.random.default_rng(2).uniform(0.0, hi, 5000)]), 0.0, hi)
