@@ -101,15 +101,17 @@ def jump_update(pi: np.ndarray, side: str, spread, spec: ModelSpec) -> np.ndarra
     return np.maximum(raw / total, _FLOOR)
 
 
-def _rk4_step(pi: np.ndarray, t, h, deriv) -> tuple[np.ndarray, int]:
+def _rk4_step(pi: np.ndarray, t, h, deriv, k1=None) -> tuple[np.ndarray, int]:
     """One classical RK4 step of the belief: a single belief (k,) with scalar
-    t and h, or a batch (P, k) with per-path t and h.
+    t and h, or a batch (P, k) with per-path t and h.  ``k1`` is the drift
+    at (t, pi) where the caller already has it.
 
     Returns the renormalized belief and the number of coordinates clamped at
     the simplex floor.
     """
     hc = np.asarray(h)[..., None]
-    k1 = deriv(t, pi)
+    if k1 is None:
+        k1 = deriv(t, pi)
     k2 = deriv(t + 0.5 * h, pi + 0.5 * hc * k1)
     k3 = deriv(t + 0.5 * h, pi + 0.5 * hc * k2)
     k4 = deriv(t + h, pi + hc * k3)

@@ -11,8 +11,12 @@ Everything of the right-hand side that depends only on the spec is a
 the intensity groups.  Every exponential, logistic or arctan curve, of any
 regime and side, falls into the one group of its kind that passes
 per-column parameter arrays through ``intensity``'s maximizer, so a market
-of one such kind makes one maximizer call per RK4 stage; a power-law or
-tabulated curve makes one call per distinct family.
+of one such kind makes one ``hamiltonian_value`` call per RK4 stage; a
+power-law or tabulated curve makes one call per distinct family.  Each
+group's family is ``intensity.prepared`` once per solve, so the
+maximizer's constants that do not depend on d are not recomputed at each
+stage.  A march that leaves the comparison sandwich raises
+``NumericsError``.
 
 The solve stores the feedback spreads at every node, and ``policy`` reads
 them back, linear in t, through the same ``grid.gather_spreads`` as the
@@ -25,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedConfigError
+from .errors import NumericsError, UnsupportedConfigError
 from .grid import check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
-from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, utility
+from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, prepared, utility
 from .model import ModelSpec, format_config, parse_config
 
 DEFAULT_TIME_STEPS = 2000
+_SANDWICH_SLACK = 1e-12  # rounding room at the comparison bounds
 
 
 @dataclass(frozen=True)
@@ -38,8 +43,9 @@ class _Plan:
     """The spec-dependent parts of the right-hand side and the spread tables.
 
     The side axis has 2k columns: every regime's bid curve, then every
-    regime's ask curve.  ``groups`` pairs a family with the columns it
-    covers (an index of that axis), one maximizer call each.  The
+    regime's ask curve.  ``groups`` pairs a family, prepared at the spec's
+    gamma and spread bounds, with the columns it covers (an index of that
+    axis), one maximizer call each.  The
     exponential, logistic and arctan columns form one group per kind whose
     family carries per-column parameter arrays; every distinct power-law or
     tabulated family is a group of its own.
@@ -61,6 +67,7 @@ class _Plan:
             if isinstance(key, str):  # a kind, not one family
                 params = zip(*(families[j].params for j in cols))
                 fam = IntensityFamily(fam.kind, tuple(np.array(p) for p in params))
+            fam = prepared(fam, spec.risk_aversion_gamma, spec.spread_bounds)
             groups.append((fam, slice(None) if len(cols) == len(keys) else np.array(cols)))
         return _Plan(spec, base[:, None], tuple(groups))
 
@@ -171,7 +178,9 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
 
     Terminal condition theta(T, n, i) = -c n^2; marches a uniform grid of
     ``n_steps`` steps down to t = 0 and stores theta plus the feedback
-    spreads at every level.
+    spreads at every level.  Raises ``NumericsError`` when theta is not
+    finite or leaves the ``comparison_bounds`` sandwich anywhere, the mark
+    of a march too coarse for its rates.
     """
     if spec.unbounded_inventory:
         raise UnsupportedConfigError("full-information solver requires a finite inventory cap")
@@ -179,8 +188,19 @@ def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> Ful
     plan = _Plan.build(spec)
     levels = spec.inventory_levels().astype(float)
     terminal = np.repeat(-spec.terminal_cost(levels)[:, None], spec.n_regimes, axis=1)
-    # _rhs is looked up at every call, so a wrapper patched onto it sees them
-    theta = _march(lambda t, y: _rhs(plan, y), terminal, spec.horizon_T, n_steps)
+    # _rhs is looked up at every call, so a wrapper patched onto it sees them;
+    # an unstable march overflows, which the sandwich check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _march(lambda t, y: _rhs(plan, y), terminal, spec.horizon_T, n_steps)
+    k_upper, k_lower = _sandwich(plan)
+    top, bottom = k_upper * spec.horizon_T, -k_upper * spec.horizon_T - k_lower
+    # a NaN fails both comparisons
+    if not (theta.max() <= top + _SANDWICH_SLACK and theta.min() >= bottom - _SANDWICH_SLACK):
+        found = f"spans [{theta.min():.6g}, {theta.max():.6g}]" if np.isfinite(theta).all() else "is not finite"
+        raise NumericsError(
+            f"full-information march at {n_steps} steps is unstable: theta {found}, "
+            f"outside the comparison bounds [{bottom:.6g}, {top:.6g}]; take more time steps"
+        )
 
     time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
     return FullInfoSurface(spec, time_grid, theta, *_spread_tables(plan, theta))
@@ -200,7 +220,11 @@ def comparison_bounds(spec: ModelSpec) -> tuple[float, float]:
     """Constants (K_upper, K_lower) of the super/sub-solution sandwich:
     -K_upper T - K_lower <= theta <= K_upper T at every grid node.  K_upper
     is the largest |right-hand side| at the zero panel."""
-    plan = _Plan.build(spec)
+    return _sandwich(_Plan.build(spec))
+
+
+def _sandwich(plan: _Plan) -> tuple[float, float]:
+    spec = plan.spec
     zeros = np.zeros((plan.base.shape[0], spec.n_regimes))
     k_upper = float(np.max(np.abs(_rhs(plan, zeros))))
     return k_upper, float(spec.terminal_cost(spec.inventory_cap_Nstar))

@@ -36,7 +36,7 @@ from .errors import NumericsError, UnsupportedConfigError
 from .grid import (
     belief_bracket, check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 )
-from .intensity import STUB_SPREAD, eval_intensity, optimal_spread
+from .intensity import STUB_SPREAD, eval_intensity, optimal_spread, prepared
 from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
 DEFAULT_PI_CELLS = 200
@@ -90,8 +90,9 @@ class Stepper:
     The constructor computes everything a step needs that does not depend
     on theta, each product grouped as the step's own expressions group it:
     the belief-gradient weights, the post-fill belief bracket as flat
-    indices into a theta panel with its two weights, and the CFL
-    coefficient's two belief factors.  ``evaluate(theta)`` maps one time
+    indices into a theta panel with its two weights, the CFL coefficient's
+    two belief factors, and regime 1's curve prepared for the maximizer
+    (``intensity.prepared``).  ``evaluate(theta)`` maps one time
     level to the feedback spreads, the marching right-hand side
     (d theta / d tau, backward time) and the CFL coefficient bounding the
     stable step, with one ``optimal_spread`` and one ``eval_intensity``
@@ -117,6 +118,7 @@ class Stepper:
             raise ValueError(f"belief_gradient_scale {self.scale:g} must be >= 0")
         self.spec = spec
         self.red = red
+        self.lam = prepared(red.lam, spec.risk_aversion_gamma, spec.spread_bounds)
         self.levels = spec.inventory_levels().astype(float)
         m_pi = check_count("m_pi", m_pi)
         self.pi_grid = np.linspace(0.0, 1.0, m_pi + 1)
@@ -178,8 +180,8 @@ class Stepper:
         np.subtract(theta_nl[:-1], theta[1:], out=d[1])
         d[0] += adj[:-1]
         d[1] += adj[1:]
-        spreads = optimal_spread(self.red.lam, self.spec.risk_aversion_gamma, d, self.spec.spread_bounds)
-        lam = eval_intensity(self.red.lam, spreads)
+        spreads = optimal_spread(self.lam, self.spec.risk_aversion_gamma, d, self.spec.spread_bounds)
+        lam = eval_intensity(self.lam, spreads)
         gain = self.m_hat * lam
         d += spreads
         gain *= d

@@ -2,17 +2,20 @@
 
 An intensity family is a positive, decreasing curve ``lam(delta)`` giving the
 client order-arrival rate as a function of the quoted spread.  The module
-provides the curve calculus (values, first derivatives, validity checks), the
-CARA utility pair ``U_gamma`` / ``U_gamma^{-1}``, and the two quantities the
-solvers need from
+provides the curve calculus (values, first and second derivatives, validity
+checks), the CARA utility pair ``U_gamma`` / ``U_gamma^{-1}``, and the two
+quantities the solvers need from
 
     h(delta, d) = lam(delta) * U_gamma(delta + d):
 
 its maximizer over admissible spreads, ``optimal_spread`` (closed form for
-exponential curves, a threshold window plus a bracketed Chandrupatla root
-search of the fixed point for the other smooth families, grid search for
-tabulated ones), and the Hamiltonian
-``H(d) = sup_delta h(delta, d)``, ``hamiltonian_value``.
+exponential curves, a threshold window plus a safeguarded Newton search of
+the fixed point for the other smooth families, grid search for tabulated
+ones), and the Hamiltonian ``H(d) = sup_delta h(delta, d)``,
+``hamiltonian_value``.  The maximizer's constants that do not depend on d
+(the exponential margin, the window and the Newton search's start table, a
+tabulated curve's search grid) are computed at each call, or once by
+``prepared``, which a solver calls once per solve.
 
 All operations broadcast over numpy arrays of ``delta`` or ``d``.  The
 exponential, logistic and arctan kinds also take per-element parameters:
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -48,6 +51,8 @@ _N_PROBE = 1000
 _FIXED_POINT_TOL = 1e-12
 _RELATIVE_TOL = 4.0 * sys.float_info.epsilon
 _FIXED_POINT_MAX_ITER = 200
+_START_NODES = 129  # nodes of the residual table that starts the Newton search
+_GRID_POINTS = 20001  # a tabulated curve's search grid
 _GRID_BLOCK = 64
 
 
@@ -71,6 +76,8 @@ class IntensityFamily:
 
     kind: str
     params: tuple
+    # set by ``prepared``; not part of the curve's identity
+    maximizer: Maximizer | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -174,6 +181,33 @@ def eval_derivative(fam: IntensityFamily, delta):
         dm = np.clip(d - h, lo, hi)
         dp = np.clip(d + h, lo, hi)
         out = (np.interp(dp, knots, values) - np.interp(dm, knots, values)) / (dp - dm)
+    return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
+
+
+def eval_curvature(fam: IntensityFamily, delta):
+    """d^2 lam / d delta^2 of a smooth curve; broadcasts over arrays.  A
+    tabulated curve has none."""
+    d = np.asarray(delta, dtype=float)
+    if fam.kind == "exponential":
+        a, b = fam.params
+        out = a * b * b * np.exp(-b * d)
+    elif fam.kind == "logistic":
+        a, b, c = fam.params
+        e = c * np.exp(b * d)
+        w = 1.0 + e  # each factor below stays finite where w**3 would not
+        out = a * b * b * (e / w) * ((e - 1.0) / w) / w
+    elif fam.kind == "arctan":
+        a, b, c = fam.params
+        u = -b * d + c
+        out = -2.0 * a * b * b * u / (1.0 + u * u) ** 2
+    elif fam.kind == "power_law":
+        a, b, c, p = fam.params
+        base = b * d + c
+        if np.any(base <= 0):
+            raise ValueError("power_law curvature outside domain")
+        out = a * b * b * p * (p + 1.0) * base ** (-p - 2.0)
+    else:
+        raise ValueError("a tabulated intensity has no curvature")
     return out if isinstance(delta, np.ndarray) or np.ndim(out) else float(out)
 
 
@@ -293,100 +327,155 @@ def spread_thresholds(
     return tuple(v if np.ndim(v) else float(v) for v in (cap, floor))
 
 
-def _fixed_point_residual(fam, gamma, delta, d):
-    """f(delta, d) = delta + U^{-1}(lam/lam') + d; strictly increasing in delta."""
-    return np.asarray(delta) - _neg_uinv_ratio(fam, gamma, delta) + np.asarray(d)
+@dataclass(frozen=True)
+class Maximizer:
+    """The constants of one family's maximizer that depend on (gamma,
+    bounds) but not on d:
 
-
-def _solve_fixed_point(fam, gamma, d, lo, hi):
-    """Root of f(delta, d) = 0 over [lo, hi] per element of ``d``:
-    Chandrupatla's hybrid of bisection and inverse quadratic interpolation
-    (T. R. Chandrupatla, Adv. Eng. Software 28, 1997).
-
-    Assumes a sign change is already bracketed.  Bounds may be +-inf, in
-    which case the bracket is grown geometrically from [-1, 1] first.  An
-    element is finished once its bracket is narrower than
-    max(_FIXED_POINT_TOL, 4 eps |delta|), which lets far-out roots converge,
-    and is frozen from then on, so a batch gives exactly the per-element
-    results.  Returns the bracket end with the smaller residual.
+      exponential: ``margin``, -U_gamma^{-1}(-1/b), the spread at d = 0;
+      tabulated:   ``nodes``, the search grid, and ``table``, lam there;
+      the others:  ``window``, the ``spread_thresholds`` pair, and
+                   ``table``, the fixed-point residual at d = 0 on the
+                   start ``nodes``, with the node axis last.
     """
-    d = np.asarray(d, dtype=float)
-    lo_v = np.full(d.shape, lo if math.isfinite(lo) else -1.0)
-    hi_v = np.full(d.shape, hi if math.isfinite(hi) else 1.0)
+
+    gamma: float
+    bounds: tuple
+    margin: object = None
+    window: tuple | None = None
+    nodes: np.ndarray | None = None
+    table: np.ndarray | None = None
+
+
+def prepared(fam: IntensityFamily, gamma: float, bounds) -> IntensityFamily:
+    """``fam`` carrying its ``Maximizer`` at (gamma, bounds), so that
+    ``optimal_spread`` and ``hamiltonian_value`` at those arguments reuse
+    it: a solver prepares each curve once per solve, not once per call."""
+    return replace(fam, maximizer=_constants(fam, gamma, bounds))
+
+
+def _constants(fam: IntensityFamily, gamma: float, bounds) -> Maximizer:
+    """The family's own ``Maximizer`` if it was prepared at (gamma, bounds),
+    else a new one."""
+    held = fam.maximizer
+    if held is not None and held.gamma == gamma and held.bounds == tuple(bounds):
+        return held
+    lo, hi = bounds
+    if fam.kind == "exponential":
+        return Maximizer(gamma, (lo, hi), margin=-utility_inverse(gamma, -1.0 / fam.params[1]))
+    if fam.kind == "tabulated":
+        g_lo = max(lo, fam.domain_lo())
+        g_lo = max(g_lo, -PROBE_HALF_WIDTH) if not math.isfinite(lo) else g_lo
+        g_hi = min(hi, fam.domain_hi())
+        g_hi = min(g_hi, PROBE_HALF_WIDTH) if not math.isfinite(hi) else g_hi
+        grid = np.linspace(g_lo, g_hi, _GRID_POINTS)
+        return Maximizer(gamma, (lo, hi), nodes=grid, table=np.asarray(eval_intensity(fam, grid)))
+    return _search_constants(fam, gamma, bounds)
+
+
+def _search_constants(fam: IntensityFamily, gamma: float, bounds) -> Maximizer:
+    """The window and start table of the fixed-point search."""
+    lo, hi = bounds
+    # the start nodes span the bounds, or [-1, 1] on an infinite side (kept
+    # inside a power law's domain); the search grows its bracket beyond them
+    last = hi if math.isfinite(hi) else max(1.0, lo + 2.0)
+    first = lo if math.isfinite(lo) else min(-1.0, last - 2.0)
     dom_lo = fam.domain_lo()
+    if not math.isfinite(lo) and math.isfinite(dom_lo):
+        first = max(first, dom_lo + 1e-9 * max(1.0, abs(dom_lo)))
+    nodes = np.linspace(first, last, _START_NODES)
+    ndim = np.broadcast(*fam.params).ndim
+    table, _ = _fixed_point_residual(fam, gamma, nodes.reshape((-1,) + (1,) * ndim), 0.0)
+    return Maximizer(
+        gamma, (lo, hi), window=spread_thresholds(fam, gamma, bounds), nodes=nodes,
+        table=np.moveaxis(table, 0, -1),
+    )
+
+
+def _fixed_point_residual(fam, gamma, delta, d):
+    """f(delta, d) = delta + U^{-1}(r) + d with r = lam/lam', strictly
+    increasing in delta, and its slope 1 + r'/(1 - gamma r), where
+    r' = 1 - lam lam''/lam'^2."""
+    lam = np.asarray(eval_intensity(fam, delta))
+    dlam = np.asarray(eval_derivative(fam, delta))
+    ratio = lam / dlam
+    value = np.asarray(delta) + utility_inverse(gamma, ratio) + np.asarray(d)
+    slope = 1.0 + (1.0 - lam * eval_curvature(fam, delta) / (dlam * dlam)) / (1.0 - gamma * ratio)
+    return value, slope
+
+
+def _solve_fixed_point(fam, gamma, d, bounds, nodes, table):
+    """Root of f(delta, d) = 0 over ``bounds`` per element of ``d``, by a
+    safeguarded Newton iteration.
+
+    ``table`` holds each element's f(delta, 0) at ``nodes`` (one row per
+    element), so f(node, d) is the row plus d: the two nodes around the
+    sign change bracket the root, and the root of the line through them
+    starts the search.  Past an infinite bound the bracket is grown
+    geometrically from the last node first, past any end whose residual is
+    NaN (a curve that overflows there).  A Newton step that leaves the
+    bracket becomes a bisection step.  An element is finished once its
+    Newton step or its bracket is within max(_FIXED_POINT_TOL,
+    4 eps |delta|), which lets far-out roots converge, and is frozen from
+    then on, so a batch gives exactly the per-element results.  A bracket
+    end on the wrong side of zero by rounding is itself the root.
+    """
+    lo, hi = bounds
+    rows = np.arange(d.size)
+    # the last node whose residual is <= 0 opens the cell of the sign change
+    cell = np.clip(np.count_nonzero(table <= -d[:, None], axis=1) - 1, 0, len(nodes) - 2)
+    a, b = nodes[cell], nodes[cell + 1]
+    fa, fb = table[rows, cell] + d, table[rows, cell + 1] + d
     if not math.isfinite(lo):
-        lo_v = np.maximum(lo_v, dom_lo + 1e-9 * max(1.0, abs(dom_lo))) if math.isfinite(dom_lo) else lo_v
+        dom_lo = fam.domain_lo()
         for _ in range(200):
-            bad = _fixed_point_residual(fam, gamma, lo_v, d) > 0.0
-            if not np.any(bad):
+            grow = ~(fa <= 0.0)
+            if not np.any(grow):
                 break
-            grow = np.where(bad, 1.0 + 2.0 * np.abs(lo_v), 0.0)
-            if math.isfinite(dom_lo):
-                lo_v = np.where(bad, np.maximum(lo_v - grow, 0.5 * (lo_v + dom_lo)), lo_v)
-            else:
-                lo_v = np.where(bad, lo_v - grow, lo_v)
+            b, fb = np.where(grow, a, b), np.where(grow, fa, fb)
+            step = np.where(grow, 1.0 + 2.0 * np.abs(a), 0.0)
+            a = np.maximum(a - step, 0.5 * (a + dom_lo)) if math.isfinite(dom_lo) else a - step
+            fa = np.where(grow, _fixed_point_residual(fam, gamma, a, d)[0], fa)
         else:
             raise NumericsError("could not bracket the optimal-spread fixed point from below")
     if not math.isfinite(hi):
         for _ in range(200):
-            bad = _fixed_point_residual(fam, gamma, hi_v, d) < 0.0
-            if not np.any(bad):
+            grow = ~(fb >= 0.0)
+            if not np.any(grow):
                 break
-            hi_v = np.where(bad, hi_v + 1.0 + 2.0 * np.abs(hi_v), hi_v)
+            a, fa = np.where(grow, b, a), np.where(grow, fb, fa)
+            b = np.where(grow, b + 1.0 + 2.0 * np.abs(b), b)
+            fb = np.where(grow, _fixed_point_residual(fam, gamma, b, d)[0], fb)
         else:
             raise NumericsError("could not bracket the optimal-spread fixed point from above")
-    # x1 is the newest point, x2 the other end of the bracket, x3 the end
-    # dropped last; t places the next point at x1 + t (x2 - x1)
-    x1, x2 = lo_v, hi_v
-    f1, f2 = _fixed_point_residual(fam, gamma, np.stack([x1, x2]), d)
-    # an end on the wrong side by rounding is itself the root
-    f1, f2 = np.minimum(f1, 0.0), np.maximum(f2, 0.0)
-    x3, f3 = x2, f2
-    done = (f1 == 0.0) | (f2 == 0.0)
-    t = np.where(done, 0.0, 0.5)
+    x = a + (b - a) * (fa / (fa - fb))
+    x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+    x = np.where(fa >= 0.0, a, np.where(fb <= 0.0, b, x))
+    done = (fa >= 0.0) | (fb <= 0.0)
     for _ in range(_FIXED_POINT_MAX_ITER):
-        xt = x1 + t * (x2 - x1)  # t = 0 keeps a finished element at x1 ...
-        ft = np.where(done, f1, _fixed_point_residual(fam, gamma, xt, d))  # ... and f1
-        flip = (ft > 0.0) != (f1 > 0.0)  # the root lies between x1 and xt
-        x3, f3 = np.where(flip, x2, x1), np.where(flip, f2, f1)
-        x2, f2 = np.where(flip, x1, x2), np.where(flip, f1, f2)
-        x1, f1 = xt, ft
-        best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
-        width = np.abs(x2 - x1)
-        tol = np.maximum(_FIXED_POINT_TOL, _RELATIVE_TOL * np.abs(best))
-        done |= (width < tol) | (f1 == 0.0)
         if done.all():
-            return best
-        # inverse quadratic interpolation through the three points where
-        # Chandrupatla's criterion finds it safe, bisection elsewhere
-        xi = (x1 - x2) / (x3 - x2)
-        phi = (f1 - f2) / (f3 - f2)
-        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-        f31 = np.where(iqi, f3 - f1, 1.0)  # f3 = f1 makes phi = 1, never iqi
-        t_iqi = f1 / (f2 - f1) * f3 / (f2 - f3) + (
-            (x3 - x1) / (x2 - x1) * f1 / f31 * f2 / (f3 - f2)
-        )
-        # keep the next point at least tol / 2 inside the bracket; a finished
-        # element stays where it is
-        tl = 0.5 * tol / width
-        t = np.where(done, 0.0, np.minimum(np.maximum(np.where(iqi, t_iqi, 0.5), tl), 1.0 - tl))
-    if np.max(width) > 1e-6:
+            return x
+        f, slope = _fixed_point_residual(fam, gamma, x, d)
+        below = f < 0.0
+        a, b = np.where(below, x, a), np.where(below, b, x)
+        newton = x - f / slope
+        tol = np.maximum(_FIXED_POINT_TOL, _RELATIVE_TOL * np.abs(x))
+        converged = (np.abs(newton - x) <= tol) & np.isfinite(slope)
+        inside = (a < newton) & (newton < b)
+        x = np.where(done, x, np.where(converged | inside, newton, 0.5 * (a + b)))
+        done |= converged | (b - a <= tol)
+    if np.max((b - a)[~done]) > 1e-6:
         raise NumericsError(
             "optimal-spread root search did not converge; "
             "intensity family likely violates the strong assumptions"
         )
-    return best
+    return x
 
 
-def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
-    """Maximizer of h(delta, d) for a tabulated curve on a uniform grid
-    (smallest argmax on ties)."""
-    g_lo = max(lo, fam.domain_lo())
-    g_lo = max(g_lo, -PROBE_HALF_WIDTH) if not math.isfinite(lo) else g_lo
-    g_hi = min(hi, fam.domain_hi())
-    g_hi = min(g_hi, PROBE_HALF_WIDTH) if not math.isfinite(hi) else g_hi
-    grid = np.linspace(g_lo, g_hi, n_grid)
-    lam = np.asarray(eval_intensity(fam, grid))
+def _grid_search_spread(m: Maximizer, gamma, d):
+    """Maximizer of h(delta, d) for a tabulated curve on its uniform search
+    grid (smallest argmax on ties)."""
+    grid, lam = m.nodes, m.table
     d_flat = np.asarray(d, dtype=float).ravel()
     idx = np.empty(d_flat.shape, dtype=np.intp)
     # a block of d values at a time keeps the (block, n_grid) table small
@@ -394,19 +483,25 @@ def _grid_search_spread(fam, gamma, d, lo, hi, n_grid=20001):
         block = d_flat[start : start + _GRID_BLOCK, None]
         h = lam * np.asarray(utility(gamma, grid + block))
         idx[start : start + _GRID_BLOCK] = np.argmax(h, axis=-1)  # first maximizer
-    return grid[idx].reshape(np.shape(d))
+    return np.where(np.isnan(d), np.nan, grid[idx].reshape(np.shape(d)))
 
 
 def _fixed_point_spread(fam: IntensityFamily, gamma: float, d: np.ndarray, bounds):
     """Maximizer at the array ``d`` for a smooth curve: the bounds outside
     the threshold window, the fixed point found by ``_solve_fixed_point``
-    inside it."""
+    inside it, NaN at a NaN."""
     lo, hi = bounds
-    cap, floor = spread_thresholds(fam, gamma, bounds)
+    m = _constants(fam, gamma, bounds)
+    if m.window is None:  # an exponential curve's constants serve its closed form
+        m = _search_constants(fam, gamma, bounds)
+    cap, floor = m.window
     interior = (d > cap) & (d < floor)
-    out = np.where(d <= cap, hi, lo).astype(float)
+    out = np.where(d <= cap, hi, np.where(d >= floor, lo, np.nan))
     if np.any(interior):
-        out[interior] = _solve_fixed_point(family_at(fam, interior, d.shape), gamma, d[interior], lo, hi)
+        table = np.broadcast_to(m.table, d.shape + m.nodes.shape)[interior]
+        out[interior] = _solve_fixed_point(
+            family_at(fam, interior, d.shape), gamma, d[interior], bounds, m.nodes, table
+        )
     return np.clip(out, lo, hi)
 
 
@@ -417,20 +512,22 @@ def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, f
         delta = -U_gamma^{-1}(lam(delta)/lam'(delta)) - d,
     clamped at the bounds outside the threshold window.  Exponential curves
     admit a closed form (the percentage sensitivity lam'/lam is constant);
-    other smooth families use a bracketed Chandrupatla root search,
-    tabulated curves use grid search.  Per-element parameters broadcast
+    other smooth families use a safeguarded Newton search started from a
+    table of the fixed-point residual, tabulated curves use grid search.
+    The constants that do not depend on d are those of a ``prepared``
+    family, or computed at the call.  Per-element parameters broadcast
     against ``d``.  Every element is solved on its own, so an array call
-    equals the calls at each of its elements and curves, bit for bit.
+    equals the calls at each of its elements and curves, bit for bit.  A
+    NaN d gives a NaN spread.
     """
     lo, hi = bounds
     if fam.kind == "exponential":
-        margin = -utility_inverse(gamma, -1.0 / fam.params[1])
-        out = np.clip(margin - np.asarray(d, dtype=float), lo, hi)
+        out = np.clip(_constants(fam, gamma, bounds).margin - np.asarray(d, dtype=float), lo, hi)
         return float(out) if out.ndim == 0 else out
     scalar = np.ndim(d) == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     if fam.kind == "tabulated":
-        out = np.clip(_grid_search_spread(fam, gamma, d_arr, lo, hi), lo, hi)
+        out = np.clip(_grid_search_spread(_constants(fam, gamma, bounds), gamma, d_arr), lo, hi)
     else:
         out = _fixed_point_spread(fam, gamma, d_arr, bounds)
     return float(out[0]) if scalar else out.reshape(np.shape(d))

@@ -274,18 +274,21 @@ def _batch_advance(spec, velocity, rows, pi, t0, t1, n):
     it; a path's nodes depend only on its own streams, never on the batch or
     on what is recorded.  ``velocity(rows, t, n, pi)`` is the belief drift of
     the batch rows ``rows`` at RK4 stage states.  Returns the beliefs, the
-    number of steps taken and the number of coordinates clamped at the
-    simplex floor.
+    drift at each step's start (its first RK4 stage; NaN on rows that take
+    no step, and None when none does), the number of steps taken and the
+    number of coordinates clamped at the simplex floor.
     """
     go = np.flatnonzero(t1 > t0)
     if spec.n_regimes == 1 or len(go) == 0:
-        return pi, 0, 0  # a single regime has a constant, trivial belief
+        return pi, None, 0, 0  # a single regime has a constant, trivial belief
     sub_rows, sub_n = rows[go], n[go]
+    deriv = lambda t, p: velocity(sub_rows, t, sub_n, p)
+    k1 = deriv(t0[go], pi[go])
+    start = np.full_like(pi, np.nan)
+    start[go] = k1
     pi = pi.copy()
-    pi[go], clamped = _rk4_step(
-        pi[go], t0[go], (t1 - t0)[go], lambda t, p: velocity(sub_rows, t, sub_n, p)
-    )
-    return pi, len(go), clamped
+    pi[go], clamped = _rk4_step(pi[go], t0[go], (t1 - t0)[go], deriv, k1)
+    return pi, start, len(go), clamped
 
 
 def _bridge(spec: ModelSpec, known_t, known_s, times, z):
@@ -446,7 +449,7 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         t0, pi0 = t[idx], pi[idx]
 
         inv_integral[idx] += n[idx].astype(float) ** 2 * (t_stop - t0)
-        pi[idx], steps, clamped = _batch_advance(spec, velocity, idx, pi0, t0, t_stop, n[idx])
+        pi[idx], f_start, steps, clamped = _batch_advance(spec, velocity, idx, pi0, t0, t_stop, n[idx])
         counts["rk4_steps"] += steps
         counts["clamps"] += clamped
         t[idx] = t_stop
@@ -459,7 +462,8 @@ def _lockstep(spec, policy, seed, path_ids, report_points, h_target, regime_true
         if len(rec):
             sel = idx[rec]
             start = next_report[sel]
-            f0 = velocity(sel, t0[rec], n[sel], pi0[rec])
+            # the step's first stage; a single regime takes no step
+            f0 = velocity(sel, t0[rec], n[sel], pi0[rec]) if f_start is None else f_start[rec]
             f1 = velocity(sel, t_stop[rec], n[sel], pi[sel])
             h = (t_stop - t0)[rec]
             of = np.repeat(np.arange(len(rec)), many)  # the step each row falls in

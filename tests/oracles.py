@@ -5,8 +5,8 @@ building blocks) and shares no code with the package internals it checks.
 ``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
 is the solver's storage, not the step.  ``residual_report`` reuses the
 full-information right-hand side to measure how well the RK4 march solves
-it, and the curve diagnostics reuse the package's probe grid.  ``rhs_loop``,
-``solve_loop`` and ``policy_loop`` reuse the coupling term, the RK4 march,
+it, and the curve diagnostics reuse the package's probe grid and curvature.
+``rhs_loop``, ``solve_loop`` and ``policy_loop`` reuse the coupling term, the RK4 march,
 the surface lookup and the maximizer: what they check is how the solver
 groups its maximizer calls.  ``table_policy_loop`` reads the stored spread
 tables one point at a time in plain Python, with no ``grid`` code.  ``solve_unconstrained`` is the linear system
@@ -30,6 +30,7 @@ from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
 from regimemm.intensity import (
     STUB_SPREAD,
     _probe_grid,
+    eval_curvature,
     eval_derivative,
     eval_intensity,
     hamiltonian_value,
@@ -182,34 +183,6 @@ def optimal_spread_bisection(fam, gamma, d, lo, hi):
             b = m
 
 
-def eval_second_derivative(fam, delta):
-    """d^2 lam / d delta^2; analytic per family, centered differences for tabulated."""
-    d = np.asarray(delta, dtype=float)
-    if fam.kind == "exponential":
-        a, b = fam.params
-        out = a * b * b * np.exp(-b * d)
-    elif fam.kind == "logistic":
-        a, b, c = fam.params
-        e = c * np.exp(b * d)
-        out = -a * b * b * e * (1.0 - e) / (1.0 + e) ** 3
-    elif fam.kind == "arctan":
-        a, b, c = fam.params
-        u = -b * d + c
-        out = -2.0 * a * b * b * u / (1.0 + u * u) ** 2
-    elif fam.kind == "power_law":
-        a, b, c, p = fam.params
-        base = b * d + c
-        out = a * b * b * p * (p + 1.0) * base ** (-p - 2.0)
-    else:  # tabulated
-        knots, values = fam.params
-        h = (knots[-1] - knots[0]) / 1e6
-        lo, hi = knots[0] + h, knots[-1] - h
-        dc = np.clip(d, lo, hi)
-        f = lambda x: np.interp(x, knots, values)
-        out = (f(dc + h) - 2.0 * f(dc) + f(dc - h)) / (h * h)
-    return out if isinstance(delta, np.ndarray) else float(out)
-
-
 def meets_strong_assumptions(fam, lo, hi):
     """Sampled check of lam' < 0 and lam * lam'' < c (lam')^2 with c < 2, the
     regularity the fixed-point spread needs, on the validity checks' probe
@@ -219,7 +192,7 @@ def meets_strong_assumptions(fam, lo, hi):
     if np.any(d1 >= 0.0):
         return False
     d0 = np.asarray(eval_intensity(fam, grid))
-    d2 = np.asarray(eval_second_derivative(fam, grid))
+    d2 = np.asarray(eval_curvature(fam, grid))
     ratio = d0 * d2 / (d1 * d1)
     return bool(np.all(ratio < 2.0 - 1e-12))
 

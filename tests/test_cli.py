@@ -407,6 +407,35 @@ class TestGridArguments:
             assert f"mt = {mt}\n" in manifest
 
 
+class TestUnstableFullMarch:
+    """A full-information march too coarse for its rates exits 3 and writes
+    nothing, where it used to write a surface of huge or NaN theta."""
+
+    FAST = IntensityFamily.exponential(10000.0, 25.0)
+    PROBES = {
+        "one-step": ({}, ["--steps", "1"]),
+        "fast-regime": ({"regimes": (table1_spec().regimes[0], RegimeSpec("fast", FAST, FAST))}, []),
+        "fast-switching": ({"generator_Q": np.array([[-5000.0, 5000.0], [5000.0, -5000.0]])}, ["--steps", "10"]),
+    }
+
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_solve_full_exits_3(self, tmp_path, capsys, probe):
+        spec_params, argv = self.PROBES[probe]
+        cfg = write_config(tmp_path, with_params(table1_spec(), **spec_params))
+        assert main(["solve-full", cfg, "--out", str(tmp_path / "o")] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: full-information march at ")
+        assert captured.err.count("error:") == 1 and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_full_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_params(table1_spec(), **self.PROBES["fast-regime"][0]))
+        argv = ["simulate", cfg, "--policy", "full", "--paths", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: full-information march at 2000 steps")
+        assert not (tmp_path / "o").exists()
+
+
 class TestExitCodes:
     # a valid market with no inventory cap: neither solver supports it
     UNBOUNDED = dict(inventory_cap_Nstar=math.inf, running_penalty_zeta=0.0)

@@ -15,7 +15,7 @@ from oracles import (
 )
 from scipy.integrate import quad
 
-from regimemm.errors import UnsupportedConfigError
+from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.hjb_full import (
     _Plan,
     _rhs,
@@ -125,6 +125,17 @@ class TestSolveConstrained:
         T = spec.horizon_T
         assert np.all(surf.theta <= k_up * T + 1e-12)
         assert np.all(surf.theta >= -k_up * T - k_low - 1e-12)
+
+    @pytest.mark.parametrize(
+        "config", ["configs/table1.cfg", "configs/table1_terminal_cost.cfg", "configs/logistic.cfg"]
+    )
+    def test_coarse_march_leaves_the_sandwich_and_raises(self, config):
+        # steps 1 to 3 leave the sandwich on every shipped config; 10 and up stay inside
+        spec = load_config(ROOT / config)
+        for n_steps in (1, 2, 3):
+            with pytest.raises(NumericsError, match="unstable"):
+                solve_constrained(spec, n_steps=n_steps)
+        solve_constrained(spec, n_steps=10)
 
     def test_sandwich_constants_from_hamiltonians_at_zero(self):
         spec = table1_spec()

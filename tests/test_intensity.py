@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
-    eval_second_derivative,
     hamiltonian_closed_form,
     meets_strong_assumptions,
     optimal_spread_bisection,
@@ -15,12 +16,14 @@ from regimemm.intensity import (
     IntensityFamily,
     _fixed_point_spread,
     _solve_fixed_point,
+    eval_curvature,
     eval_derivative,
     eval_intensity,
     family_at,
     family_violations,
     hamiltonian_value,
     optimal_spread,
+    prepared,
     side_value,
     spread_thresholds,
     utility,
@@ -97,7 +100,42 @@ class TestEval:
             - 2 * eval_intensity(fam, deltas)
             + eval_intensity(fam, deltas - h)
         ) / h**2
-        np.testing.assert_allclose(eval_second_derivative(fam, deltas), fd2, rtol=2e-3, atol=1e-4)
+        np.testing.assert_allclose(eval_curvature(fam, deltas), fd2, rtol=2e-3, atol=1e-4)
+
+    @pytest.mark.parametrize("fam", FAMILIES + [IntensityFamily.logistic(10.0, 25.0, 1.0)])
+    def test_curvature_matches_differences_of_the_derivative(self, fam):
+        lo = max(-0.5, fam.domain_lo() + 1e-2)
+        deltas = np.linspace(lo, 1.0, 31)
+        h = 1e-6
+        fd = (eval_derivative(fam, deltas + h) - eval_derivative(fam, deltas - h)) / (2 * h)
+        scale = np.max(np.abs(fd))
+        np.testing.assert_allclose(eval_curvature(fam, deltas), fd, rtol=1e-6, atol=1e-8 * scale)
+        assert type(eval_curvature(fam, 0.3)) is float
+
+    @pytest.mark.parametrize("kind", ["logistic", "arctan"])
+    def test_curvature_takes_per_element_parameters(self, kind):
+        curves = PER_ELEMENT_CURVES[kind]
+        fam = stacked(curves)
+        deltas = np.linspace(-0.5, 1.0, 31)[:, None]  # column j holds curve j
+        out = eval_curvature(fam, deltas)
+        assert out.shape == (31, len(curves))
+        h = 1e-6
+        fd = (eval_derivative(fam, deltas + h) - eval_derivative(fam, deltas - h)) / (2 * h)
+        np.testing.assert_allclose(out, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
+        for j, curve in enumerate(curves):
+            assert np.array_equal(out[:, j], eval_curvature(curve, deltas[:, 0]))
+
+    def test_curvature_stays_finite_far_out(self):
+        # the logistic's (1 + e)^3 overflows at b delta ~ 237; its factors do not
+        fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < eval_curvature(fam, 10.0) < 1e-100
+
+    def test_tabulated_has_no_curvature(self):
+        knots = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            eval_curvature(IntensityFamily.tabulated(knots, 2.0 - knots), 0.0)
 
     def test_tabulated_interpolates(self):
         knots = np.linspace(-0.5, 0.5, 2001)
@@ -206,6 +244,14 @@ class TestOptimalSpread:
             assert abs(h_tab - h_exp) <= 1e-6
 
 
+def solve_from_table(fam, gamma, d, bounds):
+    """``_solve_fixed_point`` at every element of the array ``d``, with the
+    start table ``optimal_spread`` would use."""
+    m = intensity._search_constants(fam, gamma, bounds)
+    table = np.broadcast_to(m.table, d.shape + m.nodes.shape)
+    return _solve_fixed_point(fam, gamma, d, bounds, m.nodes, table)
+
+
 SMOOTH = FAMILIES[1:]
 # d values from capped to floored on the finite bounds, and far-out roots
 # on the infinite ones
@@ -272,8 +318,8 @@ class TestFixedPointSearch:
         fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            both = _solve_fixed_point(fam, 0.5, np.array([0.0, 100.0]), -1.0, 1.0)
-        alone = _solve_fixed_point(fam, 0.5, np.array([0.0]), -1.0, 1.0)
+            both = solve_from_table(fam, 0.5, np.array([0.0, 100.0]), (-1.0, 1.0))
+        alone = solve_from_table(fam, 0.5, np.array([0.0]), (-1.0, 1.0))
         assert both[1] == -1.0
         assert both[0] == alone[0]
 
@@ -292,14 +338,16 @@ class TestFixedPointSearch:
 
     def test_residual_evaluations_per_interior_call(self, residual_calls):
         # logistic 2 25 1 at gamma = 0.5 and bounds +-1, as in perfbench/logistic.cfg;
-        # plain bisection of the width-2 bracket to 1e-12 would take ~43
-        fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
+        # plain bisection of the width-2 bracket to 1e-12 would take ~43.  A
+        # prepared family counts the search alone: its start table is made
+        # once, and these five calls take 2 to 4 Newton evaluations
         bounds = (-1.0, 1.0)
+        fam = prepared(IntensityFamily.logistic(2.0, 25.0, 1.0), 0.5, bounds)
         for d in (-0.3, -0.05, 0.0, 0.02, 0.3):
             residual_calls.clear()
             delta = optimal_spread(fam, 0.5, d, bounds)
             assert bound_flag(delta, bounds) == "interior"
-            assert 1 <= len(residual_calls) <= 20, (d, len(residual_calls))
+            assert 1 <= len(residual_calls) <= 4, (d, len(residual_calls))
 
     def test_far_out_root_converges(self, residual_calls):
         # the root is 2 (0.1 - d) = 2e5 + 0.2, where a float step is ~3e-11,
@@ -312,6 +360,78 @@ class TestFixedPointSearch:
         ref = optimal_spread_bisection(fam, 0.0, -1e5, *bounds)
         assert abs(delta - ref) <= 1e-12 * abs(ref)
         assert len(residual_calls) <= 40
+
+
+class TestPreparedFamilies:
+    @pytest.mark.parametrize("fam", FAMILIES + [IntensityFamily.tabulated([-1.0, 0.0, 2.0], [3.0, 1.0, 0.2])])
+    def test_prepared_calls_equal_plain_calls(self, fam):
+        bounds = (max(-0.2, fam.domain_lo() + 1e-3), 2.0)
+        ds = np.concatenate([np.linspace(-0.5, 0.5, 21), SEARCH_DS])
+        ready = prepared(fam, 0.5, bounds)
+        assert ready == fam
+        assert np.array_equal(optimal_spread(ready, 0.5, ds, bounds), optimal_spread(fam, 0.5, ds, bounds))
+        assert np.array_equal(hamiltonian_value(ready, 0.5, ds, bounds), hamiltonian_value(fam, 0.5, ds, bounds))
+
+    def test_constants_of_other_arguments_are_not_reused(self):
+        fam = FAMILIES[1]
+        ready = prepared(fam, 0.5, (-1.0, 1.0))
+        for gamma, bounds in ((0.0, (-1.0, 1.0)), (0.5, (-0.5, 1.0))):
+            assert optimal_spread(ready, gamma, 0.3, bounds) == optimal_spread(fam, gamma, 0.3, bounds)
+
+
+NAN_FAMILIES = FAMILIES + [IntensityFamily.tabulated(np.linspace(-0.5, 2.0, 101), np.exp(-np.linspace(-0.5, 2.0, 101)))]
+
+
+class TestNaNArgument:
+    @pytest.mark.parametrize("fam", NAN_FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_nan_gives_nan(self, fam, gamma):
+        bounds = (max(-0.2, fam.domain_lo() + 1e-3), 2.0)
+        assert math.isnan(optimal_spread(fam, gamma, math.nan, bounds))
+        assert math.isnan(hamiltonian_value(fam, gamma, math.nan, bounds))
+        ds = np.array([0.1, math.nan, -0.1])
+        spreads = optimal_spread(fam, gamma, ds, bounds)
+        assert np.isnan(spreads).tolist() == [False, True, False]
+        assert spreads[0] == optimal_spread(fam, gamma, 0.1, bounds)
+        assert spreads[2] == optimal_spread(fam, gamma, -0.1, bounds)
+
+
+SMOOTH_CURVES = [
+    IntensityFamily.logistic(2.0, 25.0, 1.0),
+    IntensityFamily.logistic(10.0, 25.0, 1.5),
+    IntensityFamily.arctan(1.0, 10.0, 0.5),
+    IntensityFamily.power_law(2.0, 5.0, 1.0, 2.0),
+]
+
+
+@st.composite
+def maximizer_cases(draw):
+    """A smooth curve, gamma in [0, 2], finite bounds inside [-0.2, 2] (and
+    the curve's domain) at least 0.05 apart, and a few d in [-0.5, 0.5]."""
+    fam = draw(st.sampled_from(SMOOTH_CURVES))
+    gamma = draw(st.floats(0.0, 2.0))
+    lo = draw(st.floats(max(-0.2, fam.domain_lo() + 1e-3), 1.9))
+    hi = draw(st.floats(lo + 0.05, 2.0))
+    ds = draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6))
+    return fam, gamma, (lo, hi), np.array(ds)
+
+
+class TestMaximizerProperties:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(maximizer_cases())
+    def test_the_search_finds_the_maximizer(self, case):
+        fam, gamma, bounds, ds = case
+        lo, hi = bounds
+        spreads = optimal_spread(fam, gamma, ds, bounds)
+        assert np.array_equal(spreads, [optimal_spread(fam, gamma, d, bounds) for d in ds])
+        assert np.all((lo <= spreads) & (spreads <= hi))
+        grid = np.linspace(lo, hi, 2001)
+        for d, delta in zip(ds, spreads):
+            if lo < delta < hi:
+                lam, dlam = eval_intensity(fam, delta), eval_derivative(fam, delta)
+                assert abs(delta + utility_inverse(gamma, lam / dlam) + d) <= 1e-10
+            best = np.max(side_value(fam, gamma, grid, d))
+            assert side_value(fam, gamma, delta, d) >= best - 1e-9
 
 
 # three curves of each searched kind that takes per-element parameters
