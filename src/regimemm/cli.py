@@ -16,6 +16,11 @@ in ``main`` alone: 0 success, 2 configuration, validation or argument
 problem, 3 numerical failure.  A failed run writes no directory.  Outputs are
 byte-for-byte reproducible for fixed inputs except the manifest's wall-clock
 line.
+
+Without ``--steps``, ``solve-full``, and ``compare`` and ``simulate --policy
+full`` always, take the full-information march's step count from
+``hjb_full``'s error-controlled doubling search; the manifest records the
+chosen count as ``full_steps``.
 """
 
 from __future__ import annotations
@@ -96,7 +101,15 @@ def _run(args) -> int:
 
 def cmd_solve_full(args, spec: ModelSpec):
     surface = hjb_full.solve_constrained(spec, n_steps=args.steps)
-    return {"steps": args.steps}, {
+    params = {"steps": args.steps}
+    if args.steps is None:
+        rep = surface.march
+        print(
+            f"steps = {rep.n_steps}, theta error estimate {rep.theta_error:.2g}, "
+            f"spread error estimate {rep.spread_error:.2g}"
+        )
+        params = {"steps": "auto", "full_steps": rep.n_steps}
+    return params, {
         "surface_full.csv": lambda h: hjb_full.surface_to_csv(surface, {"manifest": h})
     }
 
@@ -136,8 +149,9 @@ def cmd_simulate(args, spec: ModelSpec):
     export = min(args.export_paths, args.paths)
     # the full-information policy quotes on the hidden regime, so its
     # orders are thinned against that regime's intensity
+    policy = _build_policy(spec, args)
     summary = simulate.monte_carlo(
-        spec, _build_policy(spec, args), args.paths, args.seed,
+        spec, policy, args.paths, args.seed,
         regime_true=args.policy == "full", export_paths=export,
     )
     print(
@@ -149,6 +163,8 @@ def cmd_simulate(args, spec: ModelSpec):
     params["streams"] = rng.SCHEME
     if args.policy == "partial":  # only the partial surface reads the belief grid
         params |= {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
+    if args.policy == "full":  # the count the step search chose
+        params["full_steps"] = policy.surface.march.n_steps
     renderers = {
         f"path_{p:03d}.csv": _stamped(rec.to_csv()) for p, rec in enumerate(summary.records)
     }
@@ -200,7 +216,11 @@ def cmd_compare(args, spec: ModelSpec):
         lines.append(f"n = {n}: partial {ask_part:.6f} ({ratios})")
     summary = "\n".join(lines)
     print(summary)
-    params = {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
+    params = {
+        "mpi": args.mpi,
+        "belief_gradient_scale": args.belief_gradient_scale,
+        "full_steps": full.march.n_steps,
+    }
     return params, {
         "compare_ask.csv": _stamped(buf.getvalue()),
         "summary.txt": _stamped(summary + "\n"),
@@ -261,7 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
 
     p = add_command("solve-full", cmd_solve_full, "solve the full-information system")
-    p.add_argument("--steps", type=_number_in(int, 1), default=hjb_full.DEFAULT_TIME_STEPS)
+    p.add_argument(
+        "--steps", type=_number_in(int, 1), default=None,
+        help="RK4 time steps; by default the count that meets the error tolerance",
+    )
 
     p = add_command("solve-partial", cmd_solve_partial, "solve the partial-information scheme")
     add_partial_grid(p)

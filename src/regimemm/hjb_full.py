@@ -15,8 +15,25 @@ of one such kind makes one ``hamiltonian_value`` call per RK4 stage; a
 power-law or tabulated curve makes one call per distinct family.  Each
 group's family is ``intensity.prepared`` once per solve, so the
 maximizer's constants that do not depend on d are not recomputed at each
-stage.  A march that leaves the comparison sandwich raises
-``NumericsError``.
+stage.  A march raises ``NumericsError`` at its first time level outside
+the comparison sandwich, without marching the levels below it.
+
+Without a given step count, the march's count comes from step doubling
+(Richardson, Phil. Trans. R. Soc. A 210, 1911).  The search marches 100
+steps, then 200, 400 and so on, each rung's march the next one's half-step
+partner, and stops at the first rung whose two error estimates pass
+``THETA_TOLERANCE`` and ``SPREAD_TOLERANCE``:
+
+- theta, sup |theta_n - theta_n/2| / 15 over the common nodes (RK4's
+  error falls 16-fold per halving);
+- the spread lookup, which is linear in t and so O(dt^2): sup over the
+  n grid's odd nodes of |the n/2 surface's ``policy`` there - the n
+  surface's stored spread| / 4.
+
+A rung that leaves the sandwich means "double"; past ``SEARCH_CAP`` steps
+the search raises ``NumericsError``.  The surface carries the chosen count
+and both estimates in a ``MarchReport``.  A given step count marches that
+count alone and reports no estimate.
 
 The solve stores the feedback spreads at every node, and ``policy`` reads
 them back, linear in t, through the same ``grid.gather_spreads`` as the
@@ -25,7 +42,7 @@ partial-information policy: a lookup evaluates no intensity function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +51,12 @@ from .grid import check_count, gather, gather_spreads, grid_from_csv, grid_to_cs
 from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, prepared, utility
 from .model import ModelSpec, format_config, parse_config
 
-DEFAULT_TIME_STEPS = 2000
+THETA_TOLERANCE = 1e-9  # on the theta estimate
+# on the spread-lookup estimate: 7x below the partial scheme's own spread
+# error at m_pi = 200; a spread error of 1e-6 moves the value by about 1e-12
+SPREAD_TOLERANCE = 2e-6
+SEARCH_START = 100  # the step search's first rung
+SEARCH_CAP = 100 * 2**9  # its last
 _SANDWICH_SLACK = 1e-12  # rounding room at the comparison bounds
 
 
@@ -82,11 +104,22 @@ def _regime_column(spec: ModelSpec, i):
 
 
 @dataclass(frozen=True)
+class MarchReport:
+    """The step count the search chose and its step-doubling estimates of
+    the error of theta at the nodes and of an off-node spread lookup."""
+
+    n_steps: int
+    theta_error: float
+    spread_error: float
+
+
+@dataclass(frozen=True)
 class FullInfoSurface:
     """theta(t, n, i) plus feedback spread tables on a uniform time grid.
 
     theta has shape (len(time_grid), 2 N* + 1, k); inventory row r holds
     n = r - N*.  Blocked sides carry the stub sentinel in the spread tables.
+    ``march`` is None for a surface of a given step count.
     """
 
     spec: ModelSpec
@@ -94,6 +127,7 @@ class FullInfoSurface:
     theta: np.ndarray
     spread_bid: np.ndarray
     spread_ask: np.ndarray
+    march: MarchReport | None = None
 
     def _brackets(self, t, n, i):
         """Domain-checked ``gather`` arguments of broadcast points (t, n, i);
@@ -156,11 +190,13 @@ def _spread_tables(plan: _Plan, theta: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return bid, ask
 
 
-def _march(deriv, terminal: np.ndarray, T: float, n_steps: int) -> np.ndarray:
+def _march(deriv, terminal: np.ndarray, T: float, n_steps: int, bounds=(-np.inf, np.inf)) -> np.ndarray:
     """Classical RK4 for d y / d tau = deriv(t, y), tau = T - t, from
     y(T) = terminal down to t = 0 over ``n_steps`` uniform steps; row s of
-    the result is y at t = s T / n_steps."""
+    the result is y at t = s T / n_steps.  Raises ``NumericsError`` at the
+    first level with a value outside ``bounds`` or not finite."""
     h = T / n_steps
+    bottom, top = bounds
     y = np.empty((n_steps + 1,) + terminal.shape)
     y[n_steps] = terminal
     for s in range(n_steps, 0, -1):
@@ -170,40 +206,104 @@ def _march(deriv, terminal: np.ndarray, T: float, n_steps: int) -> np.ndarray:
         k3 = deriv(t - 0.5 * h, here + 0.5 * h * k2)
         k4 = deriv(t - h, here + h * k3)
         y[s - 1] = here + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        level = y[s - 1]
+        # a NaN fails both comparisons
+        if not (level.max() <= top and level.min() >= bottom):
+            finite = np.isfinite(level).all()
+            found = f"spans [{level.min():.6g}, {level.max():.6g}]" if finite else "is not finite"
+            raise NumericsError(
+                f"full-information march at {n_steps} steps is unstable: theta {found} "
+                f"at t = {t - h:.6g}, outside the comparison bounds [{bottom:.6g}, {top:.6g}]"
+            )
     return y
 
 
-def solve_constrained(spec: ModelSpec, n_steps: int = DEFAULT_TIME_STEPS) -> FullInfoSurface:
-    """Backward RK4 integration of the capped-inventory system.
-
-    Terminal condition theta(T, n, i) = -c n^2; marches a uniform grid of
-    ``n_steps`` steps down to t = 0 and stores theta plus the feedback
-    spreads at every level.  Raises ``NumericsError`` when theta is not
-    finite or leaves the ``comparison_bounds`` sandwich anywhere, the mark
-    of a march too coarse for its rates.
-    """
-    if spec.unbounded_inventory:
-        raise UnsupportedConfigError("full-information solver requires a finite inventory cap")
-    n_steps = check_count("n_steps", n_steps)
-    plan = _Plan.build(spec)
+def _surface(plan: _Plan, bounds: tuple[float, float], n_steps: int) -> FullInfoSurface:
+    """theta and the spread tables of one march of ``n_steps`` steps that
+    stays within ``bounds``."""
+    spec = plan.spec
     levels = spec.inventory_levels().astype(float)
     terminal = np.repeat(-spec.terminal_cost(levels)[:, None], spec.n_regimes, axis=1)
     # _rhs is looked up at every call, so a wrapper patched onto it sees them;
-    # an unstable march overflows, which the sandwich check below reports
+    # an unstable march overflows, which _march's bounds check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = _march(lambda t, y: _rhs(plan, y), terminal, spec.horizon_T, n_steps)
-    k_upper, k_lower = _sandwich(plan)
-    top, bottom = k_upper * spec.horizon_T, -k_upper * spec.horizon_T - k_lower
-    # a NaN fails both comparisons
-    if not (theta.max() <= top + _SANDWICH_SLACK and theta.min() >= bottom - _SANDWICH_SLACK):
-        found = f"spans [{theta.min():.6g}, {theta.max():.6g}]" if np.isfinite(theta).all() else "is not finite"
-        raise NumericsError(
-            f"full-information march at {n_steps} steps is unstable: theta {found}, "
-            f"outside the comparison bounds [{bottom:.6g}, {top:.6g}]; take more time steps"
-        )
-
+        theta = _march(lambda t, y: _rhs(plan, y), terminal, spec.horizon_T, n_steps, bounds)
     time_grid = np.linspace(0.0, spec.horizon_T, n_steps + 1)
     return FullInfoSurface(spec, time_grid, theta, *_spread_tables(plan, theta))
+
+
+def _estimates(half: FullInfoSurface, surface: FullInfoSurface) -> MarchReport:
+    """Step-doubling error estimates of ``surface`` against ``half``, the
+    march of half as many steps."""
+    theta_error = np.max(np.abs(surface.theta[::2] - half.theta)) / 15.0
+    # half's policy at surface's odd levels is the mean of its two
+    # neighbouring levels; the blocked sides' stub rows (the top bid row,
+    # the bottom ask row) are left out
+    spread_error = 0.0
+    for coarse, fine, rows in (
+        (half.spread_bid, surface.spread_bid, slice(None, -1)),
+        (half.spread_ask, surface.spread_ask, slice(1, None)),
+    ):
+        coarse, fine = coarse[:, rows], fine[1::2, rows]
+        spread_error = max(spread_error, np.max(np.abs(0.5 * (coarse[:-1] + coarse[1:]) - fine)) / 4.0)
+    return MarchReport(len(surface.time_grid) - 1, float(theta_error), float(spread_error))
+
+
+def _search(plan: _Plan, bounds: tuple[float, float]) -> FullInfoSurface:
+    """The surface of the first rung of the doubling search whose
+    estimates pass both tolerances."""
+    half, n_steps = None, SEARCH_START
+    while True:
+        try:
+            surface = _surface(plan, bounds, n_steps)
+        except NumericsError as exc:  # too coarse: double
+            surface, why = None, str(exc)
+        else:
+            if half is None:
+                why = (
+                    f"full-information march at {n_steps} steps has no stable march "
+                    "at half the steps to estimate its error"
+                )
+            else:
+                report = _estimates(half, surface)
+                if report.theta_error <= THETA_TOLERANCE and report.spread_error <= SPREAD_TOLERANCE:
+                    return replace(surface, march=report)
+                why = (
+                    f"full-information march at {n_steps} steps misses the error tolerance: "
+                    f"theta estimate {report.theta_error:.3g} (tolerance {THETA_TOLERANCE:g}), "
+                    f"spread estimate {report.spread_error:.3g} (tolerance {SPREAD_TOLERANCE:g})"
+                )
+        if n_steps >= SEARCH_CAP:
+            raise NumericsError(f"{why}; {SEARCH_CAP} steps is the most the step search tries")
+        half, n_steps = surface, 2 * n_steps
+
+
+def solve_constrained(spec: ModelSpec, n_steps: int | None = None) -> FullInfoSurface:
+    """Backward RK4 integration of the capped-inventory system.
+
+    Terminal condition theta(T, n, i) = -c n^2; marches a uniform grid down
+    to t = 0 and stores theta plus the feedback spreads at every level.
+    With ``n_steps`` None the step count comes from the doubling search
+    (see the module docstring), whose ``MarchReport`` the surface carries;
+    a given ``n_steps`` marches exactly that many steps and reports no
+    estimate.  Raises ``NumericsError`` when theta is not finite or leaves
+    the ``comparison_bounds`` sandwich, the mark of a march too coarse for
+    its rates: at the given count, or at every count the search tries.
+    """
+    if spec.unbounded_inventory:
+        raise UnsupportedConfigError("full-information solver requires a finite inventory cap")
+    if n_steps is not None:
+        n_steps = check_count("n_steps", n_steps)
+    plan = _Plan.build(spec)
+    k_upper, k_lower = _sandwich(plan)
+    T = spec.horizon_T
+    bounds = (-k_upper * T - k_lower - _SANDWICH_SLACK, k_upper * T + _SANDWICH_SLACK)
+    if n_steps is None:
+        return _search(plan, bounds)
+    try:
+        return _surface(plan, bounds, n_steps)
+    except NumericsError as exc:
+        raise NumericsError(f"{exc}; take more time steps") from None
 
 
 def policy(surface: FullInfoSurface, t, n, i):
@@ -234,10 +334,17 @@ def _sandwich(plan: _Plan) -> tuple[float, float]:
 
 
 def surface_to_csv(surface: FullInfoSurface, extra_headers: dict | None = None) -> str:
-    """Grid file: '# key = value' spec echo headers, then one row per
-    (t, n, i) node with theta and both spreads, 17 significant digits."""
+    """Grid file: '# key = value' spec echo headers, the ``march_*``
+    report headers of a searched surface, then one row per (t, n, i) node
+    with theta and both spreads, 17 significant digits."""
     spec = surface.spec
     headers = format_config(spec).strip().splitlines()
+    if surface.march is not None:
+        headers += [
+            f"march_n_steps = {surface.march.n_steps}",
+            f"march_theta_error = {surface.march.theta_error:.17g}",
+            f"march_spread_error = {surface.march.spread_error:.17g}",
+        ]
     headers += [f"{key} = {val}" for key, val in (extra_headers or {}).items()]
     axes = (surface.time_grid, spec.inventory_levels(), np.arange(1, spec.n_regimes + 1))
     return grid_to_csv(
@@ -246,12 +353,12 @@ def surface_to_csv(surface: FullInfoSurface, extra_headers: dict | None = None) 
 
 
 def surface_from_csv(text: str) -> FullInfoSurface:
-    """Inverse of ``surface_to_csv``; rows may come in any order.  Raises
-    ``ValueError`` for a grid that misses a node of the spec's inventories
-    and regimes."""
+    """Inverse of ``surface_to_csv``, without the ``march_*`` report; rows
+    may come in any order.  Raises ``ValueError`` for a grid that misses a
+    node of the spec's inventories and regimes."""
     headers, (times, levels, regimes), tables = grid_from_csv(text)
     spec = parse_config(
-        "\n".join(h for h in headers if not h.startswith(("manifest", "cfl_")))
+        "\n".join(h for h in headers if not h.startswith(("manifest", "cfl_", "march_")))
     )
     if not np.array_equal(levels, spec.inventory_levels()):
         raise ValueError("grid file inventories do not match the inventory cap")

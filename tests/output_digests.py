@@ -1,6 +1,7 @@
 """Print one sha256 per output body of the canonical CLI commands.
 
-Runs ``solve-full`` (default and ``--steps 400``), ``solve-partial --mpi 200``,
+Runs ``solve-full`` (default, ``--steps 400`` and ``--steps 2000``, the
+default step count before the step search), ``solve-partial --mpi 200``,
 ``compare --mpi 200``, ``simulate --policy partial|full|fixed:0.04 --seed 7``
 and ``attractor --beta 1|2`` on every config in ``configs/`` into a temporary
 directory.  Each written file is one body, and so is each command's exit
@@ -47,6 +48,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = (
     ["solve-full"],
     ["solve-full", "--steps", "400"],
+    ["solve-full", "--steps", "2000"],
     ["solve-partial", "--mpi", "200"],
     ["compare", "--mpi", "200"],
     ["simulate", "--policy", "partial", "--seed", "7"],

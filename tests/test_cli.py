@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,25 @@ class TestSolveFull:
         manifest = (run_dir / "manifest.txt").read_text()
         match = re.search(r"manifest_hash = (\w+)", manifest)
         assert match and f"# manifest = {match.group(1)}" in surface
+
+    def test_step_search_reported_and_hashed(self, config_path, tmp_path, capsys):
+        # table1's search stops at 400 steps: the same count given with
+        # --steps still makes another run, whose surface has no march_* report
+        out = tmp_path / "out"
+        assert main(["solve-full", config_path, "--out", str(out)]) == 0
+        assert main(["solve-full", config_path, "--out", str(out), "--steps", "400"]) == 0
+        report, auto, fixed = capsys.readouterr().out.splitlines()
+        assert report.startswith("steps = 400, theta error estimate ")
+        auto, fixed = Path(auto), Path(fixed)
+        assert auto.parent == fixed.parent and auto != fixed
+        manifest = (auto / "manifest.txt").read_text()
+        assert "\nfull_steps = 400\nsteps = auto\n" in manifest
+        assert "\nsteps = 400\n" in (fixed / "manifest.txt").read_text()
+        surface = (auto / "surface_full.csv").read_text()
+        assert "# march_n_steps = 400\n# march_theta_error = " in surface
+        assert "march_" not in (fixed / "surface_full.csv").read_text()
+        body = [l for l in surface.splitlines() if l and not l.startswith(("#", "t,"))]
+        assert len(body) == 401 * 7 * 2
 
     def test_missing_config(self, tmp_path):
         assert main(["solve-full", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
@@ -409,13 +429,21 @@ class TestGridArguments:
 
 class TestUnstableFullMarch:
     """A full-information march too coarse for its rates exits 3 and writes
-    nothing, where it used to write a surface of huge or NaN theta."""
+    nothing, where it used to write a surface of huge or NaN theta; without
+    ``--steps`` the step search doubles past such counts, up to its cap."""
 
     FAST = IntensityFamily.exponential(10000.0, 25.0)
+    # every count up to the search's cap leaves the sandwich in the first step
+    SWITCHING = {"generator_Q": np.array([[-5e6, 5e6], [5e6, -5e6]])}
     PROBES = {
         "one-step": ({}, ["--steps", "1"]),
-        "fast-regime": ({"regimes": (table1_spec().regimes[0], RegimeSpec("fast", FAST, FAST))}, []),
+        # unstable at 100 to 3200 steps; stable from 6400, where the step
+        # search's estimates still miss the tolerance
+        "fast-regime": (
+            {"regimes": (table1_spec().regimes[0], RegimeSpec("fast", FAST, FAST))}, ["--steps", "3200"]
+        ),
         "fast-switching": ({"generator_Q": np.array([[-5000.0, 5000.0], [5000.0, -5000.0]])}, ["--steps", "10"]),
+        "search-cap": (SWITCHING, []),
     }
 
     @pytest.mark.parametrize("probe", PROBES)
@@ -429,11 +457,25 @@ class TestUnstableFullMarch:
         assert not (tmp_path / "o").exists()
 
     def test_simulate_full_exits_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, with_params(table1_spec(), **self.PROBES["fast-regime"][0]))
+        cfg = write_config(tmp_path, with_params(table1_spec(), **self.SWITCHING))
         argv = ["simulate", cfg, "--policy", "full", "--paths", "2", "--out", str(tmp_path / "o")]
+        t0 = time.perf_counter()
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("error: full-information march at 2000 steps")
+        assert time.perf_counter() - t0 < 1.0  # each rung stops at its first level
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-information march at 51200 steps is unstable")
+        assert err.rstrip().endswith("51200 steps is the most the step search tries")
         assert not (tmp_path / "o").exists()
+
+    def test_search_doubles_past_unstable_counts(self, tmp_path, capsys):
+        # Q = +-300 leaves the sandwich at 100 and 200 steps; the estimates
+        # pass first at 6400
+        q = np.array([[-300.0, 300.0], [300.0, -300.0]])
+        cfg = write_config(tmp_path, with_params(table1_spec(), generator_Q=q))
+        assert main(["solve-full", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().out.startswith("steps = 6400, ")
+        manifest = (run_files(tmp_path / "o", "solve-full") / "manifest.txt").read_text()
+        assert "\nfull_steps = 6400\n" in manifest
 
 
 class TestExitCodes:

@@ -15,8 +15,11 @@ from oracles import (
 )
 from scipy.integrate import quad
 
+from regimemm import hjb_full
 from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.hjb_full import (
+    SPREAD_TOLERANCE,
+    THETA_TOLERANCE,
     _Plan,
     _rhs,
     comparison_bounds,
@@ -26,7 +29,15 @@ from regimemm.hjb_full import (
     surface_to_csv,
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread
-from regimemm.model import ModelSpec, RegimeSpec, load_config, table1_spec, validate, with_params
+from regimemm.model import (
+    ModelSpec,
+    RegimeSpec,
+    format_config,
+    load_config,
+    table1_spec,
+    validate,
+    with_params,
+)
 from regimemm.simulate import FullInfoPolicy, monte_carlo
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -394,11 +405,95 @@ class TestRegimeTrueMonteCarlo:
     )
     def test_mean_pnl_matches_theta_within_3_se(self, config):
         spec = load_config(ROOT / "configs" / config)
-        surf = solve_constrained(spec, n_steps=500)
+        surf = solve_constrained(spec)  # the step search's surface, as users get it
         summary = monte_carlo(spec, FullInfoPolicy(surf), 10_000, seed=1, regime_true=True)
         regimes = np.arange(1, spec.n_regimes + 1)
         target = float(spec.initial_filter_mu0 @ surf.theta_at(0.0, spec.initial_inventory_n0, regimes))
         assert abs(summary.mean_pnl - target) < 3.0 * summary.stderr
+
+
+class TestStepSearch:
+    """The default step count: the doubling search, its estimates and its
+    failures."""
+
+    SHIPPED = pytest.mark.parametrize(
+        "config", ["table1.cfg", "table1_terminal_cost.cfg", "logistic.cfg"],
+        ids=["table1", "terminal_cost", "logistic"],
+    )
+
+    @SHIPPED
+    def test_estimates_match_the_true_errors(self, config):
+        # against a march of 8x the chosen count: theta at every node, and
+        # the spreads at 10^4 random off-node lookups.  Measured ratios of
+        # estimate to error are 1.03-1.04 (theta) and 1.005-1.013 (spreads)
+        spec = load_config(ROOT / "configs" / config)
+        surf = solve_constrained(spec)
+        n_steps = surf.march.n_steps
+        assert len(surf.time_grid) == n_steps + 1
+        ref = solve_constrained(spec, 8 * n_steps)
+        theta_error = np.max(np.abs(surf.theta - ref.theta[::8]))
+        rng = np.random.default_rng(3)
+        t = rng.uniform(0.0, spec.horizon_T, 10_000)
+        n, i = rng.integers(-3, 4, t.size), rng.integers(1, 3, t.size)
+        spread_error = 0.0
+        for side, ref_side in zip(policy(surf, t, n, i), policy(ref, t, n, i)):
+            on = ref_side != STUB_SPREAD
+            spread_error = max(spread_error, np.max(np.abs(side[on] - ref_side[on])))
+        assert 0.8 <= surf.march.theta_error / theta_error <= 1.25
+        assert 0.8 <= surf.march.spread_error / spread_error <= 1.25
+        assert surf.march.theta_error <= THETA_TOLERANCE and surf.march.spread_error <= SPREAD_TOLERANCE
+
+    def test_each_rung_is_the_next_ones_partner(self, monkeypatch):
+        # table1 stops at 400: three marches of 100, 200 and 400 steps, each
+        # 4 right-hand sides a step, plus the sandwich's one at the zero panel
+        calls = []
+        monkeypatch.setattr(hjb_full, "_rhs", lambda plan, y: calls.append(1) or _rhs(plan, y))
+        surf = solve_constrained(table1_spec())
+        assert surf.march.n_steps == 400
+        assert len(calls) == 4 * (100 + 200 + 400) + 1
+        fixed = solve_constrained(table1_spec(), 400)
+        assert fixed.march is None
+        for name in ("time_grid", "theta", "spread_bid", "spread_ask"):
+            np.testing.assert_array_equal(getattr(surf, name), getattr(fixed, name))
+
+    def test_unstable_march_stops_at_its_first_level(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hjb_full, "_rhs", lambda plan, y: calls.append(1) or _rhs(plan, y))
+        spec = with_params(table1_spec(), generator_Q=np.array([[-5e6, 5e6], [5e6, -5e6]]))
+        unstable = r"at 1000 steps is unstable: .* at t = 0\.999,.*take more time steps"
+        with pytest.raises(NumericsError, match=unstable):
+            solve_constrained(spec, 1000)
+        assert len(calls) == 1 + 4
+
+    @pytest.mark.parametrize(
+        "cap, why",
+        [
+            (400, "at 400 steps has no stable march at half the steps"),
+            (800, "at 800 steps misses the error tolerance"),
+        ],
+        ids=["no-partner", "tolerance"],
+    )
+    def test_search_fails_past_its_cap(self, monkeypatch, cap, why):
+        # Q = +-300 leaves the sandwich at 100 and 200 steps, and the
+        # estimates first pass at 6400
+        monkeypatch.setattr(hjb_full, "SEARCH_CAP", cap)
+        spec = with_params(table1_spec(), generator_Q=np.array([[-300.0, 300.0], [300.0, -300.0]]))
+        with pytest.raises(NumericsError, match=f"{why}.*; {cap} steps is the most the step search tries"):
+            solve_constrained(spec)
+
+    def test_report_headers_skipped_on_read(self):
+        surf = solve_constrained(table1_spec())
+        text = surface_to_csv(surf)
+        rep = surf.march
+        headers = dict(line[2:].split(" = ") for line in text.splitlines() if line.startswith("# march_"))
+        assert headers == {
+            "march_n_steps": str(rep.n_steps),
+            "march_theta_error": f"{rep.theta_error:.17g}",
+            "march_spread_error": f"{rep.spread_error:.17g}",
+        }
+        back = surface_from_csv(text)
+        assert format_config(back.spec) == format_config(surf.spec)
+        np.testing.assert_array_equal(back.theta, surf.theta)
 
 
 class TestGridArguments:
