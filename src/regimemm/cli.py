@@ -21,6 +21,10 @@ Without ``--steps``, ``solve-full``, and ``compare`` and ``simulate --policy
 full`` always, take the full-information march's step count from
 ``hjb_full``'s error-controlled doubling search; the manifest records the
 chosen count as ``full_steps``.
+
+Each command imports the solver and simulator modules it runs when it runs,
+so ``attractor`` loads only the filter, ``solve-full`` and ``solve-partial``
+their own solver, and only ``simulate`` loads the simulator.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, filtering, hjb_full, hjb_partial, rng, simulate
+from . import __version__
 from .errors import ConfigError, NumericsError, UnsupportedConfigError
+from .grid import DEFAULT_PI_CELLS
 from .model import ModelSpec, format_config, load_config, validate
 
 EXIT_OK = 0
@@ -100,6 +105,8 @@ def _run(args) -> int:
 
 
 def cmd_solve_full(args, spec: ModelSpec):
+    from . import hjb_full
+
     surface = hjb_full.solve_constrained(spec, n_steps=args.steps)
     params = {"steps": args.steps}
     if args.steps is None:
@@ -115,6 +122,8 @@ def cmd_solve_full(args, spec: ModelSpec):
 
 
 def cmd_solve_partial(args, spec: ModelSpec):
+    from . import hjb_partial
+
     surface = hjb_partial.solve(
         spec, m_pi=args.mpi, m_t=args.mt, belief_gradient_scale=args.belief_gradient_scale
     )
@@ -133,7 +142,9 @@ def cmd_solve_partial(args, spec: ModelSpec):
     }
 
 
-def _build_policy(spec: ModelSpec, args) -> simulate.Policy:
+def _build_policy(spec: ModelSpec, args):
+    from . import hjb_full, hjb_partial, simulate
+
     if args.policy == "partial":
         surface = hjb_partial.solve(
             spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale
@@ -146,6 +157,8 @@ def _build_policy(spec: ModelSpec, args) -> simulate.Policy:
 
 
 def cmd_simulate(args, spec: ModelSpec):
+    from . import rng, simulate
+
     export = min(args.export_paths, args.paths)
     # the full-information policy quotes on the hidden regime, so its
     # orders are thinned against that regime's intensity
@@ -173,10 +186,14 @@ def cmd_simulate(args, spec: ModelSpec):
 
 
 def cmd_attractor(args, spec: ModelSpec):
+    from . import filtering
+
     print(f"pi_star = {filtering.attractor(spec, beta=args.beta):.10f}")
 
 
 def cmd_compare(args, spec: ModelSpec):
+    from . import hjb_full, hjb_partial
+
     partial = hjb_partial.solve(
         spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale
     )
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_partial_grid(p):
-        p.add_argument("--mpi", type=_number_in(int, 1), default=hjb_partial.DEFAULT_PI_CELLS)
+        p.add_argument("--mpi", type=_number_in(int, 1), default=DEFAULT_PI_CELLS)
         p.add_argument("--belief-gradient-scale", type=_number_in(float, 0.0), default=1.0)
 
     p = add_command("solve-full", cmd_solve_full, "solve the full-information system")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .intensity import STUB_SPREAD
 
+DEFAULT_PI_CELLS = 200  # belief cells of a partial-information grid unless m_pi is given
 _TIME_SLACK = 1e-12
 
 

@@ -31,7 +31,13 @@ partner, and stops at the first rung whose two error estimates pass
   surface's stored spread| / 4.
 
 A rung that leaves the sandwich means "double"; past ``SEARCH_CAP`` steps
-the search raises ``NumericsError``.  The surface carries the chosen count
+the search raises ``NumericsError``.  So does a rung whose estimates miss
+when neither could pass by ``SEARCH_CAP`` steps even if it fell 16-fold
+per doubling from there: that is RK4's order, and four times the spread
+estimate's nominal rate.  Either estimate alone does not stop the search,
+since before its asymptotic rate the theta estimate can fall faster (22-
+and 34-fold per doubling on a market with one regime's rates at 10 000,
+whose spread estimate falls 3.5-fold).  The surface carries the chosen count
 and both estimates in a ``MarchReport``.  A given step count marches that
 count alone and reports no estimate.
 
@@ -273,6 +279,13 @@ def _search(plan: _Plan, bounds: tuple[float, float]) -> FullInfoSurface:
                     f"theta estimate {report.theta_error:.3g} (tolerance {THETA_TOLERANCE:g}), "
                     f"spread estimate {report.spread_error:.3g} (tolerance {SPREAD_TOLERANCE:g})"
                 )
+                fall = (n_steps / SEARCH_CAP) ** 4  # 16-fold per doubling up to the cap
+                theta_best, spread_best = report.theta_error * fall, report.spread_error * fall
+                if n_steps < SEARCH_CAP and theta_best > THETA_TOLERANCE and spread_best > SPREAD_TOLERANCE:
+                    raise NumericsError(
+                        f"{why}; falling 16-fold per doubling, they would still miss at {SEARCH_CAP} "
+                        f"steps, the most the step search tries: theta {theta_best:.3g}, spread {spread_best:.3g}"
+                    )
         if n_steps >= SEARCH_CAP:
             raise NumericsError(f"{why}; {SEARCH_CAP} steps is the most the step search tries")
         half, n_steps = surface, 2 * n_steps

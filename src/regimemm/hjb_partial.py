@@ -34,12 +34,12 @@ import numpy as np
 
 from .errors import NumericsError, UnsupportedConfigError
 from .grid import (
-    belief_bracket, check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
+    DEFAULT_PI_CELLS, belief_bracket, check_count, gather, gather_spreads, grid_from_csv, grid_to_csv,
+    inventory_row, time_bracket,
 )
 from .intensity import STUB_SPREAD, eval_intensity, optimal_spread, prepared
 from .model import ModelSpec, format_config, parse_config, two_regime_reduction
 
-DEFAULT_PI_CELLS = 200
 CFL_SAFETY = 0.9  # fraction of the stable step the march takes
 _PROBE_TIMES = 41  # convergence_report's uniform probe times over [0, T]
 

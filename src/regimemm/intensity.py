@@ -38,6 +38,11 @@ from .errors import NumericsError
 
 KINDS = ("exponential", "logistic", "arctan", "power_law", "tabulated")
 
+# A positive risk aversion below the smallest normal float loses the digits
+# of gamma * c, so U_gamma(0.04) would read 0: gamma is 0 or at least this.
+MIN_RISK_AVERSION = sys.float_info.min
+RISK_AVERSION_DOMAIN = f"risk aversion must be 0 or at least {MIN_RISK_AVERSION:.6g}"
+
 # Sentinel spread meaning "do not quote this side"; consumers treat it as
 # zero fill intensity.
 STUB_SPREAD = math.inf
@@ -136,7 +141,8 @@ def eval_intensity(fam: IntensityFamily, delta):
         out = a * np.exp(-b * d)
     elif fam.kind == "logistic":
         a, b, c = fam.params
-        out = a / (1.0 + c * np.exp(b * d))
+        with np.errstate(over="ignore"):  # far out, a / inf = 0 is lam's value
+            out = a / (1.0 + c * np.exp(b * d))
     elif fam.kind == "arctan":
         a, b, c = fam.params
         out = a * (np.pi / 2.0 + np.arctan(-b * d + c))
@@ -225,8 +231,8 @@ def family_at(fam: IntensityFamily, index, shape) -> IntensityFamily:
 
 def utility(gamma: float, c):
     """CARA utility U_gamma(c) = (1 - exp(-gamma c)) / gamma, with U_0 = id."""
-    if gamma < 0:
-        raise ValueError("risk aversion must be >= 0")
+    if not (gamma == 0.0 or gamma >= MIN_RISK_AVERSION):
+        raise ValueError(RISK_AVERSION_DOMAIN)
     if gamma == 0.0:
         return c
     x = np.asarray(c, dtype=float)
@@ -236,8 +242,8 @@ def utility(gamma: float, c):
 
 def utility_inverse(gamma: float, y):
     """Inverse of utility(); for gamma > 0 requires y < 1/gamma."""
-    if gamma < 0:
-        raise ValueError("risk aversion must be >= 0")
+    if not (gamma == 0.0 or gamma >= MIN_RISK_AVERSION):
+        raise ValueError(RISK_AVERSION_DOMAIN)
     if gamma == 0.0:
         return y
     x = np.asarray(y, dtype=float)
@@ -305,10 +311,30 @@ def family_violations(fam: IntensityFamily, lo: float, hi: float, gamma: float) 
 # -- thresholds, optimal spread, Hamiltonian ---------------------------------
 
 
+def _ratios(fam: IntensityFamily, delta):
+    """r = lam/lam' at ``delta`` and its slope r' = 1 - lam lam''/lam'^2
+    (None for a tabulated curve, which has no lam'').
+
+    A logistic curve takes r = -(1 + e^{-b delta}/c)/b and
+    r' = e^{-b delta}/c, with no power c e^{b delta}, which overflows
+    past b delta of about 709 and would make both NaN.  Where e^{-b delta}
+    overflows instead, far below the curve's midpoint, r is -inf, as
+    lam/lam' is there.
+    """
+    if fam.kind == "logistic":
+        _, b, c = fam.params
+        tail = np.exp(-b * np.asarray(delta)) / c
+        return -(1.0 + tail) / b, tail
+    lam = np.asarray(eval_intensity(fam, delta))
+    dlam = np.asarray(eval_derivative(fam, delta))
+    if fam.kind == "tabulated":
+        return lam / dlam, None
+    return lam / dlam, 1.0 - lam * eval_curvature(fam, delta) / (dlam * dlam)
+
+
 def _neg_uinv_ratio(fam: IntensityFamily, gamma: float, delta):
     """-U_gamma^{-1}(lam(delta) / lam'(delta)); the margin term of the fixed point."""
-    ratio = np.asarray(eval_intensity(fam, delta)) / np.asarray(eval_derivative(fam, delta))
-    return -utility_inverse(gamma, ratio)
+    return -utility_inverse(gamma, _ratios(fam, delta)[0])
 
 
 def spread_thresholds(
@@ -396,11 +422,9 @@ def _fixed_point_residual(fam, gamma, delta, d):
     """f(delta, d) = delta + U^{-1}(r) + d with r = lam/lam', strictly
     increasing in delta, and its slope 1 + r'/(1 - gamma r), where
     r' = 1 - lam lam''/lam'^2."""
-    lam = np.asarray(eval_intensity(fam, delta))
-    dlam = np.asarray(eval_derivative(fam, delta))
-    ratio = lam / dlam
+    ratio, ratio_slope = _ratios(fam, delta)
     value = np.asarray(delta) + utility_inverse(gamma, ratio) + np.asarray(d)
-    slope = 1.0 + (1.0 - lam * eval_curvature(fam, delta) / (dlam * dlam)) / (1.0 - gamma * ratio)
+    slope = 1.0 + ratio_slope / (1.0 - gamma * ratio)
     return value, slope
 
 
@@ -533,14 +557,9 @@ def optimal_spread(fam: IntensityFamily, gamma: float, d, bounds: tuple[float, f
     return float(out[0]) if scalar else out.reshape(np.shape(d))
 
 
-def side_value(fam: IntensityFamily, gamma: float, delta, d):
-    """h(delta, d) = lam(delta) * U_gamma(delta + d)."""
-    return np.asarray(eval_intensity(fam, delta)) * np.asarray(utility(gamma, np.asarray(delta) + np.asarray(d)))
-
-
 def hamiltonian_value(fam, gamma, d, bounds):
-    """H(d) = sup_delta h(delta, d) over [bounds]; the ODE/PIDE right-hand
-    sides' Hamiltonian term."""
+    """H(d) = sup_delta h(delta, d) = h(optimal_spread, d) over [bounds];
+    the ODE/PIDE right-hand sides' Hamiltonian term."""
     delta = optimal_spread(fam, gamma, d, bounds)
-    return side_value(fam, gamma, delta, d)
+    return np.asarray(eval_intensity(fam, delta)) * np.asarray(utility(gamma, np.asarray(delta) + np.asarray(d)))
 

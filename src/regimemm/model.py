@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, UnsupportedConfigError
-from .intensity import IntensityFamily, family_violations
+from .intensity import MIN_RISK_AVERSION, RISK_AVERSION_DOMAIN, IntensityFamily, family_violations
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,8 @@ def validate(spec: ModelSpec) -> list[str]:
             out.append("horizon_T must be strictly positive")
         elif name in _NONNEGATIVE_FIELDS and value < 0:
             out.append(f"{name} must be >= 0")
+        elif name == "risk_aversion_gamma" and not (value == 0.0 or value >= MIN_RISK_AVERSION):
+            out.append(f"risk_aversion_gamma: {RISK_AVERSION_DOMAIN}")
     nan_bounds = [
         f"{name} must be a number or +-inf"
         for name in ("spread_lo", "spread_hi") if math.isnan(getattr(spec, name))

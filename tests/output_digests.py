@@ -3,11 +3,13 @@
 Runs ``solve-full`` (default, ``--steps 400`` and ``--steps 2000``, the
 default step count before the step search), ``solve-partial --mpi 200``,
 ``compare --mpi 200``, ``simulate --policy partial|full|fixed:0.04 --seed 7``
-and ``attractor --beta 1|2`` on every config in ``configs/`` into a temporary
-directory.  Each written file is one body, and so is each command's exit
-code with its standard output and error, and each surface file also gets
-a line for the arrays that its ``surface_from_csv`` reads back, so a
-change to the reader shows even where the files keep their bytes.  The
+and ``attractor --beta 1|2`` on every config in ``configs/`` and on the
+benchmark's gamma = 0.5 logistic market ``perfbench/logistic.cfg`` (read
+only), into a temporary directory.  Each written file is one body, and so
+is each command's exit code with its standard output and error, and each
+surface file also gets a line for the arrays that its
+``surface_from_csv`` reads back, so a change to the reader shows even
+where the files keep their bytes.  The
 manifest's ``wall_clock_seconds`` line and the temporary directory's name
 are dropped first, so two source trees that produce the same outputs
 print the same lines.  The regimemm package is imported from ``sys.path``, so
@@ -43,7 +45,8 @@ import numpy as np
 from regimemm import cli, hjb_full, hjb_partial
 from regimemm.model import format_config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + [ROOT / "perfbench" / "logistic.cfg"]
 
 COMMANDS = (
     ["solve-full"],
@@ -113,7 +116,7 @@ def digests(config: Path, out: Path, tables: Path | None = None):
         argv = [command[0], str(config), *command[1:]]
         if command[0] != "attractor":
             argv += ["--out", str(out)]
-        label = f"{config.name} {' '.join(command)}"
+        label = f"{config.relative_to(ROOT)} {' '.join(command)}"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
@@ -140,7 +143,7 @@ def digests(config: Path, out: Path, tables: Path | None = None):
 def lines(tables: Path | None = None):
     """Every output line, ``<sha256>  <label>``, of ``COMMANDS`` on every config."""
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted(CONFIGS.glob("*.cfg")):
+        for config in CONFIGS:
             for label, digest in digests(config, Path(tmp), tables):
                 yield f"{digest}  {label}"
 

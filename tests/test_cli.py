@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimemm import cli
+from regimemm import hjb_full, simulate
 from regimemm.cli import main
 from regimemm.intensity import IntensityFamily
 from regimemm.model import RegimeSpec, format_config, table1_spec, with_params
@@ -317,13 +317,13 @@ class TestSimulate:
 
     def test_full_policy_summary_has_per_path_fills(self, config_path, tmp_path, monkeypatch):
         summaries = []
-        engine = cli.simulate.monte_carlo
+        engine = simulate.monte_carlo
 
         def spy(*args, **kwargs):
             summaries.append(engine(*args, **kwargs))
             return summaries[-1]
 
-        monkeypatch.setattr(cli.simulate, "monte_carlo", spy)
+        monkeypatch.setattr(simulate, "monte_carlo", spy)
         out = str(tmp_path / "out")
         argv = ["simulate", config_path, "--out", out, "--policy", "full", "--paths", "3"]
         assert main(argv + ["--seed", "2", "--export-paths", "2"]) == 0
@@ -465,6 +465,23 @@ class TestUnstableFullMarch:
         err = capsys.readouterr().err
         assert err.startswith("error: full-information march at 51200 steps is unstable")
         assert err.rstrip().endswith("51200 steps is the most the step search tries")
+        assert not (tmp_path / "o").exists()
+
+    def test_search_stops_when_the_cap_is_out_of_reach(self, tmp_path, capsys, monkeypatch):
+        # the fast-regime market without --steps: 100 to 3200 steps leave the
+        # sandwich, 6400 has no partner, and at 12 800 the estimates (theta
+        # 3.11e-5, spreads 5.31e-4) would miss at 51 200 steps even falling
+        # 16-fold per doubling, so 25 600 and 51 200 are never marched
+        counts = []
+        surface = hjb_full._surface
+        monkeypatch.setattr(hjb_full, "_surface", lambda plan, bounds, n: counts.append(n) or surface(plan, bounds, n))
+        spec_params, _ = self.PROBES["fast-regime"]
+        cfg = write_config(tmp_path, with_params(table1_spec(), **spec_params))
+        assert main(["solve-full", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert counts == [100 * 2**j for j in range(8)] and counts[-1] == 12800
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-information march at 12800 steps misses the error tolerance")
+        assert "falling 16-fold per doubling, they would still miss at 51200 steps" in err
         assert not (tmp_path / "o").exists()
 
     def test_search_doubles_past_unstable_counts(self, tmp_path, capsys):

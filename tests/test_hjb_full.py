@@ -444,17 +444,21 @@ class TestStepSearch:
         assert surf.march.theta_error <= THETA_TOLERANCE and surf.march.spread_error <= SPREAD_TOLERANCE
 
     def test_each_rung_is_the_next_ones_partner(self, monkeypatch):
-        # table1 stops at 400: three marches of 100, 200 and 400 steps, each
-        # 4 right-hand sides a step, plus the sandwich's one at the zero panel
+        # every shipped config stops at 400: three marches of 100, 200 and 400
+        # steps, each 4 right-hand sides a step, plus the sandwich's one at
+        # the zero panel, and the searched surface is the 400-step one
         calls = []
         monkeypatch.setattr(hjb_full, "_rhs", lambda plan, y: calls.append(1) or _rhs(plan, y))
-        surf = solve_constrained(table1_spec())
-        assert surf.march.n_steps == 400
-        assert len(calls) == 4 * (100 + 200 + 400) + 1
-        fixed = solve_constrained(table1_spec(), 400)
-        assert fixed.march is None
-        for name in ("time_grid", "theta", "spread_bid", "spread_ask"):
-            np.testing.assert_array_equal(getattr(surf, name), getattr(fixed, name))
+        for config in ("table1.cfg", "table1_terminal_cost.cfg", "logistic.cfg"):
+            spec = load_config(ROOT / "configs" / config)
+            calls.clear()
+            surf = solve_constrained(spec)
+            assert surf.march.n_steps == 400, config
+            assert len(calls) == 4 * (100 + 200 + 400) + 1, config
+            fixed = solve_constrained(spec, 400)
+            assert fixed.march is None
+            for name in ("time_grid", "theta", "spread_bid", "spread_ask"):
+                np.testing.assert_array_equal(getattr(surf, name), getattr(fixed, name))
 
     def test_unstable_march_stops_at_its_first_level(self, monkeypatch):
         calls = []

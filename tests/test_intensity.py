@@ -13,6 +13,7 @@ from oracles import (
 
 from regimemm import intensity
 from regimemm.intensity import (
+    MIN_RISK_AVERSION,
     IntensityFamily,
     _fixed_point_spread,
     _solve_fixed_point,
@@ -24,7 +25,6 @@ from regimemm.intensity import (
     hamiltonian_value,
     optimal_spread,
     prepared,
-    side_value,
     spread_thresholds,
     utility,
     utility_inverse,
@@ -174,6 +174,13 @@ class TestUtility:
     def test_inverse_domain_error(self):
         with pytest.raises(ValueError):
             utility_inverse(2.0, 0.5)
+
+    @pytest.mark.parametrize("gamma", [-0.5, 5e-324, 1e-310, math.nan])
+    def test_risk_aversion_outside_the_domain(self, gamma):
+        # a subnormal gamma used to give U_gamma(0.04) = 0
+        for fn in (utility, utility_inverse):
+            with pytest.raises(ValueError, match="risk aversion must be 0 or at least 2.22507e-308"):
+                fn(gamma, 0.04)
 
 
 class TestThresholds:
@@ -349,6 +356,32 @@ class TestFixedPointSearch:
             assert bound_flag(delta, bounds) == "interior"
             assert 1 <= len(residual_calls) <= 4, (d, len(residual_calls))
 
+    @pytest.mark.parametrize(
+        "fam, gamma, d, root",
+        [
+            (IntensityFamily.logistic(10.0, 25.0, 1.5), 2.0, -50.0, 50.0385),
+            (IntensityFamily.logistic(5.0, 3.0, 0.2), 0.0, -1000.0, 1000.3333),
+        ],
+        ids=["gamma2", "gamma0"],
+    )
+    def test_logistic_root_past_the_overflow(self, fam, gamma, d, root):
+        # b delta is about 1250 and 3000 at these roots: c e^{b delta}
+        # overflows, and the search brackets and solves with the ratios'
+        # forms in e^{-b delta}; lam there is 0 and H(d) = 0, both quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = optimal_spread(fam, gamma, d, UNBOUNDED)
+            assert eval_intensity(fam, delta) == 0.0
+            assert hamiltonian_value(fam, gamma, d, UNBOUNDED) == 0.0
+        ref = optimal_spread_bisection(fam, gamma, d, *UNBOUNDED)
+        assert delta == pytest.approx(root, abs=1e-4)
+        assert abs(delta - ref) <= 1e-12 * abs(ref)
+        # a finite upper bound past the overflow gives a finite threshold,
+        # and the same maximizer inside it
+        cap, _ = spread_thresholds(fam, gamma, (0.0, 2.0 * root))
+        assert math.isfinite(cap)
+        assert optimal_spread(fam, gamma, d, (0.0, 2.0 * root)) == pytest.approx(delta, rel=1e-12)
+
     def test_far_out_root_converges(self, residual_calls):
         # the root is 2 (0.1 - d) = 2e5 + 0.2, where a float step is ~3e-11,
         # wider than the 1e-12 absolute width: only the relative stopping
@@ -406,13 +439,22 @@ SMOOTH_CURVES = [
 
 @st.composite
 def maximizer_cases(draw):
-    """A smooth curve, gamma in [0, 2], finite bounds inside [-0.2, 2] (and
-    the curve's domain) at least 0.05 apart, and a few d in [-0.5, 0.5]."""
+    """A smooth curve, gamma 0 or in [MIN_RISK_AVERSION, 2], a lower bound
+    inside [-0.2, 1.9] (and the curve's domain), and either a finite upper
+    bound at most 2, at least 0.05 above it, with a few d in [-0.5, 0.5],
+    or an infinite one with a few d in [-60, 0.5], which puts the logistic
+    curves' maximizers past b delta = 709, where c e^{b delta} overflows.
+    An arctan tail is never unbounded: as gamma falls to 0 its far fixed
+    point grows flat, and two correct searches stop far apart (see
+    ACCEPTED_CASES)."""
     fam = draw(st.sampled_from(SMOOTH_CURVES))
-    gamma = draw(st.floats(0.0, 2.0))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(MIN_RISK_AVERSION, 2.0)))
     lo = draw(st.floats(max(-0.2, fam.domain_lo() + 1e-3), 1.9))
-    hi = draw(st.floats(lo + 0.05, 2.0))
-    ds = draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6))
+    if fam.kind != "arctan" and draw(st.booleans()):
+        hi, d_lo = math.inf, -60.0
+    else:
+        hi, d_lo = draw(st.floats(lo + 0.05, 2.0)), -0.5
+    ds = draw(st.lists(st.floats(d_lo, 0.5), min_size=1, max_size=6))
     return fam, gamma, (lo, hi), np.array(ds)
 
 
@@ -425,13 +467,18 @@ class TestMaximizerProperties:
         spreads = optimal_spread(fam, gamma, ds, bounds)
         assert np.array_equal(spreads, [optimal_spread(fam, gamma, d, bounds) for d in ds])
         assert np.all((lo <= spreads) & (spreads <= hi))
+        if math.isinf(hi):  # far out lam underflows: against the bisection oracle
+            for d, delta in zip(ds, spreads):
+                ref = optimal_spread_bisection(fam, gamma, d, lo, hi)
+                assert abs(delta - ref) <= 1e-12 * max(1.0, abs(ref)), (d, delta, ref)
+            return
         grid = np.linspace(lo, hi, 2001)
         for d, delta in zip(ds, spreads):
             if lo < delta < hi:
                 lam, dlam = eval_intensity(fam, delta), eval_derivative(fam, delta)
                 assert abs(delta + utility_inverse(gamma, lam / dlam) + d) <= 1e-10
-            best = np.max(side_value(fam, gamma, grid, d))
-            assert side_value(fam, gamma, delta, d) >= best - 1e-9
+            best = np.max(eval_intensity(fam, grid) * utility(gamma, grid + d))
+            assert eval_intensity(fam, delta) * utility(gamma, delta + d) >= best - 1e-9
 
 
 # three curves of each searched kind that takes per-element parameters
@@ -532,7 +579,7 @@ class TestHamiltonian:
         for d in (-0.3, 0.0, 0.25):
             h_star = hamiltonian_value(fam, gamma, d, bounds)
             deltas = rng.uniform(lo, 2.0, size=200)
-            hs = side_value(fam, gamma, deltas, d)
+            hs = eval_intensity(fam, deltas) * utility(gamma, deltas + d)
             assert np.all(hs <= h_star + 1e-12)
 
     def test_closed_form_matches_interior(self):
@@ -541,7 +588,8 @@ class TestHamiltonian:
             delta = searched_spread(fam, 0.4, 0.05, (lo, 2.0))
             if bound_flag(delta, (lo, 2.0)) == "interior":
                 cf = hamiltonian_closed_form(fam, 0.4, 0.05, (lo, 2.0))
-                assert side_value(fam, 0.4, delta, 0.05) == pytest.approx(cf, abs=1e-10)
+                h = eval_intensity(fam, delta) * utility(0.4, delta + 0.05)
+                assert h == pytest.approx(cf, abs=1e-10)
 
     def test_locally_lipschitz_in_d(self):
         # envelope theorem at gamma = 0: dH/dd = lam(optimal spread), which is

@@ -51,6 +51,13 @@ class TestValidate:
         )
         assert validate(spec) == []
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+    def test_subnormal_risk_aversion_rejected(self, gamma):
+        # gamma * c would lose its digits: U_gamma(0.04) read 0 at 5e-324
+        spec = with_params(table1_spec(), risk_aversion_gamma=gamma)
+        assert validate(spec) == ["risk_aversion_gamma: risk aversion must be 0 or at least 2.22507e-308"]
+        assert validate(with_params(spec, risk_aversion_gamma=2.3e-308)) == []
+
     def test_filter_must_be_interior(self):
         spec = with_params(table1_spec(), initial_filter_mu0=np.array([1.0, 0.0]))
         assert any("strictly in (0, 1)" in v for v in validate(spec))
