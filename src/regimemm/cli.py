@@ -3,7 +3,7 @@
 Subcommands::
 
     regimemm solve-full CONFIG --out DIR [--steps N]
-    regimemm solve-partial CONFIG --out DIR [--mpi M] [--mt N|auto] [--belief-gradient-scale S]
+    regimemm solve-partial CONFIG --out DIR [--mpi M] [--belief-gradient-scale S]
     regimemm simulate CONFIG --out DIR --policy {partial|full|fixed:D} [--paths P] [--seed S]
     regimemm attractor CONFIG --beta {1,2}
     regimemm compare CONFIG --out DIR [--mpi M] [--belief-gradient-scale S]
@@ -124,19 +124,13 @@ def cmd_solve_full(args, spec: ModelSpec):
 def cmd_solve_partial(args, spec: ModelSpec):
     from . import hjb_partial
 
-    surface = hjb_partial.solve(
-        spec, m_pi=args.mpi, m_t=args.mt, belief_gradient_scale=args.belief_gradient_scale
-    )
+    surface = hjb_partial.solve(spec, m_pi=args.mpi, belief_gradient_scale=args.belief_gradient_scale)
     rep = surface.cfl_report
     print(
         f"cfl_max_coeff = {rep.max_coefficient:.6g}, steps = {rep.n_steps}, "
         f"dt in [{rep.min_dt:.3e}, {rep.max_dt:.3e}]"
     )
-    params = {
-        "mpi": args.mpi,
-        "mt": args.mt or "auto",
-        "belief_gradient_scale": args.belief_gradient_scale,
-    }
+    params = {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
     return params, {
         "surface_partial.csv": lambda h: hjb_partial.surface_to_csv(surface, {"manifest": h})
     }
@@ -258,11 +252,6 @@ def _number_in(kind, lo, hi=None):
     return number
 
 
-def _steps_or_auto(text: str) -> int | None:
-    """argparse type for ``--mt``: a positive step count, or None for 'auto'."""
-    return None if text == "auto" else _number_in(int, 1)(text)
-
-
 def _policy_name(text: str) -> str:
     """argparse type for ``--policy``: partial, full or fixed:D with a finite
     D, returned as given (the manifest records the text)."""
@@ -305,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("solve-partial", cmd_solve_partial, "solve the partial-information scheme")
     add_partial_grid(p)
-    p.add_argument(
-        "--mt", type=_steps_or_auto, default=None, help="time steps, or 'auto' for CFL-driven"
-    )
 
     p = add_command("simulate", cmd_simulate, "Monte Carlo under a feedback policy")
     p.add_argument("--policy", type=_policy_name, required=True, help="partial | full | fixed:D")

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericsError, UnsupportedConfigError
+from .errors import NumericsError
 from .grid import check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, prepared, utility
 from .model import ModelSpec, format_config, parse_config
@@ -303,8 +303,6 @@ def solve_constrained(spec: ModelSpec, n_steps: int | None = None) -> FullInfoSu
     the ``comparison_bounds`` sandwich, the mark of a march too coarse for
     its rates: at the given count, or at every count the search tries.
     """
-    if spec.unbounded_inventory:
-        raise UnsupportedConfigError("full-information solver requires a finite inventory cap")
     if n_steps is not None:
         n_steps = check_count("n_steps", n_steps)
     plan = _Plan.build(spec)

@@ -107,10 +107,6 @@ class Stepper:
                 "partial-information scheme needs a strictly negative q11 "
                 "(inward transport at the pi = 1 boundary)"
             )
-        if spec.unbounded_inventory:
-            raise UnsupportedConfigError(
-                "partial-information solver requires a finite inventory cap"
-            )
         self.scale = float(belief_gradient_scale)
         if not self.scale >= 0.0:
             # a negative scale flips the upwind coefficients: the explicit
@@ -219,16 +215,14 @@ def output_levels(m_pi: int) -> int:
 def solve(
     spec: ModelSpec,
     m_pi: int = DEFAULT_PI_CELLS,
-    m_t: int | None = None,
     *,
     belief_gradient_scale: float = 1.0,
 ) -> PartialInfoSurface:
     """March theta backward from theta(T, n, pi) = -c n^2.
 
-    ``m_pi`` is the number of belief cells (m_pi + 1 nodes).  With ``m_t``
-    unset the time step is chosen each level from the CFL bound; an explicit
-    ``m_t`` sets a uniform target step T/m_t, which is still shortened to
-    ``CFL_SAFETY`` times the stable step wherever that is smaller.
+    ``m_pi`` is the number of belief cells (m_pi + 1 nodes).  Each time
+    step is ``CFL_SAFETY`` times the stable step at its level, cut short at
+    t = 0.
 
     Only the two marching levels around the current time are held.  The
     surface stores ``output_levels(m_pi)`` uniform levels over [0, T], each
@@ -240,7 +234,6 @@ def solve(
     if not T > 0.0:  # the output grid needs a march to fill it
         raise ValueError(f"horizon_T {T!r} must be > 0")
     theta = stepper.terminal_panel()
-    target_dt = math.inf if m_t is None else T / check_count("m_t", m_t)
 
     out_t = np.linspace(0.0, T, output_levels(m_pi))
     out_theta = np.empty((len(out_t),) + theta.shape)
@@ -257,7 +250,7 @@ def solve(
     spreads, rhs, coeff = stepper.evaluate(theta)
     while t > 0.0:
         max_coeff = max(max_coeff, coeff)
-        dt = min(CFL_SAFETY / coeff if coeff > 0.0 else math.inf, target_dt, t)
+        dt = min(CFL_SAFETY / coeff if coeff > 0.0 else math.inf, t)
         if not dt > 0.0 or not math.isfinite(dt):
             raise NumericsError("partial-information scheme: time step underflow")
         min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1

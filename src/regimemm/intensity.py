@@ -168,8 +168,11 @@ def eval_derivative(fam: IntensityFamily, delta):
         out = -a * b * np.exp(-b * d)
     elif fam.kind == "logistic":
         a, b, c = fam.params
-        e = c * np.exp(b * d)
-        out = -a * b * e / (1.0 + e) ** 2
+        # e/(1 + e)^2 as 1/(e + 2 + 1/e): where e overflows or underflows,
+        # the sum is inf and lam' is -0, not inf/inf
+        with np.errstate(over="ignore", divide="ignore"):
+            e = c * np.exp(b * d)
+            out = -a * b / (e + 2.0 + 1.0 / e)
     elif fam.kind == "arctan":
         a, b, c = fam.params
         u = -b * d + c
@@ -199,9 +202,11 @@ def eval_curvature(fam: IntensityFamily, delta):
         out = a * b * b * np.exp(-b * d)
     elif fam.kind == "logistic":
         a, b, c = fam.params
-        e = c * np.exp(b * d)
-        w = 1.0 + e  # each factor below stays finite where w**3 would not
-        out = a * b * b * (e / w) * ((e - 1.0) / w) / w
+        # lam'' = a b^2 e (e - 1)/(1 + e)^3, with (e - 1)/(e + 1) = tanh(ln(e)/2)
+        # and the rest as in eval_derivative: finite at every spread
+        with np.errstate(over="ignore", divide="ignore"):
+            e = c * np.exp(b * d)
+            out = a * b * b * np.tanh(0.5 * (b * d + np.log(c))) / (e + 2.0 + 1.0 / e)
     elif fam.kind == "arctan":
         a, b, c = fam.params
         u = -b * d + c

@@ -37,7 +37,7 @@ class ModelSpec:
     risk_aversion_gamma: float
     running_penalty_zeta: float
     terminal_cost_c: float
-    inventory_cap_Nstar: float  # positive integer, or math.inf for unbounded
+    inventory_cap_Nstar: float  # positive integer
     spread_lo: float
     spread_hi: float
     regimes: tuple[RegimeSpec, ...]
@@ -64,14 +64,8 @@ class ModelSpec:
     def spread_bounds(self) -> tuple[float, float]:
         return (self.spread_lo, self.spread_hi)
 
-    @property
-    def unbounded_inventory(self) -> bool:
-        return math.isinf(self.inventory_cap_Nstar)
-
     def inventory_levels(self) -> np.ndarray:
-        """All admissible inventories [-N*, N*]; requires a finite cap."""
-        if self.unbounded_inventory:
-            raise UnsupportedConfigError("inventory grid requires a finite cap")
+        """All admissible inventories [-N*, N*]."""
         n_star = int(self.inventory_cap_Nstar)
         return np.arange(-n_star, n_star + 1)
 
@@ -103,7 +97,7 @@ def validate(spec: ModelSpec) -> list[str]:
 
     Pure and idempotent; an empty list means every downstream operation can
     consume the spec without further parameter errors.  Every number must be
-    finite except an unbounded inventory cap and infinite spread bounds.
+    finite except the spread bounds, which may be infinite.
     """
     out: list[str] = []
     k = spec.n_regimes
@@ -129,17 +123,10 @@ def validate(spec: ModelSpec) -> list[str]:
         out.append("spread_lo must be strictly below spread_hi")
 
     cap = spec.inventory_cap_Nstar
-    if cap != math.inf:
-        if not math.isfinite(cap) or cap != int(cap) or cap < 1:
-            out.append("inventory_cap_Nstar must be a positive integer or unbounded")
-        elif not -cap <= spec.initial_inventory_n0 <= cap:
-            out.append("initial_inventory_n0 outside [-N*, N*]")
-    elif (
-        spec.risk_aversion_gamma != 0.0
-        or spec.running_penalty_zeta != 0.0
-        or spec.terminal_cost_c != 0.0
-    ):
-        out.append("unbounded inventory requires gamma = zeta = c = 0")
+    if not math.isfinite(cap) or cap != int(cap) or cap < 1:
+        out.append("inventory_cap_Nstar must be a positive integer")
+    elif not -cap <= spec.initial_inventory_n0 <= cap:
+        out.append("initial_inventory_n0 outside [-N*, N*]")
 
     q = spec.generator_Q
     if q.shape != (k, k):
@@ -419,7 +406,7 @@ def format_config(spec: ModelSpec) -> str:
     for key in _SCALAR_FIELDS:
         v = getattr(spec, key)
         lines.append(f"{key} = {v if isinstance(v, int) else num(v)}")
-    lines.append(f"inventory_cap_Nstar = {'inf' if spec.unbounded_inventory else int(spec.inventory_cap_Nstar)}")
+    lines.append(f"inventory_cap_Nstar = {num(spec.inventory_cap_Nstar)}")
     lines.append(f"spread_lo = {num(spec.spread_lo)}")
     lines.append(f"spread_hi = {num(spec.spread_hi)}")
     lines.append("generator_Q = " + " ; ".join(" ".join(num(x) for x in row) for row in spec.generator_Q))

@@ -10,8 +10,8 @@ it, and the curve diagnostics reuse the package's probe grid and curvature.
 the surface lookup and the maximizer: what they check is how the solver
 groups its maximizer calls.  ``table_policy_loop`` reads the stored spread
 tables one point at a time in plain Python, with no ``grid`` code.  ``solve_unconstrained`` is the linear system
-of an unbounded inventory cap, the limit ``solve_constrained`` approaches as
-the cap grows.
+of the N* -> inf limit, which ``solve_constrained`` approaches as the cap
+grows.
 """
 
 import bisect
@@ -307,9 +307,8 @@ class UnconstrainedSolution:
 def solve_unconstrained(spec, n_steps=2000):
     """Backward RK4 for the linear system phi' = -Q phi + b, phi(T) = 0, with
     b_i(t) = -H_bid_i(mu (T - t)) - H_ask_i(-mu (T - t)): the risk-neutral
-    value without an inventory cap, penalty or terminal cost."""
-    if not spec.unbounded_inventory:
-        raise UnsupportedConfigError("unconstrained solver requires an unbounded inventory cap")
+    value without penalty or terminal cost in the N* -> inf limit.  The
+    spec's inventory cap is ignored."""
     if (
         spec.risk_aversion_gamma != 0.0
         or spec.running_penalty_zeta != 0.0

@@ -93,13 +93,12 @@ class TestSolveFull:
         assert main(["solve-full", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
     def test_invalid_config(self, tmp_path, capsys):
-        spec = with_params(
-            table1_spec(), inventory_cap_Nstar=math.inf, risk_aversion_gamma=0.5,
-            running_penalty_zeta=0.0, terminal_cost_c=0.0,
-        )
-        cfg = write_config(tmp_path, spec)
+        # an infinite cap is a bad cap like any other: the solver needs N* finite
+        cfg = write_config(tmp_path, with_params(table1_spec(), inventory_cap_Nstar=math.inf))
         assert main(["solve-full", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "unbounded inventory requires" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: inventory_cap_Nstar must be a positive integer\n"
+        assert not (tmp_path / "o").exists()
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -123,6 +122,7 @@ NON_FINITE = [
     ("regime.1.bid_intensity", "exponential nan 25"),
     ("regime.1.bid_intensity", "exponential inf 25"),
     ("inventory_cap_Nstar", "nan"),
+    ("inventory_cap_Nstar", "inf"),
     ("inventory_cap_Nstar", "-inf"),
     ("spread_lo", "nan"),
     ("spread_hi", "nan"),
@@ -130,10 +130,10 @@ NON_FINITE = [
 
 
 class TestNonFiniteNumbers:
-    """Every number but an unbounded cap and infinite spread bounds
-    (``test_model.py::TestConfigFormat::test_unbounded_markers``) must be
-    finite: a NaN or infinity is a config error (exit 2) naming its key,
-    never a traceback or an all-NaN surface."""
+    """Every number but the spread bounds, which may be infinite
+    (``test_model.py::TestConfigFormat::test_unbounded_markers``), must be
+    finite, the inventory cap included: a NaN or infinity is a config error
+    (exit 2) naming its key, never a traceback or an all-NaN surface."""
 
     @pytest.mark.parametrize("command", ["solve-full", "solve-partial"])
     @pytest.mark.parametrize("key, value", NON_FINITE, ids=[f"{k}={v}" for k, v in NON_FINITE])
@@ -402,29 +402,27 @@ class TestGridArguments:
             ["compare", "--mpi", "0"],
             ["simulate", "--policy", "fixed:0.04", "--mpi", "0"],
             ["solve-full", "--steps", "0"],
-            ["solve-partial", "--belief-gradient-scale", "-1", "--mt", "3"],
+            ["solve-partial", "--belief-gradient-scale", "-1"],
             ["solve-partial", "--belief-gradient-scale", "nan"],
+            # the partial march takes only its CFL step: --mt is no option
             ["solve-partial", "--mt", "0"],
             ["solve-partial", "--mt", "many"],
+            ["solve-partial", "--mt", "40"],
         ],
         ids=[
             "solve-partial-mpi-0", "compare-mpi-0", "simulate-mpi-0", "solve-full-steps-0",
-            "negative-scale", "nan-scale", "mt-0", "mt-word",
+            "negative-scale", "nan-scale", "mt-0", "mt-word", "mt-40",
         ],
     )
     def test_bad_grid_argument_exit_2(self, config_path, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], config_path, "--out", str(tmp_path / "o")] + argv[1:])
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if "--mt" in argv:
+            assert "unrecognized arguments: --mt" in err
         assert not (tmp_path / "o").exists()
-
-    def test_mt_auto_and_count_accepted(self, config_path, tmp_path):
-        for mt in ("auto", "40"):
-            out = tmp_path / mt
-            assert main(["solve-partial", config_path, "--out", str(out), "--mpi", "8", "--mt", mt]) == 0
-            manifest = (run_files(out, "solve-partial") / "manifest.txt").read_text()
-            assert f"mt = {mt}\n" in manifest
 
 
 class TestUnstableFullMarch:
@@ -496,31 +494,41 @@ class TestUnstableFullMarch:
 
 
 class TestExitCodes:
-    # a valid market with no inventory cap: neither solver supports it
-    UNBOUNDED = dict(inventory_cap_Nstar=math.inf, running_penalty_zeta=0.0)
+    # an infinite cap fails validation: every command exits 2 naming the key
+    INFINITE_CAP = dict(inventory_cap_Nstar=math.inf)
+    BAD_CAP = "invalid config: inventory_cap_Nstar must be a positive integer"
 
     @pytest.mark.parametrize(
-        "spec_params, argv, code",
+        "spec_params, argv, code, message",
         [
-            (UNBOUNDED, ["solve-full"], 2),
-            (UNBOUNDED, ["solve-partial"], 2),
-            (UNBOUNDED, ["compare"], 2),
-            (UNBOUNDED, ["simulate", "--policy", "partial", "--paths", "2"], 2),
-            (UNBOUNDED, ["simulate", "--policy", "full", "--paths", "2"], 2),
+            (INFINITE_CAP, ["solve-full"], 2, BAD_CAP),
+            (INFINITE_CAP, ["solve-partial"], 2, BAD_CAP),
+            (INFINITE_CAP, ["compare"], 2, BAD_CAP),
+            (INFINITE_CAP, ["simulate", "--policy", "partial", "--paths", "2"], 2, BAD_CAP),
+            (INFINITE_CAP, ["simulate", "--policy", "full", "--paths", "2"], 2, BAD_CAP),
+            (INFINITE_CAP, ["simulate", "--policy", "fixed:0.04", "--paths", "2"], 2, BAD_CAP),
+            (INFINITE_CAP, ["attractor", "--beta", "1"], 2, BAD_CAP),
             # each side fills at 10 e^12.5 per unit time: the default belief step is unstable
-            (UNBOUNDED, ["simulate", "--policy", "fixed:-0.5", "--paths", "5"], 2),
-            (dict(terminal_cost_c=0.01), ["attractor", "--beta", "1"], 3),
+            (
+                {}, ["simulate", "--policy", "fixed:-0.5", "--paths", "5"], 2,
+                "exceeds RK4's stability limit 2.785",
+            ),
+            (
+                dict(terminal_cost_c=0.01), ["attractor", "--beta", "1"], 3,
+                "attractor analysis requires zero terminal cost",
+            ),
         ],
         ids=[
             "solve-full", "solve-partial", "compare", "simulate-partial", "simulate-full",
-            "simulate-negative-fixed", "attractor-terminal-cost",
+            "simulate-fixed", "attractor", "simulate-negative-fixed", "attractor-terminal-cost",
         ],
     )
-    def test_failure_exit_code(self, tmp_path, capsys, spec_params, argv, code):
+    def test_failure_exit_code(self, tmp_path, capsys, spec_params, argv, code, message):
         cfg = write_config(tmp_path, with_params(table1_spec(), **spec_params))
         out = ["--out", str(tmp_path / "o")] if argv[0] != "attractor" else []
         assert main([argv[0], cfg] + argv[1:] + out) == code
         captured = capsys.readouterr()
         assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
+        assert message in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()

@@ -282,13 +282,6 @@ class TestSolveConstrained:
         surf = solve_constrained(table1_spec(), n_steps=2000)
         assert residual_report(surf) < 1e-6
 
-    def test_rejects_unbounded_inventory(self):
-        spec = with_params(
-            table1_spec(), inventory_cap_Nstar=math.inf, running_penalty_zeta=0.0
-        )
-        with pytest.raises(UnsupportedConfigError):
-            solve_constrained(spec)
-
     def test_risk_averse_solve_runs(self):
         spec = with_params(table1_spec(), risk_aversion_gamma=0.5)
         assert validate(spec) == []
@@ -526,7 +519,7 @@ class TestUnconstrained:
             risk_aversion_gamma=0.0,
             running_penalty_zeta=0.0,
             terminal_cost_c=0.0,
-            inventory_cap_Nstar=math.inf,
+            inventory_cap_Nstar=3,  # the oracle ignores it: its phi is the N* -> inf limit
             spread_lo=-10.0,
             spread_hi=10.0,
             regimes=regimes,

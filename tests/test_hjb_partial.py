@@ -106,10 +106,6 @@ class TestSolve:
         assert 0 < rep.min_dt <= rep.max_dt
         assert rep.max_dt * rep.max_coefficient <= 1.0 + 1e-9
 
-    def test_fixed_time_grid_auto_refines(self):
-        surf = solve(table1_spec(), m_pi=50, m_t=10)
-        assert surf.cfl_report.n_steps > 10
-
     def test_rejects_unsupported(self):
         with pytest.raises(UnsupportedConfigError):
             solve(with_params(table1_spec(), risk_aversion_gamma=0.3))
@@ -279,7 +275,7 @@ class TestMonotoneStep:
             with pytest.raises(ValueError, match="belief_gradient_scale"):
                 Stepper(table1_spec(), m_pi=10, belief_gradient_scale=scale)
         with pytest.raises(ValueError, match="belief_gradient_scale"):
-            solve(table1_spec(), m_pi=10, m_t=3, belief_gradient_scale=-1.0)
+            solve(table1_spec(), m_pi=10, belief_gradient_scale=-1.0)
 
 
 class TestGridArguments:
@@ -290,22 +286,10 @@ class TestGridArguments:
         with pytest.raises(ValueError, match="m_pi"):
             solve(table1_spec(), m_pi=m_pi)
 
-    @pytest.mark.parametrize("m_t", [0, -5, 2.5, True])
-    def test_bad_time_steps_rejected(self, m_t):
-        with pytest.raises(ValueError, match="m_t"):
-            solve(table1_spec(), m_pi=10, m_t=m_t)
-
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
     def test_empty_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon_T"):
             solve(with_params(table1_spec(), horizon_T=horizon), m_pi=10)
-
-    def test_none_is_auto_and_a_count_caps_the_step(self):
-        auto = solve(table1_spec(), m_pi=10, m_t=None)
-        m_t = 4 * auto.cfl_report.n_steps
-        capped = solve(table1_spec(), m_pi=10, m_t=m_t)
-        assert capped.cfl_report.n_steps >= m_t > auto.cfl_report.n_steps
-        assert capped.cfl_report.max_dt <= 1.0 / m_t * (1 + 1e-12)
 
 
 class TestConvergence:
@@ -492,7 +476,7 @@ class TestAgainstFullInformation:
 
 class TestPersistence:
     def test_round_trip(self):
-        surf = solve(table1_spec(terminal_cost_c=0.01), m_pi=12, m_t=40)
+        surf = solve(table1_spec(terminal_cost_c=0.01), m_pi=12)
         text = surface_to_csv(surf)
         back = surface_from_csv(text)
         np.testing.assert_allclose(back.theta, surf.theta, atol=0)
@@ -502,7 +486,7 @@ class TestPersistence:
         assert back.belief_gradient_scale == surf.belief_gradient_scale
 
     def test_headers_present(self):
-        surf = solve(table1_spec(), m_pi=8, m_t=20)
+        surf = solve(table1_spec(), m_pi=8)
         text = surface_to_csv(surf)
         assert "# cfl_max_coeff" in text
         assert text.count("t,n,pi,theta,spread_bid,spread_ask") == 1

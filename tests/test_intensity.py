@@ -126,11 +126,18 @@ class TestEval:
             assert np.array_equal(out[:, j], eval_curvature(curve, deltas[:, 0]))
 
     def test_curvature_stays_finite_far_out(self):
-        # the logistic's (1 + e)^3 overflows at b delta ~ 237; its factors do not
+        # with e = c e^{b delta}, (1 + e)^3 overflows at b delta ~ 237 and e
+        # itself at ~ 709; lam' and lam'' must still underflow to 0 on either
+        # side, with no warning on the way
         fam = IntensityFamily.logistic(2.0, 25.0, 1.0)
+        far = np.array([-1e4, -60.0, -50.04, -30.0, 30.0, 50.04, 60.0, 1e4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0.0 < eval_curvature(fam, 10.0) < 1e-100
+            for curve in (fam, IntensityFamily.logistic(10.0, 25.0, 1.5)):
+                slope, curvature = eval_derivative(curve, far), eval_curvature(curve, far)
+                assert np.all(slope == 0.0) and np.all(curvature == 0.0)
+                assert eval_derivative(curve, 50.04) == 0.0 and eval_curvature(curve, 50.04) == 0.0
 
     def test_tabulated_has_no_curvature(self):
         knots = np.linspace(-1.0, 1.0, 5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from regimemm.model import (
     ModelSpec,
     RegimeSpec,
     format_config,
+    load_config,
     parse_config,
     table1_spec,
     two_regime_reduction,
@@ -35,21 +37,12 @@ class TestValidate:
         assert any("off-diagonal" in v for v in msgs)
         assert any("diagonal" in v for v in msgs)
 
-    def test_unbounded_inventory_needs_risk_neutrality(self):
-        spec = with_params(
-            table1_spec(),
-            inventory_cap_Nstar=math.inf,
-            risk_aversion_gamma=0.5,
-            running_penalty_zeta=0.0,
-            terminal_cost_c=0.0,
-        )
-        assert any("unbounded inventory requires" in v for v in validate(spec))
-
-    def test_unbounded_inventory_risk_neutral_ok(self):
-        spec = with_params(
-            table1_spec(), inventory_cap_Nstar=math.inf, running_penalty_zeta=0.0
-        )
-        assert validate(spec) == []
+    def test_infinite_cap_rejected(self):
+        # even in a risk-neutral market with no penalty: the cap is what
+        # makes the dynamic-programming system finite
+        for params in ({}, dict(running_penalty_zeta=0.0)):
+            spec = with_params(table1_spec(), inventory_cap_Nstar=math.inf, **params)
+            assert validate(spec) == ["inventory_cap_Nstar must be a positive integer"]
 
     @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
     def test_subnormal_risk_aversion_rejected(self, gamma):
@@ -181,17 +174,21 @@ class TestConfigFormat:
         assert format_config(back) == text
 
     def test_unbounded_markers(self):
-        spec = with_params(
-            table1_spec(),
-            inventory_cap_Nstar=math.inf,
-            running_penalty_zeta=0.0,
-            spread_lo=-math.inf,
-            spread_hi=math.inf,
-        )
+        spec = with_params(table1_spec(), spread_lo=-math.inf, spread_hi=math.inf)
         back = parse_config(format_config(spec))
-        assert math.isinf(back.inventory_cap_Nstar)
         assert back.spread_lo == -math.inf and back.spread_hi == math.inf
         assert validate(back) == []
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("table1.cfg", {}), ("table1_terminal_cost.cfg", {"terminal_cost_c": 0.01})],
+        ids=["table1", "table1_terminal_cost"],
+    )
+    def test_shipped_config_is_the_standing_market(self, name, params):
+        # the tests run table1_spec(); the CLI, the benchmark and the digest
+        # tool run the file, so the two must be one market
+        spec = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
+        assert format_config(spec) == format_config(table1_spec(**params))
 
     def test_missing_key_reports_key(self):
         text = format_config(table1_spec())
@@ -306,8 +303,7 @@ def specs(draw, wild):
         np.fill_diagonal(q, -q.sum(axis=1))
         w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
         mu0 = w / w.sum() if k > 1 else np.array([1.0])
-    unbounded = draw(st.booleans())
-    penalty = st.just(0.0) if unbounded else either(nonnegative, wild)
+    penalty = either(nonnegative, wild)
     cap = st.floats(1.0, 1e300).map(lambda x: float(math.floor(x)))
     return ModelSpec(
         horizon_T=draw(either(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), wild)),
@@ -316,7 +312,7 @@ def specs(draw, wild):
         risk_aversion_gamma=draw(penalty),
         running_penalty_zeta=draw(penalty),
         terminal_cost_c=draw(penalty),
-        inventory_cap_Nstar=math.inf if unbounded else draw(either(st.one_of(st.integers(1, 6).map(float), cap), wild)),
+        inventory_cap_Nstar=draw(either(st.one_of(st.integers(1, 6).map(float), cap), wild)),
         spread_lo=draw(either(st.one_of(st.floats(-10.0, 0.0), st.just(-math.inf)), wild)),
         spread_hi=draw(either(st.one_of(st.floats(0.1, 10.0), st.just(math.inf)), wild)),
         regimes=tuple(regimes),

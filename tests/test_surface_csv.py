@@ -23,7 +23,7 @@ def full_surface():
 
 
 def partial_surface():
-    return hjb_partial.solve(table1_spec(terminal_cost_c=0.01), m_pi=6, m_t=10)
+    return hjb_partial.solve(table1_spec(terminal_cost_c=0.01), m_pi=6)
 
 
 KINDS = {
