@@ -14,6 +14,17 @@ The march holds only two levels; the surface keeps a uniform output time
 grid, each output level being the linear time interpolation of the two
 marching levels around it.
 
+With no drift (mu = 0, -0.0 included) the market is its own mirror image in
+inventory: the running reward -sigma^2 zeta n^2 / 2, the terminal cost
+c n^2, the +-N* caps and the spread bounds are even in n, and the bid and
+ask curves are equal, so theta(t, -n, pi) = theta(t, n, pi) and the bid at
+-n is the ask at n.  Such a march advances only the rows n = -1..N*, row -1
+a ghost copy of row +1 reset after every step, and each output level
+mirrors rows 0..N* into the negative rows.  The stored tables equal the
+full-panel march's bit for bit, and so does its CFL report: the ghost row
+fills on one side only, at row +1's ask rate, so its CFL coefficient is at
+most row +1's.  A drifting market marches every row.
+
 Upwinding is applied per advection term: the generator-transport coefficient
 q_hat(pi) has a known sign per node, and the order-flow-volatility term
 carries a nonnegative coefficient, so each term uses its own one-sided
@@ -98,9 +109,21 @@ class Stepper:
     stable step, with one ``optimal_spread`` and one ``eval_intensity``
     call for both sides.  Exposed separately from ``solve`` so single-step
     properties (monotonicity under CFL) can be tested.
+
+    ``levels`` are the consecutive inventories of the panel's rows, by
+    default every row -N*..N*.  ``solve`` passes -1..N* for a market with
+    no drift, whose negative rows are the mirror image of the positive
+    ones (see the module docstring); the bottom row's ask is then treated
+    as blocked, which only the ghost row -1 sees.
     """
 
-    def __init__(self, spec: ModelSpec, m_pi: int, belief_gradient_scale: float = 1.0):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        m_pi: int,
+        belief_gradient_scale: float = 1.0,
+        levels: np.ndarray | None = None,
+    ):
         red = two_regime_reduction(spec)
         if not red.q11 < 0.0:
             raise UnsupportedConfigError(
@@ -115,7 +138,7 @@ class Stepper:
         self.spec = spec
         self.red = red
         self.lam = prepared(red.lam, spec.risk_aversion_gamma, spec.spread_bounds)
-        self.levels = spec.inventory_levels().astype(float)
+        self.levels = (spec.inventory_levels() if levels is None else np.asarray(levels)).astype(float)
         m_pi = check_count("m_pi", m_pi)
         self.pi_grid = np.linspace(0.0, 1.0, m_pi + 1)
         self.d_pi = 1.0 / m_pi
@@ -156,10 +179,10 @@ class Stepper:
     def evaluate(self, theta: np.ndarray):
         """(spreads, rhs, CFL coefficient) at one level.
 
-        ``spreads`` is (2, 2 N*, m_pi + 1): the bid quoted at rows :-1
+        ``spreads`` is (2, rows - 1, m_pi + 1): the bid quoted at rows :-1
         (n -> n + 1) and the ask quoted at rows 1: (n -> n - 1).  The
-        blocked sides, the bid at n = N* and the ask at n = -N*, have no
-        entry.
+        blocked sides, the bid at the top row (n = N*) and the ask at the
+        bottom row (n = -N* on the full panel), have no entry.
         """
         fwd, bwd = self.one_sided(theta)
         # the volatility-adjustment term carries a nonnegative coefficient:
@@ -228,20 +251,31 @@ def solve(
     surface stores ``output_levels(m_pi)`` uniform levels over [0, T], each
     the linear time interpolation of the marching levels around it, which
     is the value a lookup on every marching level would return there.
+
+    When ``spec.drift_mu == 0`` the march advances only the rows
+    n = -1..N*, row -1 a ghost reset to row +1 after every step, and each
+    output level writes rows 0..N* and mirrors them: theta(-n) = theta(n),
+    bid(-n) = ask(n) and ask(-n) = bid(n).  The surface and its CFL report
+    are those of the full-panel march, bit for bit.  Any other drift
+    marches every row.  Raises ``ValueError`` for a cap that is not a
+    positive integer.
     """
-    stepper = Stepper(spec, m_pi, belief_gradient_scale)
+    levels = spec.inventory_levels()
+    n_star = len(levels) // 2
+    mirror = spec.drift_mu == 0.0
+    stepper = Stepper(spec, m_pi, belief_gradient_scale, levels[n_star - 1 :] if mirror else levels)
     T = spec.horizon_T
     if not T > 0.0:  # the output grid needs a march to fill it
         raise ValueError(f"horizon_T {T!r} must be > 0")
     theta = stepper.terminal_panel()
 
     out_t = np.linspace(0.0, T, output_levels(m_pi))
-    out_theta = np.empty((len(out_t),) + theta.shape)
+    out_theta = np.empty((len(out_t), len(levels), len(stepper.pi_grid)))
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)
-    # a blocked side (bid at n = N*, ask at n = -N*) keeps its stub at every
-    # level: interpolating it would form 0 * inf = NaN
-    quoted_bid, quoted_ask = out_bid[:, :-1], out_ask[:, 1:]
+    # the output rows the march writes, n = 0..N* mirrored or every row,
+    # and the marching rows they come from (a mirrored march skips its ghost)
+    first, ghost = (n_star, 1) if mirror else (0, 0)
     nxt = len(out_t) - 1  # highest output level not yet written
 
     max_coeff = 0.0
@@ -256,14 +290,26 @@ def solve(
         min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1
         theta_up, spreads_up = theta, spreads
         theta = theta + dt * rhs
+        if mirror:  # the ghost row -1 is row +1's mirror image
+            theta[0] = theta[2]
         t_up, t = t, 0.0 if t - dt <= 1e-15 * T else t - dt
         spreads, rhs, coeff = stepper.evaluate(theta)
         # output times in [t, t_up) (T too, on the first step), with the
         # weight a lookup's ``time_bracket`` would give them
         while nxt >= 0 and out_t[nxt] >= t:
             w = (out_t[nxt] - t) / (t_up - t)
-            out_theta[nxt] = (1 - w) * theta + w * theta_up
-            quoted_bid[nxt], quoted_ask[nxt] = (1 - w) * spreads + w * spreads_up
+            level, bid, ask = out_theta[nxt], out_bid[nxt], out_ask[nxt]
+            level[first:] = ((1 - w) * theta + w * theta_up)[ghost:]
+            quoted = (1 - w) * spreads + w * spreads_up
+            # a blocked side (bid at n = N*, ask at n = -N*) keeps its stub at
+            # every level: interpolating it would form 0 * inf = NaN
+            bid[first:-1] = quoted[0, ghost:]
+            # the ask's entries start at the marching row after the ghost
+            ask[first + 1 - ghost :] = quoted[1]
+            if mirror:  # one level at a time: its halves do not overlap in memory
+                level[:n_star] = level[:n_star:-1]
+                bid[:n_star] = ask[:n_star:-1]
+                ask[1:n_star] = bid[-2:n_star:-1]
             nxt -= 1
 
     report = CflReport(max_coefficient=max_coeff, min_dt=min_dt, max_dt=max_dt, n_steps=n_steps)

@@ -19,6 +19,12 @@ import numpy as np
 from .errors import ConfigError, UnsupportedConfigError
 from .intensity import MIN_RISK_AVERSION, RISK_AVERSION_DOMAIN, IntensityFamily, family_violations
 
+CAP_DOMAIN = "inventory_cap_Nstar must be a positive integer"
+
+
+def _positive_integer(x) -> bool:
+    return math.isfinite(x) and x == int(x) and x >= 1
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -64,9 +70,18 @@ class ModelSpec:
     def spread_bounds(self) -> tuple[float, float]:
         return (self.spread_lo, self.spread_hi)
 
+    def checked_cap(self) -> int:
+        """N* as an int.  Raises ``ValueError`` with ``validate``'s message
+        unless the cap is a positive integer, so a library caller that skips
+        ``validate`` meets the same contract as the CLI."""
+        if not _positive_integer(self.inventory_cap_Nstar):
+            raise ValueError(CAP_DOMAIN)
+        return int(self.inventory_cap_Nstar)
+
     def inventory_levels(self) -> np.ndarray:
-        """All admissible inventories [-N*, N*]."""
-        n_star = int(self.inventory_cap_Nstar)
+        """All admissible inventories [-N*, N*]; ``checked_cap``'s
+        ``ValueError`` for a cap that is not a positive integer."""
+        n_star = self.checked_cap()
         return np.arange(-n_star, n_star + 1)
 
     def terminal_cost(self, n):
@@ -123,8 +138,8 @@ def validate(spec: ModelSpec) -> list[str]:
         out.append("spread_lo must be strictly below spread_hi")
 
     cap = spec.inventory_cap_Nstar
-    if not math.isfinite(cap) or cap != int(cap) or cap < 1:
-        out.append("inventory_cap_Nstar must be a positive integer")
+    if not _positive_integer(cap):
+        out.append(CAP_DOMAIN)
     elif not -cap <= spec.initial_inventory_n0 <= cap:
         out.append("initial_inventory_n0 outside [-N*, N*]")
 

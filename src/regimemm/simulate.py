@@ -592,8 +592,11 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     merged in path order, so memory grows with the block, not the run.
 
     Returns per-path penalized P&L, bid and ask fill counts, the records of
-    the first ``record`` paths and the summed run counters.
+    the first ``record`` paths and the summed run counters.  Raises
+    ``ValueError`` for a cap that is not a positive integer, which every
+    policy's fill gates would otherwise compare against.
     """
+    spec.checked_cap()
     check_count("seed", seed, 0, 2**64)
     check_count("report_points", report_points)
     if not 0.0 < h_target < math.inf:

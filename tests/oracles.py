@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch (plain loops, scipy
 building blocks) and shares no code with the package internals it checks.
-``solve_all_levels`` reuses the partial scheme's ``Stepper``: what it checks
-is the solver's storage, not the step.  ``residual_report`` reuses the
+``solve_all_levels`` and ``solve_full_panel`` reuse the partial scheme's
+``Stepper``: what they check is the solver's storage and its rows, not the
+step.  ``residual_report`` reuses the
 full-information right-hand side to measure how well the RK4 march solves
 it, and the curve diagnostics reuse the package's probe grid and curvature.
 ``rhs_loop``, ``solve_loop`` and ``policy_loop`` reuse the coupling term, the RK4 march,
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from regimemm.errors import UnsupportedConfigError
+from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.filtering import _FLOOR
 from regimemm.grid import check_count, gather, time_bracket
 from regimemm.hjb_full import FullInfoSurface, _coupling, _march, _Plan, _regime_column, _rhs
-from regimemm.hjb_partial import CflReport, PartialInfoSurface, Stepper
+from regimemm.hjb_partial import CFL_SAFETY, CflReport, PartialInfoSurface, Stepper, output_levels
 from regimemm.intensity import (
     STUB_SPREAD,
     _probe_grid,
@@ -533,3 +534,41 @@ def evaluate_loop(spec, m_pi, scale, theta):
             rhs[r, j] = value
             coeff = max(coeff, scale * abs(q_hat) / d_pi + rates * (scale * w / d_pi + m_hat))
     return bid, ask, rhs, coeff
+
+
+def solve_full_panel(spec, m_pi, belief_gradient_scale=1.0):
+    """``hjb_partial.solve`` marching every inventory row -N*..N* whatever
+    the drift, with no mirror: the reference that the half-panel march of a
+    driftless market must reproduce bit for bit, CFL report included."""
+    stepper = Stepper(spec, m_pi, belief_gradient_scale)
+    T = spec.horizon_T
+    theta = stepper.terminal_panel()
+    out_t = np.linspace(0.0, T, output_levels(m_pi))
+    out_theta = np.empty((len(out_t),) + theta.shape)
+    out_bid = np.full_like(out_theta, STUB_SPREAD)
+    out_ask = np.full_like(out_theta, STUB_SPREAD)
+    quoted_bid, quoted_ask = out_bid[:, :-1], out_ask[:, 1:]
+    nxt = len(out_t) - 1
+    max_coeff = 0.0
+    min_dt, max_dt, n_steps = math.inf, 0.0, 0
+    t = T
+    spreads, rhs, coeff = stepper.evaluate(theta)
+    while t > 0.0:
+        max_coeff = max(max_coeff, coeff)
+        dt = min(CFL_SAFETY / coeff if coeff > 0.0 else math.inf, t)
+        if not dt > 0.0 or not math.isfinite(dt):
+            raise NumericsError("partial-information scheme: time step underflow")
+        min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1
+        theta_up, spreads_up = theta, spreads
+        theta = theta + dt * rhs
+        t_up, t = t, 0.0 if t - dt <= 1e-15 * T else t - dt
+        spreads, rhs, coeff = stepper.evaluate(theta)
+        while nxt >= 0 and out_t[nxt] >= t:
+            w = (out_t[nxt] - t) / (t_up - t)
+            out_theta[nxt] = (1 - w) * theta + w * theta_up
+            quoted_bid[nxt], quoted_ask[nxt] = (1 - w) * spreads + w * spreads_up
+            nxt -= 1
+    report = CflReport(max_coeff, min_dt, max_dt, n_steps)
+    return PartialInfoSurface(
+        spec, out_t, stepper.pi_grid, out_theta, out_bid, out_ask, report, stepper.scale
+    )

@@ -3,9 +3,13 @@
 Runs ``solve-full`` (default, ``--steps 400`` and ``--steps 2000``, the
 default step count before the step search), ``solve-partial --mpi 200``,
 ``compare --mpi 200``, ``simulate --policy partial|full|fixed:0.04 --seed 7``
-and ``attractor --beta 1|2`` on every config in ``configs/`` and on the
+and ``attractor --beta 1|2`` on every config in ``configs/``, on the
 benchmark's gamma = 0.5 logistic market ``perfbench/logistic.cfg`` (read
-only), into a temporary directory.  Each written file is one body, and so
+only) and on table1 with ``drift_mu = 0.05``, into a temporary directory.
+The shipped markets have no drift, so their partial solves march half the
+inventory rows and mirror the rest; the drifting market, whose config
+``format_config`` writes into the temporary directory, is the one whose
+partial solve marches every row.  Each written file is one body, and so
 is each command's exit code with its standard output and error, and each
 surface file also gets a line for the arrays that its
 ``surface_from_csv`` reads back, so a change to the reader shows even
@@ -43,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from regimemm import cli, hjb_full, hjb_partial
-from regimemm.model import format_config
+from regimemm.model import format_config, table1_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg")) + [ROOT / "perfbench" / "logistic.cfg"]
@@ -109,14 +113,25 @@ def largest_differences(ours: Path, theirs: Path) -> str:
     return "largest |difference|: " + ", ".join(parts)
 
 
-def digests(config: Path, out: Path, tables: Path | None = None):
-    """(label, sha256) of every output body of ``COMMANDS`` on ``config``;
-    with ``tables`` each read-back surface's tables are saved there."""
+def configs(tmp: Path):
+    """(name, path) of every config the commands run on; the drifting
+    market's file is written into ``tmp``."""
+    for config in CONFIGS:
+        yield str(config.relative_to(ROOT)), config
+    drifting = tmp / "table1_drift.cfg"
+    drifting.write_text(format_config(table1_spec(drift_mu=0.05)), encoding="utf-8")
+    yield "table1 with drift_mu = 0.05", drifting
+
+
+def digests(name: str, config: Path, out: Path, tables: Path | None = None):
+    """(label, sha256) of every output body of ``COMMANDS`` on ``config``,
+    labelled by ``name``; with ``tables`` each read-back surface's tables
+    are saved there."""
     for command in COMMANDS:
         argv = [command[0], str(config), *command[1:]]
         if command[0] != "attractor":
             argv += ["--out", str(out)]
-        label = f"{config.relative_to(ROOT)} {' '.join(command)}"
+        label = f"{name} {' '.join(command)}"
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
@@ -143,8 +158,8 @@ def digests(config: Path, out: Path, tables: Path | None = None):
 def lines(tables: Path | None = None):
     """Every output line, ``<sha256>  <label>``, of ``COMMANDS`` on every config."""
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
-            for label, digest in digests(config, Path(tmp), tables):
+        for name, config in configs(Path(tmp)):
+            for label, digest in digests(name, config, Path(tmp), tables):
                 yield f"{digest}  {label}"
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     evaluate_loop,
     exponential_closed_form,
     solve_all_levels,
+    solve_full_panel,
 )
 
 from regimemm.errors import UnsupportedConfigError
@@ -24,7 +26,9 @@ from regimemm.hjb_partial import (
     surface_to_csv,
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
-from regimemm.model import RegimeSpec, table1_spec, two_regime_reduction, with_params
+from regimemm.model import RegimeSpec, load_config, table1_spec, two_regime_reduction, with_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def zero_order_spec(c=0.0):
@@ -220,6 +224,65 @@ class TestMirror:
             np.testing.assert_array_equal(
                 surf.spread_bid[:, r_bid, :], surf.spread_ask[:, r_ask, :]
             )
+
+
+class TestHalfPanelMarch:
+    """A driftless market marches rows -1..N* and mirrors the rest: its
+    surface must be the full-panel march's, bit for bit."""
+
+    CASES = {
+        "table1": (table1_spec(), 30, 1.0),
+        "table1-c": (table1_spec(terminal_cost_c=0.01), 30, 1.0),
+        "cap1": (with_params(table1_spec(), inventory_cap_Nstar=1), 30, 1.0),
+        "cap2": (with_params(table1_spec(), inventory_cap_Nstar=2), 30, 1.0),
+        "cap5": (with_params(table1_spec(terminal_cost_c=0.01), inventory_cap_Nstar=5), 30, 1.0),
+        "scale2": (table1_spec(), 30, 2.0),
+        "mpi200": (table1_spec(), 200, 1.0),
+        "mpi200-c": (table1_spec(terminal_cost_c=0.01), 200, 1.0),
+        "negative-zero-drift": (table1_spec(drift_mu=-0.0), 30, 1.0),
+        "drift": (table1_spec(drift_mu=0.3), 30, 1.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_the_full_panel_march(self, case, monkeypatch):
+        spec, m_pi, scale = self.CASES[case]
+        ref = solve_full_panel(spec, m_pi, belief_gradient_scale=scale)
+        rows, evaluate = set(), Stepper.evaluate
+
+        def counting(stepper, theta):
+            rows.add(len(theta))
+            return evaluate(stepper, theta)
+
+        monkeypatch.setattr(Stepper, "evaluate", counting)
+        surf = solve(spec, m_pi, belief_gradient_scale=scale)
+        n_star = int(spec.inventory_cap_Nstar)
+        # the ghost row -1 and n = 0..N*, or every row of a drifting market
+        assert rows == {2 * n_star + 1 if spec.drift_mu else n_star + 2}
+        for name in ("time_grid", "pi_grid", "theta", "spread_bid", "spread_ask"):
+            assert getattr(surf, name).tobytes() == getattr(ref, name).tobytes(), name
+        # the ghost row's CFL coefficient never sets a step
+        assert surf.cfl_report == ref.cfl_report
+        assert surf.belief_gradient_scale == ref.belief_gradient_scale == scale
+
+    def test_drifting_market_is_not_a_mirror_image(self):
+        # so the full panel it marches is needed: a mirrored march would
+        # store theta(-n) = theta(n)
+        surf = solve(self.CASES["drift"][0], 30)
+        assert not np.array_equal(surf.theta, surf.theta[:, ::-1])
+        assert not np.array_equal(surf.spread_bid[:, :-1], surf.spread_ask[:, :0:-1])
+
+
+class TestConvexInBelief:
+    """theta(t, n, .) is a supremum of policies' values that are linear in
+    the prior, so it is convex in pi at gamma = 0: every second difference
+    along pi of the stored theta is at least -4 eps max|theta| (rounding)."""
+
+    @pytest.mark.parametrize("m_pi", [50, 100, 200, 400])
+    @pytest.mark.parametrize("config", ["table1.cfg", "table1_terminal_cost.cfg"])
+    def test_second_differences_nonnegative(self, config, m_pi):
+        theta = solve(load_config(ROOT / "configs" / config), m_pi).theta
+        second = theta[..., 2:] - 2.0 * theta[..., 1:-1] + theta[..., :-2]
+        assert second.min() >= -4.0 * np.finfo(float).eps * np.abs(theta).max()
 
 
 class TestEvaluate:

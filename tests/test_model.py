@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
+from regimemm import hjb_full, hjb_partial
 from regimemm.errors import ConfigError, UnsupportedConfigError
 from regimemm.intensity import IntensityFamily
 from regimemm.model import (
+    CAP_DOMAIN,
     ModelSpec,
     RegimeSpec,
     format_config,
@@ -21,6 +23,9 @@ from regimemm.model import (
     validate,
     with_params,
 )
+from regimemm.simulate import FixedSpreadPolicy, monte_carlo, simulate_path
+
+FIXED = FixedSpreadPolicy(0.04, 0.04)
 
 
 class TestValidate:
@@ -114,6 +119,29 @@ class TestValidate:
     def test_idempotent(self):
         spec = with_params(table1_spec(), spread_lo=2.0)
         assert validate(spec) == validate(spec)
+
+
+class TestCapContract:
+    """A library caller that skips ``validate`` gets its message as a
+    ``ValueError`` from every entry point, not a truncated or empty panel."""
+
+    ENTRY_POINTS = {
+        "inventory_levels": lambda spec: spec.inventory_levels(),
+        "hjb_partial.Stepper": lambda spec: hjb_partial.Stepper(spec, 10),
+        "hjb_partial.solve": lambda spec: hjb_partial.solve(spec, 10),
+        "hjb_full.solve_constrained": lambda spec: hjb_full.solve_constrained(spec, 10),
+        "monte_carlo": lambda spec: monte_carlo(spec, FIXED, 2, 1),
+        "simulate_path": lambda spec: simulate_path(spec, FIXED, 1),
+    }
+
+    @pytest.mark.parametrize("cap", [math.inf, 2.5, 0, -1])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_cap_raises_validates_message(self, entry, cap):
+        spec = with_params(table1_spec(), inventory_cap_Nstar=cap)
+        assert validate(spec) == [CAP_DOMAIN]
+        with pytest.raises(ValueError) as info:
+            self.ENTRY_POINTS[entry](spec)
+        assert str(info.value) == CAP_DOMAIN == "inventory_cap_Nstar must be a positive integer"
 
 
 class TestTwoRegimeReduction:
