@@ -18,12 +18,12 @@ With no drift (mu = 0, -0.0 included) the market is its own mirror image in
 inventory: the running reward -sigma^2 zeta n^2 / 2, the terminal cost
 c n^2, the +-N* caps and the spread bounds are even in n, and the bid and
 ask curves are equal, so theta(t, -n, pi) = theta(t, n, pi) and the bid at
--n is the ask at n.  Such a march advances only the rows n = -1..N*, row -1
-a ghost copy of row +1 reset after every step, and each output level
+-n is the ask at n.  Such a march advances only the rows n = 0..N*: the ask
+at n = 0 moves to row -1, the mirror of row +1, so its Hamiltonian argument
+is the bid's bit for bit and row 0 counts its bid twice.  Each output level
 mirrors rows 0..N* into the negative rows.  The stored tables equal the
-full-panel march's bit for bit, and so does its CFL report: the ghost row
-fills on one side only, at row +1's ask rate, so its CFL coefficient is at
-most row +1's.  A drifting market marches every row.
+full-panel march's bit for bit, and so does its CFL report, whose maximum
+the mirrored rows repeat.  A drifting market marches every row.
 
 Upwinding is applied per advection term: the generator-transport coefficient
 q_hat(pi) has a known sign per node, and the order-flow-volatility term
@@ -110,20 +110,16 @@ class Stepper:
     call for both sides.  Exposed separately from ``solve`` so single-step
     properties (monotonicity under CFL) can be tested.
 
-    ``levels`` are the consecutive inventories of the panel's rows, by
-    default every row -N*..N*.  ``solve`` passes -1..N* for a market with
-    no drift, whose negative rows are the mirror image of the positive
-    ones (see the module docstring); the bottom row's ask is then treated
-    as blocked, which only the ghost row -1 sees.
+    The panel's rows are every inventory -N*..N*.  ``solve`` sets
+    ``_mirror`` for a market with no drift, whose rows are then n = 0..N*
+    only, their negative mirror images left out (see the module docstring).
     """
 
     def __init__(
-        self,
-        spec: ModelSpec,
-        m_pi: int,
-        belief_gradient_scale: float = 1.0,
-        levels: np.ndarray | None = None,
+        self, spec: ModelSpec, m_pi: int, belief_gradient_scale: float = 1.0, *, _mirror: bool = False
     ):
+        if _mirror and spec.drift_mu != 0.0:
+            raise ValueError("only a market with no drift is its own mirror image")
         red = two_regime_reduction(spec)
         if not red.q11 < 0.0:
             raise UnsupportedConfigError(
@@ -138,7 +134,9 @@ class Stepper:
         self.spec = spec
         self.red = red
         self.lam = prepared(red.lam, spec.risk_aversion_gamma, spec.spread_bounds)
-        self.levels = (spec.inventory_levels() if levels is None else np.asarray(levels)).astype(float)
+        self.mirror = _mirror
+        levels = spec.inventory_levels()
+        self.levels = (levels[len(levels) // 2 :] if _mirror else levels).astype(float)
         m_pi = check_count("m_pi", m_pi)
         self.pi_grid = np.linspace(0.0, 1.0, m_pi + 1)
         self.d_pi = 1.0 / m_pi
@@ -182,7 +180,8 @@ class Stepper:
         ``spreads`` is (2, rows - 1, m_pi + 1): the bid quoted at rows :-1
         (n -> n + 1) and the ask quoted at rows 1: (n -> n - 1).  The
         blocked sides, the bid at the top row (n = N*) and the ask at the
-        bottom row (n = -N* on the full panel), have no entry.
+        bottom row (n = -N*), have no entry.  A mirrored panel's bottom row
+        is n = 0, whose ask is its bid.
         """
         fwd, bwd = self.one_sided(theta)
         # the volatility-adjustment term carries a nonnegative coefficient:
@@ -211,6 +210,9 @@ class Stepper:
         term = np.zeros_like(theta)
         term[:-1] = gain[0]
         term[1:] += gain[1]
+        if self.mirror:  # n = 0's ask, the mirror image of its bid
+            rate[0] += lam[0, 0]
+            term[0] += gain[0, 0]
 
         rhs = self.q_pos * fwd
         rhs += self.q_neg * bwd
@@ -253,17 +255,16 @@ def solve(
     is the value a lookup on every marching level would return there.
 
     When ``spec.drift_mu == 0`` the march advances only the rows
-    n = -1..N*, row -1 a ghost reset to row +1 after every step, and each
-    output level writes rows 0..N* and mirrors them: theta(-n) = theta(n),
-    bid(-n) = ask(n) and ask(-n) = bid(n).  The surface and its CFL report
-    are those of the full-panel march, bit for bit.  Any other drift
-    marches every row.  Raises ``ValueError`` for a cap that is not a
-    positive integer.
+    n = 0..N*, and each output level writes them and mirrors them:
+    theta(-n) = theta(n), bid(-n) = ask(n) and ask(-n) = bid(n).  The
+    surface and its CFL report are those of the full-panel march, bit for
+    bit.  Any other drift marches every row.  Raises ``ValueError`` for a
+    cap that is not a positive integer.
     """
     levels = spec.inventory_levels()
     n_star = len(levels) // 2
     mirror = spec.drift_mu == 0.0
-    stepper = Stepper(spec, m_pi, belief_gradient_scale, levels[n_star - 1 :] if mirror else levels)
+    stepper = Stepper(spec, m_pi, belief_gradient_scale, _mirror=mirror)
     T = spec.horizon_T
     if not T > 0.0:  # the output grid needs a march to fill it
         raise ValueError(f"horizon_T {T!r} must be > 0")
@@ -273,9 +274,7 @@ def solve(
     out_theta = np.empty((len(out_t), len(levels), len(stepper.pi_grid)))
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)
-    # the output rows the march writes, n = 0..N* mirrored or every row,
-    # and the marching rows they come from (a mirrored march skips its ghost)
-    first, ghost = (n_star, 1) if mirror else (0, 0)
+    first = n_star if mirror else 0  # the output row of the bottom marching row
     nxt = len(out_t) - 1  # highest output level not yet written
 
     max_coeff = 0.0
@@ -290,8 +289,6 @@ def solve(
         min_dt, max_dt, n_steps = min(min_dt, dt), max(max_dt, dt), n_steps + 1
         theta_up, spreads_up = theta, spreads
         theta = theta + dt * rhs
-        if mirror:  # the ghost row -1 is row +1's mirror image
-            theta[0] = theta[2]
         t_up, t = t, 0.0 if t - dt <= 1e-15 * T else t - dt
         spreads, rhs, coeff = stepper.evaluate(theta)
         # output times in [t, t_up) (T too, on the first step), with the
@@ -299,14 +296,12 @@ def solve(
         while nxt >= 0 and out_t[nxt] >= t:
             w = (out_t[nxt] - t) / (t_up - t)
             level, bid, ask = out_theta[nxt], out_bid[nxt], out_ask[nxt]
-            level[first:] = ((1 - w) * theta + w * theta_up)[ghost:]
-            quoted = (1 - w) * spreads + w * spreads_up
+            level[first:] = (1 - w) * theta + w * theta_up
             # a blocked side (bid at n = N*, ask at n = -N*) keeps its stub at
             # every level: interpolating it would form 0 * inf = NaN
-            bid[first:-1] = quoted[0, ghost:]
-            # the ask's entries start at the marching row after the ghost
-            ask[first + 1 - ghost :] = quoted[1]
+            bid[first:-1], ask[first + 1 :] = (1 - w) * spreads + w * spreads_up
             if mirror:  # one level at a time: its halves do not overlap in memory
+                ask[n_star] = bid[n_star]
                 level[:n_star] = level[:n_star:-1]
                 bid[:n_star] = ask[:n_star:-1]
                 ask[1:n_star] = bid[-2:n_star:-1]

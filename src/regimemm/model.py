@@ -70,18 +70,14 @@ class ModelSpec:
     def spread_bounds(self) -> tuple[float, float]:
         return (self.spread_lo, self.spread_hi)
 
-    def checked_cap(self) -> int:
-        """N* as an int.  Raises ``ValueError`` with ``validate``'s message
-        unless the cap is a positive integer, so a library caller that skips
-        ``validate`` meets the same contract as the CLI."""
+    def inventory_levels(self) -> np.ndarray:
+        """All admissible inventories [-N*, N*].  Raises ``ValueError`` with
+        ``validate``'s message unless the cap is a positive integer, so a
+        library caller that skips ``validate`` meets the same contract as
+        the CLI."""
         if not _positive_integer(self.inventory_cap_Nstar):
             raise ValueError(CAP_DOMAIN)
-        return int(self.inventory_cap_Nstar)
-
-    def inventory_levels(self) -> np.ndarray:
-        """All admissible inventories [-N*, N*]; ``checked_cap``'s
-        ``ValueError`` for a cap that is not a positive integer."""
-        n_star = self.checked_cap()
+        n_star = int(self.inventory_cap_Nstar)
         return np.arange(-n_star, n_star + 1)
 
     def terminal_cost(self, n):

@@ -596,7 +596,7 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     ``ValueError`` for a cap that is not a positive integer, which every
     policy's fill gates would otherwise compare against.
     """
-    spec.checked_cap()
+    spec.inventory_levels()
     check_count("seed", seed, 0, 2**64)
     check_count("report_points", report_points)
     if not 0.0 < h_target < math.inf:

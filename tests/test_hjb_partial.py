@@ -227,7 +227,7 @@ class TestMirror:
 
 
 class TestHalfPanelMarch:
-    """A driftless market marches rows -1..N* and mirrors the rest: its
+    """A driftless market marches rows 0..N* and mirrors the rest: its
     surface must be the full-panel march's, bit for bit."""
 
     CASES = {
@@ -256,13 +256,17 @@ class TestHalfPanelMarch:
         monkeypatch.setattr(Stepper, "evaluate", counting)
         surf = solve(spec, m_pi, belief_gradient_scale=scale)
         n_star = int(spec.inventory_cap_Nstar)
-        # the ghost row -1 and n = 0..N*, or every row of a drifting market
-        assert rows == {2 * n_star + 1 if spec.drift_mu else n_star + 2}
+        # n = 0..N*, or every row of a drifting market
+        assert rows == {2 * n_star + 1 if spec.drift_mu else n_star + 1}
         for name in ("time_grid", "pi_grid", "theta", "spread_bid", "spread_ask"):
             assert getattr(surf, name).tobytes() == getattr(ref, name).tobytes(), name
-        # the ghost row's CFL coefficient never sets a step
+        # every step is the full panel's
         assert surf.cfl_report == ref.cfl_report
         assert surf.belief_gradient_scale == ref.belief_gradient_scale == scale
+
+    def test_drifting_market_cannot_be_mirrored(self):
+        with pytest.raises(ValueError, match="no drift"):
+            Stepper(self.CASES["drift"][0], 10, _mirror=True)
 
     def test_drifting_market_is_not_a_mirror_image(self):
         # so the full panel it marches is needed: a mirrored march would
