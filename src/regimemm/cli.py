@@ -20,7 +20,9 @@ line.
 Without ``--steps``, ``solve-full``, and ``compare`` and ``simulate --policy
 full`` always, take the full-information march's step count from
 ``hjb_full``'s error-controlled doubling search; the manifest records the
-chosen count as ``full_steps``.
+chosen count as ``full_steps``.  ``solve-partial``, ``compare`` and
+``simulate --policy partial`` record ``hjb_partial.SCHEME`` as
+``partial_scheme``.
 
 Each command imports the solver and simulator modules it runs when it runs,
 so ``attractor`` loads only the filter, ``solve-full`` and ``solve-partial``
@@ -130,9 +132,21 @@ def cmd_solve_partial(args, spec: ModelSpec):
         f"cfl_max_coeff = {rep.max_coefficient:.6g}, steps = {rep.n_steps}, "
         f"dt in [{rep.min_dt:.3e}, {rep.max_dt:.3e}]"
     )
-    params = {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
-    return params, {
+    return _partial_params(args), {
         "surface_partial.csv": lambda h: hjb_partial.surface_to_csv(surface, {"manifest": h})
+    }
+
+
+def _partial_params(args) -> dict:
+    """The manifest parameters of a partial solve: its belief grid, its
+    scale and the scheme that marched and stored it, so a surface from
+    another scheme lands in another run directory."""
+    from . import hjb_partial
+
+    return {
+        "mpi": args.mpi,
+        "belief_gradient_scale": args.belief_gradient_scale,
+        "partial_scheme": hjb_partial.SCHEME,
     }
 
 
@@ -169,7 +183,7 @@ def cmd_simulate(args, spec: ModelSpec):
     # the draws behind every path: a run under another stream scheme hashes apart
     params["streams"] = rng.SCHEME
     if args.policy == "partial":  # only the partial surface reads the belief grid
-        params |= {"mpi": args.mpi, "belief_gradient_scale": args.belief_gradient_scale}
+        params |= _partial_params(args)
     if args.policy == "full":  # the count the step search chose
         params["full_steps"] = policy.surface.march.n_steps
     renderers = {
@@ -227,11 +241,7 @@ def cmd_compare(args, spec: ModelSpec):
         lines.append(f"n = {n}: partial {ask_part:.6f} ({ratios})")
     summary = "\n".join(lines)
     print(summary)
-    params = {
-        "mpi": args.mpi,
-        "belief_gradient_scale": args.belief_gradient_scale,
-        "full_steps": full.march.n_steps,
-    }
+    params = _partial_params(args) | {"full_steps": full.march.n_steps}
     return params, {
         "compare_ask.csv": _stamped(buf.getvalue()),
         "summary.txt": _stamped(summary + "\n"),

@@ -10,9 +10,10 @@ nonlocal term evaluated by linear interpolation and the time step controlled
 by a CFL bound re-evaluated every step.  Each side's Hamiltonian
 sup_delta lam(delta) (delta + d) on regime 1's curve comes from ``intensity``,
 as in the full-information solver, with the belief-gradient adjustment in d.
-The march holds only two levels; the surface keeps a uniform output time
-grid, each output level being the linear time interpolation of the two
-marching levels around it.
+The march holds only two levels; the surface keeps the output time grid of
+``output_times``, graded toward T where theta and the spreads bend fastest,
+each output level being the linear time interpolation of the two marching
+levels around it.  ``SCHEME`` names the march and that grid.
 
 With no drift (mu = 0, -0.0 included) the market is its own mirror image in
 inventory: the running reward -sigma^2 zeta n^2 / 2, the terminal cost
@@ -49,9 +50,13 @@ from .grid import (
     inventory_row, time_bracket,
 )
 from .intensity import STUB_SPREAD, eval_intensity, optimal_spread, prepared
-from .model import ModelSpec, format_config, parse_config, two_regime_reduction
+from .model import ModelSpec, check_horizon, format_config, parse_config, two_regime_reduction
 
 CFL_SAFETY = 0.9  # fraction of the stable step the march takes
+# the march and the stored time grid, recorded in the manifest of every
+# command that solves a partial surface: change it when either changes
+SCHEME = "upwind-euler-cfl0.9/time-graded-1.75-9sqrt"
+GRADING = 1.75  # the stored time grid's power p: t = T (1 - u^p), u evenly from 1 to 0
 _PROBE_TIMES = 41  # convergence_report's uniform probe times over [0, T]
 
 
@@ -68,8 +73,8 @@ class PartialInfoSurface:
     """theta(t, n, pi) and spread tables on the (time, inventory, belief) grid.
 
     Arrays are indexed [time level, inventory row, belief node]; inventory
-    row r holds n = r - N*.  The time grid is the uniform output grid
-    ``np.linspace(0, T, output_levels(m_pi))``, not the CFL march's levels,
+    row r holds n = r - N*.  The time grid is the output grid
+    ``output_times(T, m_pi)``, graded toward T, not the CFL march's levels,
     whose count ``cfl_report.n_steps`` records.  Blocked sides hold stub
     sentinels at every level.
     """
@@ -226,15 +231,37 @@ class Stepper:
 
 
 def output_levels(m_pi: int) -> int:
-    """Stored time levels of a surface with ``m_pi`` belief cells.
+    """Stored time levels L of a surface with ``m_pi`` belief cells.
 
     A lookup's time-interpolation error falls like 1/L^2 and the scheme's
-    own error like 1/m_pi, so L grows like sqrt(m_pi).  On table1 this rule
-    keeps 20 000 random lookups within 0.31 of the gap between the m_pi and
-    2 m_pi solutions at every m_pi from 10 to 800, and stores no more
-    levels than the CFL march takes (about 5.6 m_pi) from m_pi = 10 on.
+    own error like 1/m_pi, so L grows like sqrt(m_pi): 1 + ceil(9 sqrt(m_pi)),
+    129 at m_pi = 200.  On table1 that is fewer levels than the CFL march
+    takes (about 5.6 m_pi) at every m_pi.  On the graded grid of
+    ``output_times``, 20 000 random lookups of theta and of each spread on
+    table1 stay within 0.31 of that quantity's gap between the m_pi and
+    2 m_pi solutions at every m_pi from 10 to 800
+    (``tests/output_grid_study.py``).
     """
-    return 1 + math.ceil(20.0 * math.sqrt(m_pi))
+    return 1 + math.ceil(9.0 * math.sqrt(m_pi))
+
+
+def output_times(T: float, m_pi: int) -> np.ndarray:
+    """The stored time levels over [0, T] of a surface with ``m_pi`` belief
+    cells: t_j = T (1 - (1 - j / (L - 1))^p) for j < L = output_levels(m_pi)
+    and p = ``GRADING``, so t_0 = 0 and t_(L-1) = T exactly.
+
+    The spacing shrinks toward T like (T - t)^(1 - 1/p), into the layer
+    where the terminal condition meets the running reward and theta and
+    the spreads bend fastest.  Spacing the knots by the curvature
+    equidistributes the error of piecewise-linear interpolation (de Boor,
+    LNM 363, 1974).  p = 2 suits a curvature like 1/(T - t), and stores
+    table1 best, but a drifting market bends early too and stores no
+    better than on the uniform grid; p = 1.75 beats the uniform grid on
+    both (``tests/output_grid_study.py``).  Raises ``ValueError`` with
+    ``validate``'s message unless T is finite and > 0.
+    """
+    u = np.linspace(1.0, 0.0, output_levels(m_pi))  # 1 - j / (L - 1)
+    return check_horizon(T) * (1.0 - u**GRADING)
 
 
 def solve(
@@ -250,27 +277,26 @@ def solve(
     t = 0.
 
     Only the two marching levels around the current time are held.  The
-    surface stores ``output_levels(m_pi)`` uniform levels over [0, T], each
-    the linear time interpolation of the marching levels around it, which
-    is the value a lookup on every marching level would return there.
+    surface stores the levels ``output_times(T, m_pi)``, each the linear
+    time interpolation of the marching levels around it, which is the value
+    a lookup on every marching level would return there.
 
     When ``spec.drift_mu == 0`` the march advances only the rows
     n = 0..N*, and each output level writes them and mirrors them:
     theta(-n) = theta(n), bid(-n) = ask(n) and ask(-n) = bid(n).  The
     surface and its CFL report are those of the full-panel march, bit for
     bit.  Any other drift marches every row.  Raises ``ValueError`` for a
-    cap that is not a positive integer.
+    cap that is not a positive integer and for a horizon that is not finite
+    and > 0.
     """
     levels = spec.inventory_levels()
     n_star = len(levels) // 2
     mirror = spec.drift_mu == 0.0
     stepper = Stepper(spec, m_pi, belief_gradient_scale, _mirror=mirror)
     T = spec.horizon_T
-    if not T > 0.0:  # the output grid needs a march to fill it
-        raise ValueError(f"horizon_T {T!r} must be > 0")
+    out_t = output_times(T, m_pi)
     theta = stepper.terminal_panel()
 
-    out_t = np.linspace(0.0, T, output_levels(m_pi))
     out_theta = np.empty((len(out_t), len(levels), len(stepper.pi_grid)))
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)

@@ -20,10 +20,22 @@ from .errors import ConfigError, UnsupportedConfigError
 from .intensity import MIN_RISK_AVERSION, RISK_AVERSION_DOMAIN, IntensityFamily, family_violations
 
 CAP_DOMAIN = "inventory_cap_Nstar must be a positive integer"
+HORIZON_DOMAIN = "horizon_T must be strictly positive"
 
 
 def _positive_integer(x) -> bool:
     return math.isfinite(x) and x == int(x) and x >= 1
+
+
+def check_horizon(T) -> float:
+    """``T`` as a float.  Raises ``ValueError`` with ``validate``'s message
+    unless it is finite and > 0, so a library caller that skips ``validate``
+    meets the same horizon contract as the CLI."""
+    if not math.isfinite(T):
+        raise ValueError("horizon_T must be finite")
+    if not T > 0:
+        raise ValueError(HORIZON_DOMAIN)
+    return float(T)
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ def validate(spec: ModelSpec) -> list[str]:
         if not math.isfinite(value):
             out.append(f"{name} must be finite")
         elif name == "horizon_T" and not value > 0:
-            out.append("horizon_T must be strictly positive")
+            out.append(HORIZON_DOMAIN)
         elif name in _NONNEGATIVE_FIELDS and value < 0:
             out.append(f"{name} must be >= 0")
         elif name == "risk_aversion_gamma" and not (value == 0.0 or value >= MIN_RISK_AVERSION):

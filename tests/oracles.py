@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch (plain loops, scipy
 building blocks) and shares no code with the package internals it checks.
-``solve_all_levels`` and ``solve_full_panel`` reuse the partial scheme's
-``Stepper``: what they check is the solver's storage and its rows, not the
+``march_levels``, ``solve_all_levels`` and ``solve_full_panel`` reuse the
+partial scheme's ``Stepper``: what they check is the solver's storage and its rows, not the
 step.  ``residual_report`` reuses the
 full-information right-hand side to measure how well the RK4 march solves
 it, and the curve diagnostics reuse the package's probe grid and curvature.
@@ -27,7 +27,7 @@ from regimemm.errors import NumericsError, UnsupportedConfigError
 from regimemm.filtering import _FLOOR
 from regimemm.grid import check_count, gather, time_bracket
 from regimemm.hjb_full import FullInfoSurface, _coupling, _march, _Plan, _regime_column, _rhs
-from regimemm.hjb_partial import CFL_SAFETY, CflReport, PartialInfoSurface, Stepper, output_levels
+from regimemm.hjb_partial import CFL_SAFETY, CflReport, PartialInfoSurface, Stepper, output_times
 from regimemm.intensity import (
     STUB_SPREAD,
     _probe_grid,
@@ -453,34 +453,34 @@ def stub_tables(spreads):
     return bid, ask
 
 
-def solve_all_levels(spec, m_pi, cfl_safety=0.9):
-    """The partial-information march with its step rule unchanged, keeping
-    every marching level: the reference for the solver's output time grid,
-    whose levels a lookup on this surface must reproduce."""
+def march_levels(spec, m_pi, cfl_safety=0.9):
+    """Every level of the partial-information march, with its step rule
+    unchanged, from T down to 0: yields (t, theta, bid, ask, coeff), the
+    stub-padded spread tables and the CFL coefficient at t.  Only the level
+    yielded last is held."""
     stepper = Stepper(spec, m_pi)
     T = spec.horizon_T
-    theta = stepper.terminal_panel()
-    thetas, bids, asks, times, dts = [theta], [], [], [T], []
-    max_coeff = 0.0
-    t = T
-    while t > 0.0:
+    theta, t = stepper.terminal_panel(), T
+    while True:
         spreads, rhs, coeff = stepper.evaluate(theta)
-        bid, ask = stub_tables(spreads)
-        bids.append(bid)
-        asks.append(ask)
-        max_coeff = max(max_coeff, coeff)
+        yield (t, theta, *stub_tables(spreads), coeff)
+        if not t > 0.0:
+            return
         dt = min(cfl_safety / coeff, t)
         theta = theta + dt * rhs
         t = 0.0 if t - dt <= 1e-15 * T else t - dt
-        thetas.append(theta)
-        times.append(t)
-        dts.append(dt)
-    bid, ask = stub_tables(stepper.evaluate(theta)[0])
-    bids.append(bid)
-    asks.append(ask)
-    report = CflReport(max_coeff, min(dts), max(dts), len(dts))
+
+
+def solve_all_levels(spec, m_pi, cfl_safety=0.9):
+    """The partial-information march keeping every level: the reference
+    for the solver's output time grid, whose levels a lookup on this
+    surface must reproduce."""
+    times, thetas, bids, asks, coeffs = zip(*march_levels(spec, m_pi, cfl_safety))
+    # every level above t = 0 took one step
+    dts = [min(cfl_safety / c, t) for t, c in zip(times[:-1], coeffs)]
+    report = CflReport(max(coeffs[:-1]), min(dts), max(dts), len(dts))
     return PartialInfoSurface(
-        spec, np.array(times[::-1]), stepper.pi_grid, np.array(thetas[::-1]),
+        spec, np.array(times[::-1]), np.linspace(0.0, 1.0, m_pi + 1), np.array(thetas[::-1]),
         np.array(bids[::-1]), np.array(asks[::-1]), report,
     )
 
@@ -543,7 +543,7 @@ def solve_full_panel(spec, m_pi, belief_gradient_scale=1.0):
     stepper = Stepper(spec, m_pi, belief_gradient_scale)
     T = spec.horizon_T
     theta = stepper.terminal_panel()
-    out_t = np.linspace(0.0, T, output_levels(m_pi))
+    out_t = output_times(T, m_pi)
     out_theta = np.empty((len(out_t),) + theta.shape)
     out_bid = np.full_like(out_theta, STUB_SPREAD)
     out_ask = np.full_like(out_theta, STUB_SPREAD)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regimemm import hjb_full, simulate
+from regimemm import hjb_full, hjb_partial, simulate
 from regimemm.cli import main
 from regimemm.intensity import IntensityFamily
 from regimemm.model import RegimeSpec, format_config, table1_spec, with_params
@@ -195,6 +195,28 @@ class TestSolvePartial:
         assert "# cfl_max_coeff" in text
         assert "cfl_max_coeff" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-partial", "--mpi", "12"],
+            ["compare", "--mpi", "12"],
+            ["simulate", "--policy", "partial", "--mpi", "12", "--paths", "2"],
+        ],
+        ids=["solve-partial", "compare", "simulate-partial"],
+    )
+    def test_manifest_hashes_the_partial_scheme(self, config_path, tmp_path, monkeypatch, argv):
+        # a surface marched or stored another way lands in another run directory
+        command, *rest = argv
+        out = tmp_path / "out"
+        assert main([command, config_path, "--out", str(out)] + rest) == 0
+        manifest = (run_files(out, command) / "manifest.txt").read_text()
+        assert f"\npartial_scheme = {hjb_partial.SCHEME}\n" in manifest
+        monkeypatch.setattr(hjb_partial, "SCHEME", "another-scheme")
+        assert main([command, config_path, "--out", str(out)] + rest) == 0
+        run_dirs = list((out / command).iterdir())
+        assert len(run_dirs) == 2
+        assert any("\npartial_scheme = another-scheme\n" in (d / "manifest.txt").read_text() for d in run_dirs)
+
     def test_three_regimes_exit_2(self, tmp_path, capsys):
         base = table1_spec()
         spec = with_params(
@@ -355,6 +377,7 @@ class TestSimulate:
         manifest = (run_dirs[0] / "manifest.txt").read_text()
         assert ("mpi = " in manifest) == (policy == "partial")
         assert ("belief_gradient_scale = " in manifest) == (policy == "partial")
+        assert ("partial_scheme = " in manifest) == (policy == "partial")
 
     def test_manifest_records_stream_scheme(self, config_path, tmp_path):
         # simulate runs name the random stream scheme behind their draws; the

@@ -20,6 +20,7 @@ from regimemm.hjb_partial import (
     Stepper,
     convergence_report,
     output_levels,
+    output_times,
     policy,
     solve,
     surface_from_csv,
@@ -125,6 +126,26 @@ class TestSolve:
         assert mid > 1e-4
 
 
+STORAGE_MARKETS = {
+    "table1": table1_spec(),
+    "table1_terminal_cost": table1_spec(terminal_cost_c=0.01),
+    "drift0.05": table1_spec(drift_mu=0.05),
+}
+
+
+def lookup_gap(a, b):
+    """The largest differences of theta, the bid and the ask between two
+    surfaces over 20 000 random lookups (t, n, pi) on table1's domain, as
+    an array of three."""
+    rng = np.random.default_rng(7)
+    points = (rng.uniform(0.0, 1.0, 20_000), rng.integers(-3, 4, 20_000), rng.uniform(0.0, 1.0, 20_000))
+    gaps = [np.max(np.abs(a.theta_at(*points) - b.theta_at(*points)))]
+    for x, y in zip(policy(a, *points), policy(b, *points)):
+        quoted = np.isfinite(x)  # blocked sides hold the stub in both
+        gaps.append(np.max(np.abs(x[quoted] - y[quoted])))
+    return np.array(gaps)
+
+
 class TestOutputGrid:
     """The stored levels against a march that keeps every level."""
 
@@ -133,10 +154,23 @@ class TestOutputGrid:
         spec = table1_spec(terminal_cost_c=request.param)
         return solve(spec, m_pi=40), solve_all_levels(spec, 40)
 
-    def test_uniform_grid_of_the_rule(self, pair):
+    def test_stores_the_graded_grid(self, pair):
         surf, ref = pair
-        np.testing.assert_array_equal(surf.time_grid, np.linspace(0.0, 1.0, output_levels(40)))
+        np.testing.assert_array_equal(surf.time_grid, output_times(1.0, 40))
         assert surf.cfl_report == ref.cfl_report
+
+    @pytest.mark.parametrize("T", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("m_pi", [1, 10, 40, 200, 800])
+    def test_graded_grid_invariants(self, T, m_pi):
+        # ends exactly at 0 and T, strictly increasing, finer toward T
+        grid = output_times(T, m_pi)
+        assert len(grid) == output_levels(m_pi) == 1 + math.ceil(9 * math.sqrt(m_pi))
+        assert grid[0] == 0.0 and grid[-1] == T
+        steps = np.diff(grid)
+        assert np.all(steps > 0.0)
+        assert np.all(np.diff(steps) <= 0.0)
+        u = 1.0 - np.arange(len(grid)) / (len(grid) - 1)
+        np.testing.assert_allclose(grid, T * (1.0 - u**1.75), rtol=0, atol=4e-16 * T)
 
     def test_levels_are_the_all_levels_lookup(self, pair):
         surf, ref = pair
@@ -170,17 +204,20 @@ class TestOutputGrid:
         # the stored m_pi = 400 surface stands in for the 2 m_pi solution: its
         # own storage error is a tenth of the gap measured here
         fine = solve(spec, m_pi=400)
-        rng = np.random.default_rng(7)
-        points = (rng.uniform(0.0, 1.0, 20_000), rng.integers(-3, 4, 20_000), rng.uniform(0.0, 1.0, 20_000))
-
-        def looked_up(s):
-            bid, ask = policy(s, *points)  # blocked sides hold the stub
-            return s.theta_at(*points), bid[np.isfinite(bid)], ask[np.isfinite(ask)]
-
-        worst = lambda a, b: max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
-        gap, err = worst(looked_up(ref), looked_up(fine)), worst(looked_up(surf), looked_up(ref))
+        gap, err = lookup_gap(ref, fine).max(), lookup_gap(surf, ref).max()
         assert gap > 5e-6
         assert err < 0.5 * gap, (err, gap)
+
+    @pytest.mark.parametrize("m_pi", [25, 50])
+    @pytest.mark.parametrize("market", STORAGE_MARKETS)
+    def test_storage_error_within_the_rule_bound(self, market, m_pi):
+        # what storing the graded grid loses, against a march that keeps every
+        # level: theta and each spread as a fraction of its own gap to the
+        # 2 m_pi solution
+        spec = STORAGE_MARKETS[market]
+        surf, ref = solve(spec, m_pi=m_pi), solve_all_levels(spec, m_pi)
+        gap, err = lookup_gap(ref, solve_all_levels(spec, 2 * m_pi)), lookup_gap(surf, ref)
+        assert np.all(err <= 0.31 * gap), (err, gap)
 
     def test_memory_holds_output_levels_only(self):
         tracemalloc.start()
@@ -197,8 +234,11 @@ class TestOutputGrid:
 class TestTimeBracket:
     @pytest.mark.parametrize(
         "grid",
-        [np.linspace(0.0, 1.0, 284), np.linspace(0.0, 2.5, 2001), np.linspace(0.0, 1.0, 60) ** 2],
-        ids=["uniform-284", "uniform-2001", "squares"],
+        [
+            np.linspace(0.0, 1.0, 284), np.linspace(0.0, 2.5, 2001), np.linspace(0.0, 1.0, 60) ** 2,
+            output_times(1.0, 200),
+        ],
+        ids=["uniform-284", "uniform-2001", "squares", "graded-129"],
     )
     def test_interval_is_the_right_search(self, grid):
         # the interval is the search's, kept inside the grid, at every node,

@@ -13,6 +13,7 @@ from regimemm.errors import ConfigError, UnsupportedConfigError
 from regimemm.intensity import IntensityFamily
 from regimemm.model import (
     CAP_DOMAIN,
+    HORIZON_DOMAIN,
     ModelSpec,
     RegimeSpec,
     format_config,
@@ -142,6 +143,31 @@ class TestCapContract:
         with pytest.raises(ValueError) as info:
             self.ENTRY_POINTS[entry](spec)
         assert str(info.value) == CAP_DOMAIN == "inventory_cap_Nstar must be a positive integer"
+
+
+class TestHorizonContract:
+    """Both solvers, the partial output grid and the Monte Carlo engine meet
+    a horizon ``validate`` rejects with its message as a ``ValueError``,
+    not a surface of NaNs, a ``NumericsError`` or paths that never end."""
+
+    ENTRY_POINTS = {
+        "hjb_partial.output_times": lambda spec: hjb_partial.output_times(spec.horizon_T, 10),
+        "hjb_partial.solve": lambda spec: hjb_partial.solve(spec, 10),
+        "hjb_full.solve_constrained": lambda spec: hjb_full.solve_constrained(spec, 10),
+        "hjb_full.solve_constrained-search": lambda spec: hjb_full.solve_constrained(spec),
+        "monte_carlo": lambda spec: monte_carlo(spec, FIXED, 2, 1),
+        "simulate_path": lambda spec: simulate_path(spec, FIXED, 1),
+    }
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_horizon_raises_validates_message(self, entry, horizon):
+        spec = with_params(table1_spec(), horizon_T=horizon)
+        (message,) = validate(spec)
+        assert message == (HORIZON_DOMAIN if math.isfinite(horizon) else "horizon_T must be finite")
+        with pytest.raises(ValueError) as info:
+            self.ENTRY_POINTS[entry](spec)
+        assert str(info.value) == message
 
 
 class TestTwoRegimeReduction:

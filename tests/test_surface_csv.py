@@ -136,7 +136,7 @@ def test_partial_reader_rejects_a_negative_scale():
 
 
 def test_reader_memory_is_bounded_by_the_text():
-    # the m_pi = 200 surface of the benchmark's solve workload, about 39 MB
+    # the m_pi = 200 surface of the benchmark's solve workload, about 18 MB
     # of text; the reader parses it in blocks, so beyond the text it holds
     # little more than the parsed rows and the tables
     text = hjb_partial.surface_to_csv(hjb_partial.solve(table1_spec(), m_pi=200))
