@@ -55,7 +55,7 @@ import numpy as np
 from .errors import NumericsError
 from .grid import check_count, gather, gather_spreads, grid_from_csv, grid_to_csv, inventory_row, time_bracket
 from .intensity import STUB_SPREAD, IntensityFamily, hamiltonian_value, optimal_spread, prepared, utility
-from .model import ModelSpec, check_horizon, format_config, parse_config
+from .model import ModelSpec, check_generator, check_horizon, format_config, parse_config
 
 THETA_TOLERANCE = 1e-9  # on the theta estimate
 # on the spread-lookup estimate: 7x below the partial scheme's own spread
@@ -302,11 +302,13 @@ def solve_constrained(spec: ModelSpec, n_steps: int | None = None) -> FullInfoSu
     estimate.  Raises ``NumericsError`` when theta is not finite or leaves
     the ``comparison_bounds`` sandwich, the mark of a march too coarse for
     its rates: at the given count, or at every count the search tries.
-    Raises ``ValueError`` for a horizon that is not finite and > 0.
+    Raises ``ValueError`` with ``validate``'s message for a horizon that is
+    not finite and > 0 and for a generator that is not one.
     """
     if n_steps is not None:
         n_steps = check_count("n_steps", n_steps)
     T = check_horizon(spec.horizon_T)
+    check_generator(spec)
     plan = _Plan.build(spec)
     k_upper, k_lower = _sandwich(plan)
     bounds = (-k_upper * T - k_lower - _SANDWICH_SLACK, k_upper * T + _SANDWICH_SLACK)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, UnsupportedConfigError
+from .errors import NumericsError
 from .grid import (
     DEFAULT_PI_CELLS, belief_bracket, check_count, gather, gather_spreads, grid_from_csv, grid_to_csv,
     inventory_row, time_bracket,
@@ -115,6 +115,12 @@ class Stepper:
     call for both sides.  Exposed separately from ``solve`` so single-step
     properties (monotonicity under CFL) can be tested.
 
+    Any market that ``two_regime_reduction`` accepts is marched: its
+    generator is valid, so q_hat(0) = q21 >= 0 and q_hat(1) = q11 <= 0, and
+    the transport points inward, or vanishes, at both belief ends.  An
+    absorbing regime (q11 = 0, q21 = 0 or Q = 0) makes its end of the belief
+    axis absorbing too, and the step stays monotone.
+
     The panel's rows are every inventory -N*..N*.  ``solve`` sets
     ``_mirror`` for a market with no drift, whose rows are then n = 0..N*
     only, their negative mirror images left out (see the module docstring).
@@ -126,11 +132,6 @@ class Stepper:
         if _mirror and spec.drift_mu != 0.0:
             raise ValueError("only a market with no drift is its own mirror image")
         red = two_regime_reduction(spec)
-        if not red.q11 < 0.0:
-            raise UnsupportedConfigError(
-                "partial-information scheme needs a strictly negative q11 "
-                "(inward transport at the pi = 1 boundary)"
-            )
         self.scale = float(belief_gradient_scale)
         if not self.scale >= 0.0:
             # a negative scale flips the upwind coefficients: the explicit

@@ -38,6 +38,38 @@ def check_horizon(T) -> float:
     return float(T)
 
 
+def generator_violations(spec: ModelSpec) -> list[str]:
+    """Every rule of a generator of the hidden chain that ``spec.generator_Q``
+    breaks: it is k x k for the spec's k regimes, its entries are finite,
+    each row sums to 0 within 1e-9, and its off-diagonal entries are >= 0
+    and its diagonal entries <= 0 (within 1e-12).  A zero row, an absorbing
+    regime, is valid.  ``validate`` reports these messages and
+    ``check_generator`` raises the first."""
+    q, k = spec.generator_Q, spec.n_regimes
+    if q.shape != (k, k):
+        return [f"generator_Q must be {k}x{k} to match the regimes"]
+    if not np.all(np.isfinite(q)):
+        return ["generator_Q entries must be finite"]
+    out = []
+    if np.any(np.abs(q.sum(axis=1)) > 1e-9):
+        out.append("generator row sum nonzero (rows of Q must sum to 0)")
+    off = q[~np.eye(k, dtype=bool)]
+    if off.size and np.min(off) < 0:
+        out.append("generator off-diagonal entries must be >= 0")
+    if np.any(np.diag(q) > 1e-12):
+        out.append("generator diagonal entries must be <= 0")
+    return out
+
+
+def check_generator(spec: ModelSpec) -> None:
+    """Raises ``ValueError`` with the first of ``generator_violations``, so a
+    library caller that skips ``validate`` meets the same generator contract
+    as the CLI."""
+    violations = generator_violations(spec)
+    if violations:
+        raise ValueError(violations[0])
+
+
 @dataclass(frozen=True)
 class RegimeSpec:
     """Label plus bid/ask intensity curves for one hidden-market regime."""
@@ -120,7 +152,10 @@ def validate(spec: ModelSpec) -> list[str]:
 
     Pure and idempotent; an empty list means every downstream operation can
     consume the spec without further parameter errors.  Every number must be
-    finite except the spread bounds, which may be infinite.
+    finite except the spread bounds, which may be infinite.  The generator's
+    messages come from ``generator_violations``.  The library's entry points
+    raise the generator's, the cap's and the horizon's messages as
+    ``ValueError``.
     """
     out: list[str] = []
     k = spec.n_regimes
@@ -151,20 +186,7 @@ def validate(spec: ModelSpec) -> list[str]:
     elif not -cap <= spec.initial_inventory_n0 <= cap:
         out.append("initial_inventory_n0 outside [-N*, N*]")
 
-    q = spec.generator_Q
-    if q.shape != (k, k):
-        out.append(f"generator_Q must be {k}x{k} to match the regimes")
-    elif not np.all(np.isfinite(q)):
-        out.append("generator_Q entries must be finite")
-    else:
-        rows = q.sum(axis=1)
-        if np.any(np.abs(rows) > 1e-9):
-            out.append("generator row sum nonzero (rows of Q must sum to 0)")
-        off = q[~np.eye(k, dtype=bool)]
-        if off.size and np.min(off) < 0:
-            out.append("generator off-diagonal entries must be >= 0")
-        if np.any(np.diag(q) > 1e-12):
-            out.append("generator diagonal entries must be <= 0")
+    out += generator_violations(spec)
 
     mu0 = spec.initial_filter_mu0
     if mu0.shape != (k,):
@@ -231,7 +253,13 @@ class TwoRegimeParams:
 
 
 def two_regime_reduction(spec: ModelSpec) -> TwoRegimeParams:
-    """Extract (lam, m, q11, q21), or raise naming the unmet requirement."""
+    """Extract (lam, m, q11, q21), or raise naming the unmet requirement.
+
+    Raises ``ValueError`` with ``validate``'s message for a generator that
+    ``generator_violations`` rejects, and ``UnsupportedConfigError`` for a
+    valid market outside the reduction.  Any valid two-state generator
+    reduces, absorbing regimes included: its q21 >= 0 and q11 <= 0."""
+    check_generator(spec)
     if spec.n_regimes != 2:
         raise UnsupportedConfigError(
             f"two-regime reduction requires k = 2 regimes, got {spec.n_regimes}"
@@ -283,18 +311,10 @@ _SCALAR_FIELDS: dict[str, Callable[[str], object]] = {
     "initial_price_s0": float,
 }
 
-_REQUIRED_KEYS = set(_SCALAR_FIELDS) | {
-    "inventory_cap_Nstar",
-    "spread_lo",
-    "spread_hi",
-    "generator_Q",
-    "initial_filter_mu0",
-}
-
 
 def _parse_extended(text: str) -> float:
     t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity", "unbounded"):
+    if t in ("inf", "+inf", "infinity"):
         return math.inf
     if t in ("-inf", "-infinity"):
         return -math.inf

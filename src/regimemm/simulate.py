@@ -53,7 +53,7 @@ from .filtering import _FLOOR, _hermite, _rk4_step, drift, observable_rates
 from .filtering import jump_update as _filter_jump
 from .grid import check_belief, check_count
 from .intensity import STUB_SPREAD, eval_intensity, is_stub
-from .model import ModelSpec, check_horizon
+from .model import ModelSpec, check_generator, check_horizon
 from .rng import EVENTS, PRICES, REGIME, Substream
 
 logger = logging.getLogger(__name__)
@@ -594,11 +594,14 @@ def _run(spec, policy, seed, path_ids, report_points, h_target, regime_true, rec
     Returns per-path penalized P&L, bid and ask fill counts, the records of
     the first ``record`` paths and the summed run counters.  Raises
     ``ValueError`` for a cap that is not a positive integer, which every
-    policy's fill gates would otherwise compare against, and for a horizon
-    that is not finite and > 0, whose paths would never end.
+    policy's fill gates would otherwise compare against, for a horizon
+    that is not finite and > 0, whose paths would never end, and for a
+    generator that is not one, whose regime chain and belief drift would
+    have no meaning; each with ``validate``'s message.
     """
     spec.inventory_levels()
     check_horizon(spec.horizon_T)
+    check_generator(spec)
     check_count("seed", seed, 0, 2**64)
     check_count("report_points", report_points)
     if not 0.0 < h_target < math.inf:

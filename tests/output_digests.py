@@ -27,11 +27,13 @@ checkout of the parent commit, with
     PYTHONPATH=src python tests/output_digests.py --parent ../parent/src
 
 which runs the same commands on both trees, the other one in a subprocess
-with its own ``PYTHONPATH``, prints each line that differs and exits 1 on
-any difference.  Under a differing read-back line it also prints the
-largest absolute difference of each table (theta, spread_bid, spread_ask)
-between the two trees' surfaces.  Not a pytest module: it runs for tens of
-seconds.
+with its own ``PYTHONPATH``, matches the lines by label, prints each line
+that differs or that only one tree prints (a command that exits early
+writes fewer files) and exits 1 on any difference.  Under a differing
+read-back line it also prints the largest absolute difference of theta
+and of each spread between the two trees' surfaces, looked up at the
+nodes of both grids, so it also measures a change of the time or belief
+grid.  Not a pytest module: it runs for tens of seconds.
 """
 
 import argparse
@@ -80,7 +82,7 @@ def _read_back_digest(module, text: str, keep: Path | None = None) -> str:
     """sha256 of the spec and of the time grid, belief axis (partial
     surfaces) and tables that ``module.surface_from_csv`` reads from
     ``text``: each array's shape, then its bytes.  With ``keep`` the
-    tables are also saved there."""
+    surface file is also saved there."""
     surface = module.surface_from_csv(text)
     h = hashlib.sha256(format_config(surface.spec).encode())
     for name in ("time_grid", "pi_grid", *TABLES):
@@ -89,28 +91,40 @@ def _read_back_digest(module, text: str, keep: Path | None = None) -> str:
             h.update(repr(array.shape).encode())
             h.update(array.tobytes())
     if keep is not None:
-        np.savez(keep, **{name: getattr(surface, name) for name in TABLES})
+        keep.write_text(text, encoding="utf-8")
     return h.hexdigest()
 
 
-def _tables_file(tables: Path, label: str) -> Path:
-    return tables / f"{_digest(label)[:16]}.npz"
+def _kept_file(kept: Path, label: str) -> Path:
+    return kept / f"{_digest(label)[:16]}.csv"
 
 
-def largest_differences(ours: Path, theirs: Path) -> str:
-    """``name max|a - b|`` of each saved table, where the two differ
-    (equal stubs count as equal)."""
-    with np.load(ours) as a, np.load(theirs) as b:
-        parts = []
-        for name in TABLES:
-            x, y = a[name], b[name]
-            if x.shape != y.shape:
-                parts.append(f"{name} shape {y.shape} -> {x.shape}")
-            else:
-                with np.errstate(invalid="ignore"):  # stub - stub, masked out
-                    gap = np.max(np.abs(x - y), where=x != y, initial=0.0)
-                parts.append(f"{name} {gap:.3g}")
-    return "largest |difference|: " + ", ".join(parts)
+def _nodes(surface):
+    """The nodes (t, n, x) of a surface's grid as broadcast arrays; x is a
+    partial surface's belief and a full surface's 1-based regime."""
+    third = getattr(surface, "pi_grid", None)
+    if third is None:
+        third = np.arange(1, surface.spec.n_regimes + 1)
+    return surface.time_grid[:, None, None], surface.spec.inventory_levels()[:, None], third
+
+
+def largest_differences(module, ours: Path, theirs: Path) -> str:
+    """``name max|a - b|`` of theta, the bid and the ask between the two
+    surface files, both read by ``module`` and looked up through its
+    ``theta_at`` and ``policy`` at the nodes of both grids, so surfaces on
+    different time or belief grids compare too (equal stubs count as
+    equal)."""
+    a, b = (module.surface_from_csv(path.read_text(encoding="utf-8")) for path in (ours, theirs))
+    gaps = dict.fromkeys(TABLES, 0.0)
+    for points in (_nodes(a), _nodes(b)):
+        values = [(s.theta_at(*points), *module.policy(s, *points)) for s in (a, b)]
+        for name, x, y in zip(TABLES, *values):
+            with np.errstate(invalid="ignore"):  # stub - stub, masked out
+                gaps[name] = max(gaps[name], np.max(np.abs(x - y), where=x != y, initial=0.0))
+    text = ", ".join(f"{name} {gap:.3g}" for name, gap in gaps.items())
+    if a.theta.shape != b.theta.shape:
+        text += f" (theta shape {b.theta.shape} -> {a.theta.shape})"
+    return "largest |difference| at both grids' nodes: " + text
 
 
 def configs(tmp: Path):
@@ -123,10 +137,10 @@ def configs(tmp: Path):
     yield "table1 with drift_mu = 0.05", drifting
 
 
-def digests(name: str, config: Path, out: Path, tables: Path | None = None):
+def digests(name: str, config: Path, out: Path, kept: Path | None = None):
     """(label, sha256) of every output body of ``COMMANDS`` on ``config``,
-    labelled by ``name``; with ``tables`` each read-back surface's tables
-    are saved there."""
+    labelled by ``name``; with ``kept`` each read-back surface file is
+    saved there."""
     for command in COMMANDS:
         argv = [command[0], str(config), *command[1:]]
         if command[0] != "attractor":
@@ -151,29 +165,30 @@ def digests(name: str, config: Path, out: Path, tables: Path | None = None):
             yield f"{label} | {path.name}", _digest(text)
             if path.name in READERS:
                 read_label = f"{label} | {path.name} read back"
-                keep = None if tables is None else _tables_file(tables, read_label)
+                keep = None if kept is None else _kept_file(kept, read_label)
                 yield read_label, _read_back_digest(READERS[path.name], text, keep)
 
 
-def lines(tables: Path | None = None):
+def lines(kept: Path | None = None):
     """Every output line, ``<sha256>  <label>``, of ``COMMANDS`` on every config."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in configs(Path(tmp)):
-            for label, digest in digests(name, config, Path(tmp), tables):
+            for label, digest in digests(name, config, Path(tmp), kept):
                 yield f"{digest}  {label}"
 
 
 def compare(parent_src: str) -> int:
     """Prints the lines that differ between the tree under test and the
-    tree at ``parent_src``, with the largest table differences under a
-    read-back line; 1 if any line differs."""
+    tree at ``parent_src``, matched by label, with the largest surface
+    differences under a read-back line, and the lines only one tree
+    prints; 1 if any line differs."""
     env = dict(os.environ, PYTHONPATH=str(Path(parent_src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         ours, theirs = Path(tmp, "ours"), Path(tmp, "theirs")
         ours.mkdir()
         theirs.mkdir()
         parent = subprocess.Popen(
-            [sys.executable, __file__, "--tables", str(theirs)],
+            [sys.executable, __file__, "--keep", str(theirs)],
             env=env, stdout=subprocess.PIPE, text=True,
         )
         change = list(lines(ours))
@@ -181,29 +196,34 @@ def compare(parent_src: str) -> int:
         if parent.returncode != 0:
             print(f"the run on {parent_src} exited {parent.returncode}")
             return 1
-        differ = 0
-        for old, new in zip(parent_out, change):
-            if old != new:
-                differ += 1
-                print(f"- {old}\n+ {new}")
-                label = new.split("  ", 1)[1]
+        old = {line.split("  ", 1)[1]: line for line in parent_out}
+        identical = 0
+        for new in change:
+            label = new.split("  ", 1)[1]
+            prev = old.pop(label, None)
+            if prev == new:
+                identical += 1
+            elif prev is None:
+                print(f"+ {new}  (only here)")
+            else:
+                print(f"- {prev}\n+ {new}")
                 if label.endswith("read back"):
-                    print("  " + largest_differences(_tables_file(ours, label), _tables_file(theirs, label)))
-    if len(parent_out) != len(change):
-        differ += 1
-        print(f"{len(parent_out)} lines on {parent_src}, {len(change)} here")
-    print(f"{len(change) - differ} of {len(change)} lines identical")
-    return 1 if differ else 0
+                    module = READERS[label.split(" | ")[1].removesuffix(" read back")]
+                    print("  " + largest_differences(module, _kept_file(ours, label), _kept_file(theirs, label)))
+    for line in old.values():
+        print(f"- {line}  (only on {parent_src})")
+    print(f"{identical} of {len(change)} lines identical, {len(old)} only on {parent_src}")
+    return 0 if identical == len(change) and not old else 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", metavar="SRC", help="source tree to compare against")
-    parser.add_argument("--tables", metavar="DIR", type=Path, help="also save each read-back surface's tables in DIR")
+    parser.add_argument("--keep", metavar="DIR", type=Path, help="also save each read-back surface file in DIR")
     args = parser.parse_args()
     if args.parent is not None:
         return compare(args.parent)
-    for line in lines(args.tables):
+    for line in lines(args.keep):
         print(line, flush=True)
     return 0
 

@@ -56,6 +56,27 @@ class TestAttractor:
         assert main(["attractor", cfg, "--beta", "1"]) == 3
 
 
+class TestAbsorbingConfig:
+    """The shipped market with an absorbing low-liquidity regime (q11 = 0)
+    runs every partial-information command; only the attractor, whose
+    quiet-period root sits at pi = 1, exits 3."""
+
+    CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "table1_absorbing.cfg")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve-partial"], ["compare"], ["simulate", "--policy", "partial", "--paths", "20"]],
+        ids=["solve-partial", "compare", "simulate-partial"],
+    )
+    def test_partial_commands_run(self, tmp_path, capsys, argv):
+        assert main([argv[0], self.CONFIG, *argv[1:], "--mpi", "50", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_attractor_has_no_interior_root(self, capsys):
+        assert main(["attractor", self.CONFIG, "--beta", "1"]) == 3
+        assert capsys.readouterr().err == "error: no attractor root: q11 must be negative\n"
+
+
 class TestSolveFull:
     def test_row_count_and_manifest(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "out")

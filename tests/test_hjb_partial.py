@@ -27,9 +27,21 @@ from regimemm.hjb_partial import (
     surface_to_csv,
 )
 from regimemm.intensity import STUB_SPREAD, IntensityFamily
-from regimemm.model import RegimeSpec, load_config, table1_spec, two_regime_reduction, with_params
+from regimemm.model import RegimeSpec, format_config, load_config, table1_spec, two_regime_reduction, with_params
+from regimemm.simulate import PartialInfoPolicy, monte_carlo
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+# table1 with regime 2 absorbing, regime 1 absorbing, and both
+ABSORBING = {
+    name: with_params(table1_spec(), generator_Q=np.array(q))
+    for name, q in (
+        ("regime2", [[-5.0, 5.0], [0.0, 0.0]]),
+        ("regime1", [[0.0, 0.0], [5.0, -5.0]]),
+        ("both", [[0.0, 0.0], [0.0, 0.0]]),
+    )
+}
 
 
 def zero_order_spec(c=0.0):
@@ -114,9 +126,6 @@ class TestSolve:
     def test_rejects_unsupported(self):
         with pytest.raises(UnsupportedConfigError):
             solve(with_params(table1_spec(), risk_aversion_gamma=0.3))
-        q_bad = np.array([[0.0, 0.0], [5.0, -5.0]])
-        with pytest.raises(UnsupportedConfigError, match="q11"):
-            solve(with_params(table1_spec(), generator_Q=q_bad))
 
     def test_doubled_gradient_variant_differs(self):
         s1 = solve(table1_spec(), m_pi=40)
@@ -281,6 +290,7 @@ class TestHalfPanelMarch:
         "mpi200-c": (table1_spec(terminal_cost_c=0.01), 200, 1.0),
         "negative-zero-drift": (table1_spec(drift_mu=-0.0), 30, 1.0),
         "drift": (table1_spec(drift_mu=0.3), 30, 1.0),
+        "absorbing": (ABSORBING["regime1"], 30, 1.0),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -322,7 +332,7 @@ class TestConvexInBelief:
     along pi of the stored theta is at least -4 eps max|theta| (rounding)."""
 
     @pytest.mark.parametrize("m_pi", [50, 100, 200, 400])
-    @pytest.mark.parametrize("config", ["table1.cfg", "table1_terminal_cost.cfg"])
+    @pytest.mark.parametrize("config", ["table1.cfg", "table1_terminal_cost.cfg", "table1_absorbing.cfg"])
     def test_second_differences_nonnegative(self, config, m_pi):
         theta = solve(load_config(ROOT / "configs" / config), m_pi).theta
         second = theta[..., 2:] - 2.0 * theta[..., 1:-1] + theta[..., :-2]
@@ -354,8 +364,12 @@ class TestEvaluate:
 
 
 class TestMonotoneStep:
-    def test_random_single_step_perturbations(self):
-        spec = table1_spec(terminal_cost_c=0.01)
+    @pytest.mark.parametrize(
+        "spec",
+        [table1_spec(terminal_cost_c=0.01), load_config(ROOT / "configs" / "table1_absorbing.cfg")],
+        ids=["table1-c", "absorbing"],
+    )
+    def test_random_single_step_perturbations(self, spec):
         stepper = Stepper(spec, m_pi=40)
         rng = np.random.default_rng(42)
         theta = stepper.terminal_panel()
@@ -579,6 +593,149 @@ class TestAgainstFullInformation:
         peak = surf.spread_ask[:, 1:, :].max(axis=0)
         overshoot = (peak > 0.04 + 1e-5) & (peak > plateau[1:, :] + 1e-5)
         assert np.any(overshoot)
+
+
+def assert_first_order(errors, ladder, C):
+    """``errors`` at the belief cells ``ladder``, each twice the last, are at
+    most C / m_pi and fall at least 1.8-fold per doubling."""
+    errors = np.array(errors)
+    assert np.all(errors <= C / ladder)
+    assert np.all(errors[:-1] >= 1.8 * errors[1:])
+
+
+class TestAbsorbingRegime:
+    """With regime j absorbing, certainty in j is an absorbing belief: the
+    transport q_hat, the order-flow weight w and a fill's move of the belief
+    all vanish there.  So theta_partial(t, n, pi_j) solves regime j's
+    uncoupled full-information equation, which ``solve_constrained`` solves
+    on its own, sharing only ``intensity`` with the partial scheme.  The
+    first-order scheme's sup error over the stored times and inventories is
+    at most C / m_pi and halves with each refinement."""
+
+    # market, belief column, the regime certain there, C
+    CASES = {
+        "regime2-at-pi0": ("regime2", 0, 2, 3.5e-3),
+        "regime1-at-pi1": ("regime1", -1, 1, 8e-4),
+        "both-at-pi1": ("both", -1, 1, 3e-3),
+        "both-at-pi0": ("both", 0, 2, 1.2e-2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_certain_belief_solves_the_regime_equation(self, case):
+        market, column, regime, C = self.CASES[case]
+        spec = ABSORBING[market]
+        full = solve_constrained(spec, 2000)
+        ladder = np.array([50, 100, 200])
+        errors = []
+        for m_pi in ladder:
+            surf = solve(spec, m_pi)
+            exact = full.theta_at(surf.time_grid[:, None], spec.inventory_levels(), regime)
+            errors.append(np.max(np.abs(surf.theta[:, :, column] - exact)))
+        assert_first_order(errors, ladder, C)
+
+    def test_monte_carlo_mean_within_3_se(self):
+        # criterion 3's check on the shipped absorbing market
+        spec = load_config(ROOT / "configs" / "table1_absorbing.cfg")
+        assert format_config(spec) == format_config(ABSORBING["regime1"])
+        surf = solve(spec, m_pi=200)
+        summary = monte_carlo(spec, PartialInfoPolicy(surf), n_paths=10_000, seed=1)
+        gap = abs(summary.mean_pnl - surf.theta_at(0.0, 0, 0.5))
+        assert gap < 3.0 * summary.stderr
+        assert summary.clamps == 0
+
+
+EPS = np.finfo(float).eps
+
+
+class TestInformationOrdering:
+    """A market maker who sees the regime can do whatever one who filters
+    can (Blackwell, 1953): theta_partial <= pi theta_full(., 1) + (1 - pi)
+    theta_full(., 2) at every node.  The stored partial surface breaks it
+    only by its first-order error, at most C / m_pi and halving with each
+    refinement.  Under the doubled gradient convention the violation does
+    not shrink, so only the default convention is checked."""
+
+    @staticmethod
+    def scaled(k):
+        """table1 with both regimes' order amplitudes scaled by k, Q fixed."""
+        lam1, lam2 = (IntensityFamily.exponential(k * a, 25.0) for a in (2.0, 10.0))
+        return with_params(table1_spec(), regimes=(RegimeSpec("1", lam1, lam1), RegimeSpec("2", lam2, lam2)))
+
+    # market, C
+    CASES = {
+        "amplitudes-x0.25": (scaled(0.25), 1.4e-3),
+        "table1": (table1_spec(), 5e-3),
+        "amplitudes-x4": (scaled(4.0), 1.5e-2),
+        "table1_terminal_cost": (table1_spec(terminal_cost_c=0.01), 1.1e-2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_below_the_regime_mixture(self, case):
+        spec, C = self.CASES[case]
+        full = solve_constrained(spec)
+        ladder = np.array([100, 200, 400])
+        violations = []
+        for m_pi in ladder:
+            surf = solve(spec, m_pi)
+            t, n, pi = surf.time_grid[:, None, None], spec.inventory_levels()[:, None], surf.pi_grid
+            mixture = pi * full.theta_at(t, n, 1) + (1.0 - pi) * full.theta_at(t, n, 2)
+            violations.append(np.max(surf.theta - mixture))
+        assert_first_order(violations, ladder, C)
+
+
+class TestParameterOrdering:
+    """Orderings that follow from a pointwise lower reward or a smaller set
+    of admissible quotes: theta does not rise with the terminal cost c or
+    the running penalty zeta, does not fall on the common rows when the cap
+    N* grows or the spread bounds widen, and the full solver's certainty
+    equivalent does not rise with gamma.  Node by node on a common grid they
+    hold to rounding (4 eps max|theta|), except the partial solver's cap
+    and bounds moves: those markets' marches take different CFL steps, so
+    their stored levels interpolate different march levels, and the
+    ordering holds to the scheme's first-order error, C / m_pi."""
+
+    SOLVERS = {
+        "partial": lambda spec: solve(spec, 100).theta,
+        "full": lambda spec: solve_constrained(spec, 400).theta,
+    }
+    MARKETS = {"table1": table1_spec(), "table1_terminal_cost": table1_spec(terminal_cost_c=0.01)}
+    # each move maps a market to (the market with the lower theta, the one with the higher)
+    MOVES = {
+        "c": lambda spec: (with_params(spec, terminal_cost_c=spec.terminal_cost_c + 0.01), spec),
+        "zeta": lambda spec: (with_params(spec, running_penalty_zeta=0.2), spec),
+        "cap": lambda spec: (spec, with_params(spec, inventory_cap_Nstar=4)),
+        "bounds": lambda spec: (with_params(spec, spread_lo=0.03, spread_hi=0.2), spec),
+    }
+
+    @staticmethod
+    def fall(low, high):
+        """The largest amount by which ``low`` exceeds ``high`` on the common rows."""
+        if high.shape[1] > low.shape[1]:  # the larger cap's common rows
+            high = high[:, 1:-1]
+        return np.max(low - high)
+
+    @pytest.mark.parametrize(
+        "solver, move",
+        [("full", "c"), ("full", "zeta"), ("full", "cap"), ("full", "bounds"), ("partial", "c"), ("partial", "zeta")],
+    )
+    @pytest.mark.parametrize("market", MARKETS)
+    def test_theta_ordered(self, market, solver, move):
+        low, high = (self.SOLVERS[solver](spec) for spec in self.MOVES[move](self.MARKETS[market]))
+        assert self.fall(low, high) <= 4.0 * EPS * np.abs(high).max()
+
+    @pytest.mark.parametrize("move, C", [("cap", 2.5e-4), ("bounds", 2.5e-5)])
+    @pytest.mark.parametrize("market", MARKETS)
+    def test_partial_theta_ordered_within_the_scheme_error(self, market, move, C):
+        specs = self.MOVES[move](self.MARKETS[market])
+        for m_pi in (50, 100, 200):
+            assert self.fall(*(solve(spec, m_pi).theta for spec in specs)) <= C / m_pi
+
+    @pytest.mark.parametrize("market", MARKETS)
+    def test_full_theta_falls_with_risk_aversion(self, market):
+        spec = self.MARKETS[market]
+        thetas = [self.SOLVERS["full"](with_params(spec, risk_aversion_gamma=g)) for g in (0.0, 0.5, 2.0)]
+        for high, low in zip(thetas, thetas[1:]):
+            assert self.fall(low, high) <= 4.0 * EPS * np.abs(high).max()
 
 
 class TestPersistence:

@@ -17,6 +17,7 @@ from regimemm.model import (
     ModelSpec,
     RegimeSpec,
     format_config,
+    generator_violations,
     load_config,
     parse_config,
     table1_spec,
@@ -170,6 +171,47 @@ class TestHorizonContract:
         assert str(info.value) == message
 
 
+class TestGeneratorContract:
+    """A generator ``validate`` rejects reaches no solver, scheme or path:
+    each entry point raises ``validate``'s first message as a plain
+    ``ValueError``, and ``validate``'s messages are the predicate's."""
+
+    ENTRY_POINTS = {
+        "two_regime_reduction": two_regime_reduction,
+        "hjb_partial.Stepper": lambda spec: hjb_partial.Stepper(spec, 10),
+        "hjb_partial.solve": lambda spec: hjb_partial.solve(spec, 10),
+        "hjb_full.solve_constrained": lambda spec: hjb_full.solve_constrained(spec, 10),
+        "hjb_full.solve_constrained-search": lambda spec: hjb_full.solve_constrained(spec),
+        "monte_carlo": lambda spec: monte_carlo(spec, FIXED, 2, 1),
+        "simulate_path": lambda spec: simulate_path(spec, FIXED, 1),
+    }
+    GENERATORS = {
+        "q11>0": [[1.0, -1.0], [5.0, -5.0]],
+        "q21<0": [[-5.0, 5.0], [-1.0, 1.0]],
+        "row-sum": [[-5.0, 4.0], [5.0, -5.0]],
+        "nan": [[-5.0, 5.0], [math.nan, -5.0]],
+        "3x3": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]],
+    }
+
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_bad_generator_raises_validates_message(self, entry, generator):
+        spec = with_params(table1_spec(), generator_Q=np.array(self.GENERATORS[generator]))
+        violations = validate(spec)
+        assert violations and violations == generator_violations(spec)
+        with pytest.raises(ValueError) as info:
+            self.ENTRY_POINTS[entry](spec)
+        assert info.type is ValueError
+        assert str(info.value) == violations[0]
+
+    @pytest.mark.parametrize("q", [[[0.0, 0.0], [5.0, -5.0]], [[-5.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_absorbing_regimes_are_valid(self, q):
+        spec = with_params(table1_spec(), generator_Q=np.array(q))
+        assert validate(spec) == generator_violations(spec) == []
+        red = two_regime_reduction(spec)
+        assert (red.q11, red.q21) == (q[0][0], q[1][0])
+
+
 class TestTwoRegimeReduction:
     def test_table1_values(self):
         red = two_regime_reduction(table1_spec())
@@ -243,6 +285,13 @@ class TestConfigFormat:
         # tool run the file, so the two must be one market
         spec = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
         assert format_config(spec) == format_config(table1_spec(**params))
+
+    def test_unbounded_spelling_rejected(self):
+        # "inf" is the one spelling of an infinite spread bound
+        text = format_config(table1_spec()).replace("spread_hi = 10", "spread_hi = unbounded")
+        with pytest.raises(ConfigError, match="could not parse value 'unbounded'") as err:
+            parse_config(text)
+        assert err.value.key == "spread_hi"
 
     def test_missing_key_reports_key(self):
         text = format_config(table1_spec())
